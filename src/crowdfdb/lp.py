@@ -1,25 +1,29 @@
-"""Linear program over selection probabilities, and a dense simplex solver.
+"""Linear program over selection probabilities, and a bounded simplex solver.
 
 The program maximizes expected label accuracy (stated below as the
 equivalent minimization of its negation) over policies S subject to:
 
     sum_i S[i] = 1
-    0 <= S[i] <= beta                        (diversity caps)
+    0 <= S[i] <= beta                        (diversity cap, a variable bound)
     |sum_i S[i] * gap_i| <= alpha            (fairness rows, per error kind)
     sum_i S[i] * c_i <= C                    (expected per-label budget)
 
 where gap_i is worker i's between-group difference of the constrained
 error-rate entry.  A fairness slack or budget of +inf omits the matching
-rows.  Problems of this shape are bounded (the feasible set sits inside
-the probability simplex), so a returned Unbounded status signals a
-builder bug rather than a legitimate outcome.
+rows, so the program has at most six rows.  Problems of this shape are
+bounded (the feasible set sits inside the probability simplex), so a
+returned Unbounded status signals a bug in build_lp rather than a legitimate
+outcome.
 
-The solver is a two-phase primal simplex on the dense standard-form
-tableau.  Pivoting uses Dantzig's most-negative reduced cost for speed
-and switches to Bland's rule whenever a run of degenerate pivots exceeds
-a fixed threshold, which restores the anti-cycling guarantee while
-keeping every choice deterministic.  Feasibility is accepted at 1e-7 and
-reduced costs at 1e-9 (see Tolerances in model.py).
+The solver is a two-phase bounded-variable primal simplex (Dantzig 1955;
+Chvatal, Linear Programming, ch. 8) over an m x m basis of the real rows:
+a variable that reaches its cap flips to its upper bound instead of
+adding a row, so each iteration costs O(m n).  Pivoting uses Dantzig's
+largest reduced cost for speed and switches to Bland's rule whenever a
+run of degenerate pivots exceeds a fixed threshold, which restores the
+anti-cycling guarantee while keeping every choice deterministic.
+Feasibility is accepted at 1e-7 and reduced costs at 1e-9 (see
+Tolerances in model.py).
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class Row:
     coeffs: np.ndarray
     relation: str  # "<=" or "=="
     rhs: float
-    family: str  # "total" | "diversity" | "fairness" | "budget"
+    family: str  # "total" | "fairness" | "budget"
     label: str
 
     def __post_init__(self) -> None:
@@ -88,10 +92,12 @@ class Row:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Objective vector (to minimize) plus constraint rows over n weights."""
+    """Objective vector (to minimize) and constraint rows over n weights,
+    each weight bounded by 0 <= S[i] <= upper (the diversity cap)."""
 
     objective: np.ndarray
     rows: tuple[Row, ...]
+    upper: float
 
     def __post_init__(self) -> None:
         c = np.array(self.objective, dtype=float)
@@ -104,6 +110,8 @@ class LpProblem:
         n_eq = sum(1 for row in self.rows if row.relation == "==")
         if n_eq != 1:
             raise ValueError(f"expected exactly one equality row, found {n_eq}")
+        if not self.upper >= 0.0:
+            raise ValueError(f"upper bound must be >= 0, got {self.upper}")
 
     @property
     def n(self) -> int:
@@ -160,10 +168,6 @@ def build_lp(
     rows: list[Row] = [
         Row(np.ones(n), "==", 1.0, "total", "total"),
     ]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rows.append(Row(e, "<=", cs.beta, "diversity", f"diversity[{i}]"))
 
     if cs.fairness_kind is not FairnessKind.NONE and math.isfinite(cs.alpha):
         kinds = []
@@ -178,140 +182,105 @@ def build_lp(
     if math.isfinite(cs.budget):
         rows.append(Row(costs.copy(), "<=", cs.budget, "budget", "budget"))
 
-    return LpProblem(objective=objective, rows=tuple(rows))
+    return LpProblem(objective=objective, rows=tuple(rows), upper=cs.beta)
 
 
-def _simplex_phase(
-    T: np.ndarray,
+def _simplex(
+    A: np.ndarray,
+    b: np.ndarray,
+    cost: np.ndarray,
+    upper: np.ndarray,
     basis: np.ndarray,
-    cost_row: int,
-    n_rows: int,
-    allowed: np.ndarray,
+    at_upper: np.ndarray,
     max_iter: int,
-) -> str:
-    """Run simplex pivots on the tableau until the cost row is optimal.
+) -> tuple[str, np.ndarray]:
+    """Bounded-variable primal simplex on A x = b, 0 <= x <= upper.
 
-    Returns "optimal" or "unbounded"; raises SolverError past max_iter.
+    Starts from a feasible basis; nonbasic variables sit at 0 or, where
+    at_upper is set, at their upper bound.  Updates basis and at_upper in
+    place and returns ("optimal" | "unbounded", x); raises SolverError past
+    max_iter.
     """
+    m = len(basis)
+    movable = upper > 0.0
     degenerate_streak = 0
     for _ in range(max_iter):
-        reduced = T[cost_row, :-1]
-        eligible = allowed & (reduced < -OPTIMALITY_TOL)
+        x = np.where(at_upper, upper, 0.0)
+        x[basis] = 0.0
+        B_inv = np.linalg.inv(A[:, basis])
+        x[basis] = B_inv @ (b - A @ x)
+        reduced = cost - (cost[basis] @ B_inv) @ A
+        eligible = movable & np.where(at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
+        eligible[basis] = False
         if not eligible.any():
-            return "optimal"
+            return "optimal", x
         if degenerate_streak > _DEGENERATE_SWITCH:
             entering = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
-            candidates = np.where(eligible, reduced, np.inf)
-            entering = int(np.argmin(candidates))
+            entering = int(np.argmax(np.where(eligible, np.abs(reduced), -1.0)))
 
-        col = T[:n_rows, entering]
-        positive = col > _RATIO_TOL
-        if not positive.any():
-            return "unbounded"
-        ratios = np.full(n_rows, np.inf)
-        ratios[positive] = T[:n_rows, -1][positive] / col[positive]
+        # basic values change at `rate` per unit step of the entering variable
+        rate = B_inv @ A[:, entering]
+        if not at_upper[entering]:
+            rate = -rate
+        x_basic = x[basis]
+        ratios = np.full(m, np.inf)
+        down = rate < -_RATIO_TOL
+        ratios[down] = x_basic[down] / -rate[down]
+        up = rate > _RATIO_TOL
+        ratios[up] = (upper[basis][up] - x_basic[up]) / rate[up]
+        ratios = np.maximum(ratios, 0.0)
         best = ratios.min()
+        if upper[entering] <= best:  # bound flip: the entering variable crosses its range first
+            if math.isinf(upper[entering]):
+                return "unbounded", x
+            at_upper[entering] = not at_upper[entering]
+            degenerate_streak = 0
+            continue
         # deterministic anti-cycling tie-break: smallest basis variable index
         tied = np.flatnonzero(ratios <= best + 1e-15)
         leaving = int(tied[np.argmin(basis[tied])])
-
-        pivot = T[leaving, entering]
-        T[leaving, :] /= pivot
-        column = T[:, entering].copy()
-        column[leaving] = 0.0
-        T -= np.outer(column, T[leaving, :])
-        T[:, entering] = 0.0
-        T[leaving, entering] = 1.0
+        at_upper[basis[leaving]] = rate[leaving] > 0.0
+        at_upper[entering] = False
         basis[leaving] = entering
-
         degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
     raise SolverError(f"simplex exceeded {max_iter} pivots (cycling guard)")
 
 
-def _solve_tableau(lp: LpProblem) -> tuple[str, np.ndarray | None]:
-    n = lp.n
-    m = len(lp.rows)
-    le_indices = [k for k, row in enumerate(lp.rows) if row.relation == "<="]
-    slack_of = {k: n + j for j, k in enumerate(le_indices)}
-    n_slack = len(le_indices)
+def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None]:
+    n, m = lp.n, len(lp.rows)
+    # rows flipped so every right-hand side is >= 0; a flipped or equality
+    # row starts with an artificial basic, every other row with its slack
+    sign = np.array([-1.0 if row.rhs < 0.0 else 1.0 for row in lp.rows])
+    b = sign * np.array([float(row.rhs) for row in lp.rows])
+    le = [k for k, row in enumerate(lp.rows) if row.relation == "<="]
+    art = [k for k, row in enumerate(lp.rows) if row.relation == "==" or row.rhs < 0.0]
+    n_struct = n + len(le)
+    A = np.zeros((m, n_struct + len(art)))
+    A[:, :n] = sign[:, None] * np.array([row.coeffs for row in lp.rows])
+    A[le, n + np.arange(len(le))] = sign[le]
+    A[art, n_struct + np.arange(len(art))] = 1.0
+    basis = np.array([n_struct + art.index(k) if k in art else n + le.index(k) for k in range(m)])
+    upper = np.full(A.shape[1], np.inf)
+    upper[:n] = lp.upper
+    at_upper = np.zeros(A.shape[1], dtype=bool)
+    max_iter = 2000 + 200 * (m + A.shape[1])
 
-    # assemble rows, flipping signs so every right-hand side is >= 0
-    A = np.zeros((m, n + n_slack))
-    b = np.zeros(m)
-    needs_artificial = []
-    for k, row in enumerate(lp.rows):
-        coeffs = row.coeffs.astype(float)
-        rhs = float(row.rhs)
-        slack_sign = 1.0
-        if rhs < 0.0:
-            coeffs, rhs, slack_sign = -coeffs, -rhs, -1.0
-        A[k, :n] = coeffs
-        if row.relation == "<=":
-            A[k, slack_of[k]] = slack_sign
-        b[k] = rhs
-        if row.relation == "==" or slack_sign < 0.0:
-            needs_artificial.append(k)
-
-    n_art = len(needs_artificial)
-    n_struct = n + n_slack
-    ncols = n_struct + n_art
-    art_of = {k: n_struct + j for j, k in enumerate(needs_artificial)}
-
-    # tableau: m constraint rows, one phase-2 cost row, one phase-1 cost row
-    T = np.zeros((m + 2, ncols + 1))
-    T[:m, :n_struct] = A
-    T[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    for k in range(m):
-        if k in art_of:
-            T[k, art_of[k]] = 1.0
-            basis[k] = art_of[k]
-        else:
-            basis[k] = slack_of[k]
-
-    c2 = np.zeros(ncols)
-    c2[:n] = lp.objective
-    T[m, :-1] = c2  # already reduced: initial basic variables all have cost 0
-
-    # phase-1 costs: 1 per artificial, reduced against the artificial basis
-    c1 = np.zeros(ncols)
-    c1[n_struct:] = 1.0
-    T[m + 1, :-1] = c1
-    for k in needs_artificial:
-        T[m + 1, :] -= T[k, :]
-
-    max_iter = 2000 + 200 * (m + ncols)
-    allowed = np.ones(ncols, dtype=bool)
-    if n_art:
-        status = _simplex_phase(T, basis, m + 1, m, allowed, max_iter)
+    if art:
+        phase1 = np.zeros(A.shape[1])
+        phase1[n_struct:] = 1.0
+        status, x = _simplex(A, b, phase1, upper, basis, at_upper, max_iter)
         if status != "optimal":
-            raise SolverError("phase-1 subproblem reported unbounded; tableau is corrupt")
-        if -T[m + 1, -1] > 1e-9:
+            raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
+        if x[n_struct:].sum() > 1e-9:
             return LpStatus.INFEASIBLE, None
-        # drive any artificial still basic out of the basis (degenerate rows)
-        for r in range(m):
-            if basis[r] >= n_struct:
-                pivots = np.flatnonzero(np.abs(T[r, :n_struct]) > 1e-9)
-                if pivots.size:
-                    entering = int(pivots[0])
-                    pivot = T[r, entering]
-                    T[r, :] /= pivot
-                    column = T[:, entering].copy()
-                    column[r] = 0.0
-                    T -= np.outer(column, T[r, :])
-                    T[:, entering] = 0.0
-                    T[r, entering] = 1.0
-                    basis[r] = entering
-                # else: the row is redundant; its artificial stays basic at 0
+        upper[n_struct:] = 0.0  # artificials still basic stay at 0 on redundant rows
 
-    allowed[n_struct:] = False
-    status = _simplex_phase(T, basis, m, m, allowed, max_iter)
+    cost = np.zeros(A.shape[1])
+    cost[:n] = lp.objective
+    status, x = _simplex(A, b, cost, upper, basis, at_upper, max_iter)
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None
-
-    x = np.zeros(ncols)
-    x[basis] = T[:m, -1]
     return LpStatus.OPTIMAL, x[:n]
 
 
@@ -322,7 +291,7 @@ def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
     families (fairness / diversity / budget) whose individual removal makes
     the program feasible, so the requester knows what to relax.
     """
-    status, x = _solve_tableau(lp)
+    status, x = _solve_bounded(lp)
     if status == LpStatus.OPTIMAL:
         weights = np.clip(x, 0.0, 1.0)
         value = -float(np.dot(lp.objective, weights))
@@ -332,21 +301,27 @@ def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
         hints = tuple(
             family
             for family in ("fairness", "diversity", "budget")
-            if any(r.family == family for r in lp.rows)
+            if (family == "diversity" or any(r.family == family for r in lp.rows))
             and solve_lp(_without_family(lp, family), _with_hints=False).status == LpStatus.OPTIMAL
         )
     return LpSolution(status=status, relaxation_hints=hints)
 
 
 def _without_family(lp: LpProblem, family: str) -> LpProblem:
+    if family == "diversity":
+        return LpProblem(objective=lp.objective, rows=lp.rows, upper=1.0)
     return LpProblem(
         objective=lp.objective,
         rows=tuple(r for r in lp.rows if r.family != family),
+        upper=lp.upper,
     )
 
 
 def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL) -> list[Violation]:
-    """Rows (and nonnegativity bounds) violated by more than tol.
+    """Rows and variable bounds violated by more than tol.
+
+    A weight above the cap is reported as diversity[i], one below zero as
+    nonneg[i]; both carry index -1.
 
     An empty list is the pass condition used throughout the test suite.
     """
@@ -356,6 +331,8 @@ def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL
     out = []
     for i in np.flatnonzero(w < -tol):
         out.append(Violation(index=-1, label=f"nonneg[{int(i)}]", amount=float(-w[i])))
+    for i in np.flatnonzero(w > lp.upper + tol):
+        out.append(Violation(index=-1, label=f"diversity[{int(i)}]", amount=float(w[i] - lp.upper)))
     for k, row in enumerate(lp.rows):
         residual = float(np.dot(row.coeffs, w) - row.rhs)
         amount = abs(residual) if row.relation == "==" else residual
@@ -365,9 +342,13 @@ def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL
 
 
 def binding_rows(lp: LpProblem, policy: Policy, tol: float = 1e-6) -> tuple[str, ...]:
-    """Labels of inequality rows within tol of equality at the policy."""
+    """Labels of caps and inequality rows within tol of equality at the policy.
+
+    Weights at the cap come first as diversity[i], in index order.
+    """
     w = policy.weights
-    return tuple(
+    capped = tuple(f"diversity[{int(i)}]" for i in np.flatnonzero(np.abs(w - lp.upper) <= tol))
+    return capped + tuple(
         row.label
         for row in lp.rows
         if row.relation == "<=" and abs(float(np.dot(row.coeffs, w)) - row.rhs) <= tol
@@ -383,4 +364,5 @@ def dump(lp: LpProblem) -> str:
     lines = [f"min: {fmt(lp.objective)}"]
     for row in lp.rows:
         lines.append(f"{row.label}: {fmt(row.coeffs)} {row.relation} {float(row.rhs):.12g}")
+    lines.append(f"bounds: 0 <= S[i] <= {float(lp.upper):.12g}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ DEFAULT_CONFIDENCE = 0.9
 @dataclass(frozen=True)
 class PipelineDiagnostics:
     """Run-level guarantees: the fairness-slack inflation bound at the
-    requested confidence, the LP's predicted accuracy, and which
+    requested confidence, the LP's predicted accuracy, and which caps and
     inequality rows sit within BINDING_TOL of equality."""
 
     confidence: float

@@ -36,7 +36,7 @@ from .datagen import (
 )
 from .estimation import GoldPhaseConfig, run_gold_phase
 from .lp import ConstraintSet, LpStatus
-from .model import Priors, WorkerProfile
+from .model import Policy, Priors, WorkerProfile
 from .pipeline import build_policy
 from .rng import mix, stream
 
@@ -219,11 +219,6 @@ def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsR
     )
 
 
-def _entropy_of(weights: np.ndarray) -> float:
-    w = weights[weights > 0.0]
-    return float(-(w * np.log(w)).sum())
-
-
 def run_once(
     cfg: ExperimentConfig,
     rep_index: int,
@@ -252,8 +247,9 @@ def run_once(
         entropy = result.policy.entropy()
         lp_status = LpStatus.OPTIMAL
     elif cfg.method == "Random":
-        weights = random_policy(n).weights
-        entropy = _entropy_of(weights)
+        policy = random_policy(n)
+        weights = policy.weights
+        entropy = policy.entropy()
     else:  # Greedy
         estimates = run_gold_phase(workers, cfg.gold, gold_seed)
         try:
@@ -261,7 +257,7 @@ def run_once(
         except CapacityError:
             return MetricsReport(lp_status=LpStatus.INFEASIBLE)
         assignment = plan.assignment_sequence()
-        entropy = _entropy_of(np.array(plan.counts) / n_tasks)
+        entropy = Policy(np.array(plan.counts) / n_tasks).entropy()
 
     zs = np.array([t.z for t in tasks])
     ys = np.array([t.y for t in tasks])
@@ -379,7 +375,8 @@ def _apply_sweep(cfg: ExperimentConfig, parameter: str, value: float) -> Experim
 def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     """Run all repetitions at every sweep point and aggregate.
 
-    Repetitions execute in a process pool when CROWDFDB_THREADS > 1;
+    Repetitions execute in a process pool when CROWDFDB_THREADS > 1, with
+    at most min(CROWDFDB_THREADS, cpu count, repetitions) worker processes;
     outputs are aggregated in repetition order either way.
     """
     resolved = resolve_inputs(cfg)
@@ -388,12 +385,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     else:
         points = [(None, None)]
 
-    threads = _thread_count()
+    threads = min(_thread_count(), os.cpu_count() or 1, cfg.repetitions)
     results = []
     for parameter, value in points:
         cfg_point = cfg if parameter is None else _apply_sweep(cfg, parameter, value)
         jobs = [(cfg_point, rep, resolved) for rep in range(cfg.repetitions)]
-        if threads > 1 and cfg.repetitions > 1:
+        if threads > 1:
             chunk = max(1, cfg.repetitions // (4 * threads))
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 reports = list(pool.map(_run_rep, jobs, chunksize=chunk))

@@ -25,8 +25,9 @@ def _constraint_pool(lp):
             pool.append((np.array(row.coeffs, dtype=float), float(row.rhs)))
     for i in range(n):
         e = np.zeros(n)
-        e[i] = -1.0
-        pool.append((e, 0.0))  # -x_i <= 0
+        e[i] = 1.0
+        pool.append((e, float(lp.upper)))  # x_i <= upper
+        pool.append((-e, 0.0))  # -x_i <= 0
     return pool
 
 
@@ -52,7 +53,8 @@ def vertex_enumeration(lp):
     Returns (status, best_accuracy): status "optimal" with the maximum of
     -objective over all vertices of the feasible polytope, or
     ("infeasible", None) when no candidate vertex is feasible.  Only
-    sensible for small n (combinatorial in the constraint count).
+    sensible for small n (combinatorial in the constraint count); the
+    candidate systems are solved in batches, skipping singular ones.
     """
     n = lp.n
     eq_c, eq_r = _equality(lp)
@@ -64,17 +66,22 @@ def vertex_enumeration(lp):
             best = -float(lp.objective @ x)
         return ("optimal", best) if best is not None else ("infeasible", None)
 
-    for combo in itertools.combinations(range(len(pool)), n - 1):
-        A = np.vstack([eq_c] + [pool[k][0] for k in combo])
-        b = np.array([eq_r] + [pool[k][1] for k in combo])
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if _feasible(lp, x):
-            value = -float(lp.objective @ x)
+    P = np.array([coeffs for coeffs, _ in pool])
+    r = np.array([rhs for _, rhs in pool])
+    combos = itertools.combinations(range(len(pool)), n - 1)
+    while True:
+        idx = np.array(list(itertools.islice(combos, 4096)), dtype=int).reshape(-1, n - 1)
+        if idx.size == 0:
+            break
+        A = np.concatenate([np.broadcast_to(eq_c, (len(idx), 1, n)), P[idx]], axis=1)
+        b = np.concatenate([np.full((len(idx), 1), eq_r), r[idx]], axis=1)
+        solvable = np.linalg.det(A) != 0.0  # an exactly singular LU pivot
+        x = np.linalg.solve(A[solvable], b[solvable][..., None])[..., 0]
+        ok = np.all(np.isfinite(x), axis=1)
+        ok &= np.abs(x @ eq_c - eq_r) <= FEAS_EPS
+        ok &= np.all(x @ P.T - r <= FEAS_EPS, axis=1)
+        if ok.any():
+            value = float((-(x[ok] @ lp.objective)).max())
             if best is None or value > best:
                 best = value
     return ("optimal", best) if best is not None else ("infeasible", None)

@@ -44,10 +44,11 @@ class TestBuildLp:
             by_family.setdefault(row.family, []).append(row)
         assert len(by_family["total"]) == 1
         assert by_family["total"][0].relation == "=="
-        assert len(by_family["diversity"]) == 2
         assert len(by_family["fairness"]) == 4
         assert len(by_family["budget"]) == 1
-        assert len(lp.rows) == 8
+        assert len(lp.rows) == 6
+        # the diversity cap is one bound on every worker, not a row per worker
+        assert lp.upper == 0.6
 
     def test_fpr_only_has_two_fairness_rows(self):
         lp = build_lp(
@@ -67,7 +68,8 @@ class TestBuildLp:
                 alpha=math.inf, beta=0.6, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
         )
-        assert all(r.family in ("total", "diversity") for r in lp.rows)
+        assert [r.family for r in lp.rows] == ["total"]
+        assert lp.upper == 0.6
 
     def test_objective_is_negated_accuracy(self):
         lp = build_lp(flat_estimates([0.9, 0.6]), [1, 1], PRIORS,
@@ -104,7 +106,7 @@ class TestBuildLp:
 
     def test_exactly_one_equality_row_invariant(self):
         with pytest.raises(ValueError, match="equality"):
-            LpProblem(objective=np.array([1.0]), rows=())
+            LpProblem(objective=np.array([1.0]), rows=(), upper=1.0)
 
 
 class TestSolveLp:
@@ -207,7 +209,7 @@ class TestOracleAgreement:
                 if sum(ks) > K:
                     continue
                 x = np.array([*ks, K - sum(ks)]) / K
-                ok = all(
+                ok = np.all(x <= lp.upper + 1e-9) and all(
                     float(np.dot(r.coeffs, x)) <= r.rhs + 1e-9
                     for r in lp.rows
                     if r.relation == "<="
@@ -290,6 +292,22 @@ class TestMonotonicityAndScale:
         for prev, nxt in zip(values, values[1:]):
             assert nxt >= prev - 1e-12
 
+    def test_ten_thousand_workers_keep_six_rows(self):
+        # the cap is a variable bound, so the program keeps at most six rows
+        n = 10_000
+        rng = np.random.default_rng(10_000)
+        diag = rng.integers(0, 21, size=(n, 4)) / 20
+        estimates = [
+            (AccuracyMatrix.from_diagonals(*d[:2]), AccuracyMatrix.from_diagonals(*d[2:]))
+            for d in diag
+        ]
+        cs = ConstraintSet(alpha=0.01, beta=0.01, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
+        lp = build_lp(estimates, rng.uniform(0.5, 2.0, size=n), PRIORS, cs)
+        assert len(lp.rows) <= 6
+        sol = solve_lp(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert verify_solution(lp, sol, tol=1e-7) == []
+
     def test_cost_scale_invariance(self):
         base = solve_lp(self._instance(alpha=0.05, budget=1.2, scale=1.0))
         scaled = solve_lp(self._instance(alpha=0.05, budget=1.2, scale=7.5))
@@ -303,13 +321,15 @@ class TestDumpAndBinding:
             objective=np.array([-0.5, -0.25]),
             rows=(
                 Row(np.array([1.0, 1.0]), "==", 1.0, "total", "total"),
-                Row(np.array([1.0, 0.0]), "<=", 0.75, "diversity", "diversity[0]"),
+                Row(np.array([2.0, 0.5]), "<=", 1.5, "budget", "budget"),
             ),
+            upper=0.75,
         )
         assert dump(lp) == (
             "min: -0.5 -0.25\n"
             "total: 1 1 == 1\n"
-            "diversity[0]: 1 0 <= 0.75\n"
+            "budget: 2 0.5 <= 1.5\n"
+            "bounds: 0 <= S[i] <= 0.75\n"
         )
 
     def test_binding_rows_on_unique_vertex(self):

@@ -24,6 +24,7 @@ from crowdfdb import (
     stream,
     write_results_csv,
 )
+from crowdfdb import simulator
 from crowdfdb.simulator import RESULTS_COLUMNS
 from oracles import recount_scores
 
@@ -233,6 +234,35 @@ class TestRunExperiment:
         monkeypatch.setenv("CROWDFDB_THREADS", "2")
         parallel = run_experiment(cfg)
         assert sequential == parallel
+
+    @pytest.mark.parametrize(
+        "env, cpus, reps, expected",
+        [("64", 2, 4, [2]), ("3", 8, 4, [3]), ("64", 8, 2, [2]), ("2", 8, 1, [])],
+    )
+    def test_process_count_clamped(self, monkeypatch, env, cpus, reps, expected):
+        # a recording stand-in: no worker process is ever started
+        recorded = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        cfg = base_config(method="Random", repetitions=reps)
+        sequential = run_experiment(cfg)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("CROWDFDB_THREADS", env)
+        assert run_experiment(cfg) == sequential
+        assert recorded == expected
 
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("CROWDFDB_THREADS", "many")
