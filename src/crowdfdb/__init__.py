@@ -37,6 +37,7 @@ from .estimation import (
     GoldPhaseConfig,
     GoldResponseTally,
     estimate_matrices,
+    estimate_tallies,
     run_gold_phase,
     simulate_gold_tally,
 )
@@ -63,6 +64,7 @@ from .model import (
     TOL,
     Tolerances,
     WorkerProfile,
+    as_correctness,
     compose_policy_accuracy,
     diagonal_accuracies,
     expected_accuracy,

@@ -42,7 +42,7 @@ class GreedyPlan:
 
 
 def greedy_plan(
-    estimates: list[tuple[AccuracyMatrix, AccuracyMatrix]],
+    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]],
     costs: list[float] | np.ndarray,
     priors: Priors,
     beta: float,
@@ -50,9 +50,11 @@ def greedy_plan(
 ) -> GreedyPlan:
     """Fill workers to floor(beta * T) in decreasing density order.
 
-    Density is estimated expected accuracy divided by fee (infinite for a
-    free worker); ties break toward the lower worker index.  Unlike the LP
-    policy the greedy baseline must know the task count T in advance.
+    Estimates are the (n, z, y) correctness array or matrix pairs (see
+    as_correctness).  Density is estimated expected accuracy divided by
+    fee (infinite for a free worker); ties break toward the lower worker
+    index.  Unlike the LP policy the greedy baseline must know the task
+    count T in advance.
     """
     n = len(estimates)
     if total_tasks < 1:
@@ -64,16 +66,11 @@ def greedy_plan(
             f"cap floor(beta*T)={cap} over {n} workers cannot hold {total_tasks} tasks"
         )
     accuracy = diagonal_accuracies(estimates, priors)
-    density = [
-        math.inf if costs[i] == 0.0 else float(accuracy[i] / costs[i]) for i in range(n)
-    ]
-    order = sorted(range(n), key=lambda i: (-density[i], i))
-    counts = [0] * n
-    remaining = total_tasks
-    for i in order:
-        take = min(cap, remaining)
-        counts[i] = take
-        remaining -= take
-        if remaining == 0:
-            break
-    return GreedyPlan(counts=tuple(counts), order=tuple(order), cap=cap, total_tasks=total_tasks)
+    free = costs == 0.0
+    density = np.where(free, math.inf, accuracy / np.where(free, 1.0, costs))
+    order = np.argsort(-density, kind="stable")
+    counts = np.zeros(n, dtype=int)
+    counts[order] = np.clip(total_tasks - cap * np.arange(n), 0, cap)
+    return GreedyPlan(
+        counts=tuple(counts.tolist()), order=tuple(order.tolist()), cap=cap, total_tasks=total_tasks
+    )

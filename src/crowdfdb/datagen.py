@@ -21,6 +21,7 @@ row by line number and field.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -256,20 +257,44 @@ _TALLY_COLUMNS = ["id"] + [
 _RESPONSE_COLUMNS = ["worker_id", "task_id", "answer", "z", "y"]
 
 
-def _open_reader(path: str | Path, expected: list[str]):
-    handle = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise FileFormatError(f"{path}: empty file, expected header {','.join(expected)}")
-    if header != expected:
-        handle.close()
-        raise FileFormatError(
-            f"{path} line 1: header must be exactly {','.join(expected)}, got {','.join(header)}"
-        )
-    return handle, reader
+@contextmanager
+def _data_rows(path: str | Path, expected: list[str]):
+    """Open a delimited file, check its header, and yield an iterator of
+    its data rows as (line number, fields), each with the header's width.
+
+    Text that is not UTF-8 and rows the csv module rejects (such as a field
+    over its size limit) raise FileFormatError naming the line, whether
+    they surface here or while the caller iterates.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FileFormatError(f"{path}: empty file, expected header {','.join(expected)}")
+            if header != expected:
+                raise FileFormatError(
+                    f"{path} line 1: header must be exactly {','.join(expected)}, got {','.join(header)}"
+                )
+            yield _checked_width(path, enumerate(reader, start=2), len(expected))
+        except csv.Error as err:
+            raise FileFormatError(f"{path} line {reader.line_num}: {err}")
+        except UnicodeDecodeError:
+            # the reader's error counts from its last read chunk; decode the whole file for the line
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as err:
+                line = data.count(b"\n", 0, err.start) + 1
+                raise FileFormatError(f"{path} line {line}: not UTF-8 text: {err.reason}")
+            raise
+
+
+def _checked_width(path, rows, width: int):
+    for lineno, row in rows:
+        if len(row) != width:
+            raise FileFormatError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+        yield lineno, row
 
 
 def _parse_float(path, lineno: int, field: str, raw: str) -> float:
@@ -296,31 +321,22 @@ def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
 
 
 def load_workers(path: str | Path) -> list[WorkerProfile]:
-    handle, reader = _open_reader(path, _WORKER_COLUMNS)
     workers = []
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_WORKER_COLUMNS):
-                raise FileFormatError(
-                    f"{path} line {lineno}: expected {len(_WORKER_COLUMNS)} fields, got {len(row)}"
-                )
-            values = dict(zip(_WORKER_COLUMNS, row))
-            cost = _parse_float(path, lineno, "cost", values["cost"])
+    with _data_rows(path, _WORKER_COLUMNS) as rows:
+        for lineno, row in rows:
+            cost, *entries = (
+                _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
+            )
+            grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
             matrices = []
             for z in (0, 1):
-                grid = np.array(
-                    [
-                        [_parse_float(path, lineno, f"a{z}_{y}{yh}", values[f"a{z}_{y}{yh}"]) for yh in (0, 1)]
-                        for y in (0, 1)
-                    ]
-                )
                 try:
-                    matrices.append(AccuracyMatrix(grid))
+                    matrices.append(AccuracyMatrix(grids[z]))
                 except ValueError as err:
                     raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
             try:
                 workers.append(
-                    WorkerProfile(id=values["id"], matrix_z0=matrices[0], matrix_z1=matrices[1], cost=cost)
+                    WorkerProfile(id=row[0], matrix_z0=matrices[0], matrix_z1=matrices[1], cost=cost)
                 )
             except ValueError as err:
                 raise FileFormatError(f"{path} line {lineno}: {err}")
@@ -336,12 +352,9 @@ def save_tasks(tasks: list[TaskRecord], path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> list[TaskRecord]:
-    handle, reader = _open_reader(path, _TASK_COLUMNS)
     tasks = []
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise FileFormatError(f"{path} line {lineno}: expected 3 fields, got {len(row)}")
+    with _data_rows(path, _TASK_COLUMNS) as rows:
+        for lineno, row in rows:
             z = _parse_int(path, lineno, "z", row[1])
             y = _parse_int(path, lineno, "y", row[2])
             try:
@@ -365,14 +378,9 @@ def save_gold_tallies(
 
 
 def load_gold_tallies(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
-    handle, reader = _open_reader(path, _TALLY_COLUMNS)
     out = []
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_TALLY_COLUMNS):
-                raise FileFormatError(
-                    f"{path} line {lineno}: expected {len(_TALLY_COLUMNS)} fields, got {len(row)}"
-                )
+    with _data_rows(path, _TALLY_COLUMNS) as rows:
+        for lineno, row in rows:
             numbers = [
                 _parse_int(path, lineno, field, raw)
                 for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])
@@ -395,14 +403,11 @@ def load_responses(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
     (z, y) type tally, correct when answer == y.  Workers are returned in
     order of first appearance.
     """
-    handle, reader = _open_reader(path, _RESPONSE_COLUMNS)
     attempted: dict[str, list[int]] = {}
     correct: dict[str, list[int]] = {}
     order: list[str] = []
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise FileFormatError(f"{path} line {lineno}: expected 5 fields, got {len(row)}")
+    with _data_rows(path, _RESPONSE_COLUMNS) as rows:
+        for lineno, row in rows:
             worker_id = row[0]
             answer = _parse_int(path, lineno, "answer", row[2])
             z = _parse_int(path, lineno, "z", row[3])

@@ -1,8 +1,10 @@
 """Worker accuracy estimation from gold tasks.
 
 Each worker answers n_gold_per_type tasks of every (z, y) type; the
-fraction answered correctly becomes the matching diagonal entry of her
-estimated matrix and the off-diagonal is its complement.
+fraction answered correctly is the estimated P(correct | z, y), entry
+[i, z, y] of the (n, z, y) array that run_gold_phase and estimate_tallies
+return; simulate_gold_tally and estimate_matrices are the per-worker
+reference they match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccuracyMatrix, WorkerProfile
+from .model import AccuracyMatrix, WorkerProfile, label_one_probabilities
 from .rng import stream
 
 # fixed type order used for simulation draws and file columns
@@ -96,20 +98,29 @@ def simulate_gold_tally(
     return GoldResponseTally(attempted=tuple(attempted), correct=tuple(correct))
 
 
-def run_gold_phase(
-    workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int
-) -> list[tuple[AccuracyMatrix, AccuracyMatrix]]:
-    """Simulate the gold phase and estimate every worker's matrices.
+def estimate_tallies(tallies: list[GoldResponseTally], smoothing: bool = False) -> np.ndarray:
+    """Estimated (n, z, y) correctness array: estimate_matrices for every tally."""
+    attempted = np.array([t.attempted for t in tallies]).reshape(-1, 2, 2)
+    correct = np.array([t.correct for t in tallies]).reshape(-1, 2, 2)
+    empty = np.argwhere(attempted == 0)
+    if empty.size:
+        _, z, y = empty[0]
+        raise EstimationError(f"no gold tasks attempted for type (z={z}, y={y})")
+    return (correct + smoothing) / (attempted + 2 * smoothing)  # smoothing: one success, one failure
 
-    Worker i draws from the derived stream (seed, "gold", i), so per-worker
+
+def run_gold_phase(workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
+    """Simulate the gold phase and return the (n, z, y) estimate array.
+
+    Worker i draws from the derived stream (seed, "gold", i), consuming it
+    in TYPE_ORDER exactly as simulate_gold_tally does, so per-worker
     phases can run in any order (or in parallel) with results identical to
     sequential execution.
     """
     if not workers:
         raise ValueError("worker list must be nonempty")
-    estimates = []
-    for i, worker in enumerate(workers):
-        rng = stream(seed, "gold", i)
-        tally = simulate_gold_tally(worker, cfg.n_gold_per_type, rng)
-        estimates.append(estimate_matrices(tally, smoothing=cfg.smoothing))
-    return estimates
+    n_gold = cfg.n_gold_per_type
+    draws = np.stack([stream(seed, "gold", i).random(4 * n_gold) for i in range(len(workers))])
+    labels = draws.reshape(-1, 2, 2, n_gold) < label_one_probabilities(workers)[..., None]
+    correct = (labels == np.array([[False], [True]])).sum(axis=-1)  # label == y
+    return (correct + cfg.smoothing) / (n_gold + 2 * cfg.smoothing)

@@ -39,6 +39,7 @@ from .model import (
     Policy,
     Priors,
     TOL,
+    as_correctness,
     diagonal_accuracies,
 )
 
@@ -143,28 +144,29 @@ class LpSolution:
 
 
 def build_lp(
-    estimates: list[tuple[AccuracyMatrix, AccuracyMatrix]],
+    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]],
     costs: list[float] | np.ndarray,
     priors: Priors,
     cs: ConstraintSet,
 ) -> LpProblem:
-    """Assemble the accuracy-maximization LP from per-worker matrix pairs.
+    """Assemble the accuracy-maximization LP from per-worker estimates.
 
     The objective coefficient for worker i is the negated prior-weighted
-    sum of her estimated diagonal entries, so minimizing it maximizes
-    expected accuracy.  Fairness rows encode the mixture-level gap as a
-    pair of <= alpha rows per constrained error kind; they are expanded to
-    per-worker coefficients gap_i = A_i0[entry] - A_i1[entry] because the
-    mixture gap is linear in S.
+    sum of the estimated correctness diag[i, z, y] (see as_correctness),
+    so minimizing it maximizes expected accuracy.  Fairness rows encode
+    the mixture-level gap as a pair of <= alpha rows per constrained error
+    kind; they are expanded to per-worker coefficients gap_i = (1 - diag[i,
+    0, y]) - (1 - diag[i, 1, y]) because the mixture gap is linear in S.
     """
-    n = len(estimates)
+    d = as_correctness(estimates)
+    n = len(d)
     if n < 1:
         raise ValueError("need at least one worker")
     costs = np.asarray(costs, dtype=float)
     if costs.size != n:
         raise ValueError(f"got {costs.size} costs for {n} workers")
 
-    objective = -diagonal_accuracies(estimates, priors)
+    objective = -diagonal_accuracies(d, priors)
     rows: list[Row] = [
         Row(np.ones(n), "==", 1.0, "total", "total"),
     ]
@@ -172,9 +174,9 @@ def build_lp(
     if cs.fairness_kind is not FairnessKind.NONE and math.isfinite(cs.alpha):
         kinds = []
         if cs.fairness_kind in (FairnessKind.FPR_PARITY, FairnessKind.ERROR_RATE_PARITY):
-            kinds.append(("fpr", np.array([m0.fpr - m1.fpr for m0, m1 in estimates])))
+            kinds.append(("fpr", (1.0 - d[:, 0, 0]) - (1.0 - d[:, 1, 0])))
         if cs.fairness_kind in (FairnessKind.FNR_PARITY, FairnessKind.ERROR_RATE_PARITY):
-            kinds.append(("fnr", np.array([m0.fnr - m1.fnr for m0, m1 in estimates])))
+            kinds.append(("fnr", (1.0 - d[:, 0, 1]) - (1.0 - d[:, 1, 1])))
         for name, gaps in kinds:
             rows.append(Row(gaps, "<=", cs.alpha, "fairness", f"{name}[+]"))
             rows.append(Row(-gaps, "<=", cs.alpha, "fairness", f"{name}[-]"))

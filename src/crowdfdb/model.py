@@ -5,6 +5,10 @@ the binary sensitive attribute z; entry [y, yhat] is the probability she
 reports yhat on a task whose true label is y.  A policy is a probability
 vector over workers, and its group-level accuracy matrices are the
 policy-weighted mixtures of the workers' matrices.
+
+Off-diagonal entries are the complements of the diagonal, so estimates
+travel as one (n, z, y) correctness array, diag[i, z, y] = P(correct |
+z, y); matrices are validated once, at the loaders and generators.
 """
 
 from __future__ import annotations
@@ -225,20 +229,31 @@ def compose_policy_accuracy(policy: Policy, workers: list[WorkerProfile]) -> Pol
     return PolicyAccuracy(matrix_z0=out[0], matrix_z1=out[1])
 
 
+def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]]) -> np.ndarray:
+    """Per-worker correctness as an (n, z, y) array, like np.asarray.
+
+    An ndarray is returned unchanged; a list of (z=0, z=1) matrix pairs is
+    stacked as diag[i, z, y] = pair[z][y, y].
+    """
+    if isinstance(estimates, np.ndarray):
+        return estimates
+    return np.array([[m.entries.diagonal() for m in pair] for pair in estimates]).reshape(-1, 2, 2)
+
+
+def label_one_probabilities(workers: list[WorkerProfile]) -> np.ndarray:
+    """True P(label 1 | z, y) of every worker, as an (n, z, y) array."""
+    return np.array([(w.matrix_z0.entries, w.matrix_z1.entries) for w in workers])[..., 1]
+
+
 def diagonal_accuracies(
-    matrix_pairs: list[tuple[AccuracyMatrix, AccuracyMatrix]], priors: Priors
+    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]], priors: Priors
 ) -> np.ndarray:
     """Per-worker expected accuracy on a random task, as a vector.
 
-    Entry i is sum_z P(Z=z) * sum_y P_z(Y=y) * A_iz[y, y]; this is both the
-    negated LP objective coefficient and the greedy density numerator.
+    Entry i is sum_z P(Z=z) * sum_y P_z(Y=y) * diag[i, z, y]; this is both
+    the negated LP objective coefficient and the greedy density numerator.
     """
-    diag = np.array(
-        [
-            [[pair[z][y, y] for y in (0, 1)] for z in (0, 1)]
-            for pair in matrix_pairs
-        ]
-    )  # shape (n, z, y)
+    diag = as_correctness(estimates)
     weight = np.array([[priors.type_weight(z, y) for y in (0, 1)] for z in (0, 1)])
     return np.tensordot(diag, weight, axes=([1, 2], [0, 1]))
 

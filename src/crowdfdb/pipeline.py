@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BoundQuery, fairness_violation_bound
-from .estimation import GoldPhaseConfig, GoldResponseTally, estimate_matrices, run_gold_phase
+from .estimation import GoldPhaseConfig, GoldResponseTally, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
-from .model import AccuracyMatrix, Policy, Priors, WorkerProfile
+from .model import Policy, Priors, WorkerProfile
 
 BINDING_TOL = 1e-6
 DEFAULT_CONFIDENCE = 0.9
@@ -25,9 +27,9 @@ class PipelineDiagnostics:
     binding: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PipelineResult:
-    estimates: tuple[tuple[AccuracyMatrix, AccuracyMatrix], ...]
+    estimates: np.ndarray  # (n, z, y) estimated P(correct | z, y)
     solution: LpSolution
     policy: Policy | None
     diagnostics: PipelineDiagnostics
@@ -55,7 +57,7 @@ def build_policy(
         missing = [w.id for w in workers if w.id not in by_id]
         if missing:
             raise ValueError(f"gold tallies missing for workers: {', '.join(missing)}")
-        estimates = [estimate_matrices(by_id[w.id], smoothing=gold_cfg.smoothing) for w in workers]
+        estimates = estimate_tallies([by_id[w.id] for w in workers], smoothing=gold_cfg.smoothing)
 
     lp = build_lp(estimates, [w.cost for w in workers], priors, constraints)
     solution = solve_lp(lp)
@@ -81,7 +83,7 @@ def build_policy(
             binding=(),
         )
     return PipelineResult(
-        estimates=tuple(estimates),
+        estimates=estimates,
         solution=solution,
         policy=solution.policy,
         diagnostics=diagnostics,

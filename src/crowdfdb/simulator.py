@@ -36,7 +36,7 @@ from .datagen import (
 )
 from .estimation import GoldPhaseConfig, run_gold_phase
 from .lp import ConstraintSet, LpStatus
-from .model import Policy, Priors, WorkerProfile
+from .model import Policy, Priors, WorkerProfile, label_one_probabilities
 from .pipeline import build_policy
 from .rng import mix, stream
 
@@ -270,9 +270,7 @@ def run_once(
     else:
         chosen = assignment
 
-    p_label_one = np.array(
-        [[[w.matrix(z)[y, 1] for y in (0, 1)] for z in (0, 1)] for w in workers]
-    )
+    p_label_one = label_one_probabilities(workers)
     yhats = (rng.random(n_tasks) < p_label_one[chosen, zs, ys]).astype(int)
 
     scored = _score_arrays(zs, ys, yhats)

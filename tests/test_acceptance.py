@@ -180,7 +180,7 @@ def test_04_accuracy_loss_guarantee_empirical_validity(estimate_then_solve_trial
     tol = 1e-9
 
     def estimated_gap(policy, estimates):
-        d = np.array([m0.fpr - m1.fpr for m0, m1 in estimates])
+        d = (1.0 - estimates[:, 0, 0]) - (1.0 - estimates[:, 1, 0])
         return abs(float(np.dot(policy.weights, d)))
 
     qualifying = held = skipped = 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from crowdfdb import (
     Priors,
     WorkerProfile,
     compose_policy_accuracy,
+    diagonal_accuracies,
     greedy_plan,
     random_policy,
 )
@@ -53,6 +56,26 @@ class TestRandomPolicy:
 
 
 class TestGreedyPlan:
+    def test_order_matches_sorted_reference(self):
+        # few distinct diagonals and fees, so many densities tie, with
+        # zero-fee workers tied at infinite density
+        rng = np.random.default_rng(12)
+        diag = rng.choice([0.45, 0.6, 0.8, 0.9], size=80).tolist()
+        costs = rng.choice([0.0, 0.5, 1.0, 2.0], size=80).tolist()
+        estimates = flat_estimates(diag)
+        plan = greedy_plan(estimates, costs, PRIORS, beta=0.05, total_tasks=437)
+        accuracy = diagonal_accuracies(estimates, PRIORS)
+        density = [math.inf if c == 0.0 else float(a / c) for a, c in zip(accuracy, costs)]
+        reference = sorted(range(len(diag)), key=lambda i: (-density[i], i))
+        assert plan.order == tuple(reference)
+        counts = [0] * len(diag)
+        remaining = 437
+        for i in reference:
+            counts[i] = min(plan.cap, remaining)
+            remaining -= counts[i]
+        assert plan.counts == tuple(counts)
+        assert 0 < plan.counts.count(plan.cap) < len(diag)
+
     def test_two_workers_equal_cost(self):
         plan = greedy_plan(flat_estimates([0.9, 0.6]), [1.0, 1.0], PRIORS, beta=0.6, total_tasks=10)
         assert plan.counts == (6, 4)

@@ -140,6 +140,19 @@ class TestPolicy:
         assert run_cli(["policy", "--config", f"{out1}.manifest", "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("bad_id", [b"x" * 200_000, b"\xff"], ids=["oversized-field", "non-utf8"])
+    def test_malformed_workers_file_exits_2_with_line(self, tmp_path, capsys, bad_id):
+        workers = tmp_path / "workers.csv"
+        workers.write_bytes(
+            b"id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11\n"
+            + bad_id + b",1.0,0.9,0.1,0.1,0.9,0.9,0.1,0.1,0.9\n"
+        )
+        code = run_cli(["policy", "--workers-file", workers, "--out", tmp_path / "p.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{workers} line 2" in err
+        assert "Traceback" not in err
+
     def test_solver_failure_exits_4(self, tmp_path, monkeypatch):
         from crowdfdb.lp import SolverError
 

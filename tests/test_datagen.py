@@ -19,6 +19,7 @@ from crowdfdb import (
     generate_population,
     generate_task_pool,
     load_gold_tallies,
+    load_responses,
     load_tasks,
     load_workers,
     make_binding_fairness_instance,
@@ -194,6 +195,51 @@ class TestFileRoundTrips:
         path = tmp_path / "tasks.csv"
         save_tasks(generate_task_pool(TaskPoolSpec(2, 2, 0.5, 0.5, seed=1)), path)
         assert b"\r" not in path.read_bytes()
+
+
+# loader, header, one valid data row
+LOADERS = {
+    "workers": (load_workers, "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11",
+                "w0,1.0,0.9,0.1,0.1,0.9,0.9,0.1,0.1,0.9"),
+    "tasks": (load_tasks, "id,z,y", "t0,0,1"),
+    "tallies": (load_gold_tallies,
+                "id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1",
+                "w0,5,5,5,3,5,0,5,4"),
+    "responses": (load_responses, "worker_id,task_id,answer,z,y", "w0,t0,1,0,1"),
+}
+
+
+class TestMalformedFiles:
+    """Every loader turns csv and decoding failures into FileFormatError
+    naming the file and the line."""
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_oversized_field(self, tmp_path, kind):
+        loader, header, row = LOADERS[kind]
+        path = tmp_path / f"{kind}.csv"
+        huge = "x" * 200_000 + row[row.index(","):]
+        path.write_text(f"{header}\n{row}\n{huge}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"line 3: field larger than field limit") as err:
+            loader(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_undecodable_byte(self, tmp_path, kind):
+        loader, header, row = LOADERS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(f"{header}\n{row}\n".encode() + b"\xff" + row.encode() + b"\n")
+        with pytest.raises(FileFormatError, match=r"line 3: not UTF-8") as err:
+            loader(path)
+        assert str(path) in str(err.value)
+
+    def test_undecodable_byte_past_the_first_read_chunk(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        rows = [f"t{i},{i % 2},1" for i in range(3000)]
+        rows[2500] = "t\udcff," + rows[2500].split(",", 1)[1]
+        text = "id,z,y\n" + "\n".join(rows) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(FileFormatError, match=r"line 2502: not UTF-8"):
+            load_tasks(path)
 
 
 class TestLoadResponses:

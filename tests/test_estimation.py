@@ -9,6 +9,7 @@ from crowdfdb import (
     GoldResponseTally,
     WorkerProfile,
     estimate_matrices,
+    estimate_tallies,
     mix,
     run_gold_phase,
     simulate_gold_tally,
@@ -86,36 +87,88 @@ class TestEstimateMatrices:
             assert np.all(np.abs(m.entries.sum(axis=1) - 1.0) <= 1e-12)
 
 
+def stack_diagonals(pairs):
+    """Reference (n, z, y) array from per-worker (z=0, z=1) matrix pairs."""
+    return np.array([[[m[y, y] for y in (0, 1)] for m in pair] for pair in pairs])
+
+
+def mixed_workers(count=25, seed=31):
+    """Random workers plus a perfect and an all-wrong one at fixed places."""
+    rng = np.random.default_rng(seed)
+    workers = [make_worker(*rng.uniform(0.0, 1.0, 4), wid=f"w{i}") for i in range(count)]
+    workers[0] = make_worker(1.0, 1.0, 1.0, 1.0, wid="perfect")
+    workers[7] = make_worker(0.0, 0.0, 0.0, 0.0, wid="all-wrong")
+    workers[12] = make_worker(1.0, 0.0, 0.5, 1.0, wid="mixed-extremes")
+    return workers
+
+
+class TestArrayMatchesPerWorkerReference:
+    @pytest.mark.parametrize("smoothing", [False, True])
+    @pytest.mark.parametrize("n_gold", [1, 5, 40])
+    def test_gold_phase_bitwise(self, n_gold, smoothing):
+        workers = mixed_workers()
+        cfg = GoldPhaseConfig(n_gold, smoothing=smoothing)
+        got = run_gold_phase(workers, cfg, seed=2024)
+        reference = stack_diagonals(
+            [
+                estimate_matrices(simulate_gold_tally(w, n_gold, stream(2024, "gold", i)), smoothing)
+                for i, w in enumerate(workers)
+            ]
+        )
+        assert got.shape == (25, 2, 2)
+        assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_tallies_bitwise(self, smoothing):
+        rng = np.random.default_rng(5)
+        tallies = []
+        for _ in range(25):
+            attempted = tuple(int(a) for a in rng.integers(1, 60, 4))
+            correct = tuple(int(rng.integers(0, a + 1)) for a in attempted)
+            tallies.append(GoldResponseTally(attempted=attempted, correct=correct))
+        got = estimate_tallies(tallies, smoothing=smoothing)
+        reference = stack_diagonals([estimate_matrices(t, smoothing) for t in tallies])
+        assert got.tobytes() == reference.tobytes()
+
+    def test_tallies_zero_attempts_raise_like_reference(self):
+        good = GoldResponseTally(attempted=(3, 3, 3, 3), correct=(1, 2, 3, 0))
+        bad = GoldResponseTally(attempted=(4, 4, 0, 4), correct=(1, 1, 0, 1))
+        with pytest.raises(EstimationError) as reference:
+            estimate_matrices(bad)
+        with pytest.raises(EstimationError) as got:
+            estimate_tallies([good, bad])
+        assert str(got.value) == str(reference.value) == (
+            "no gold tasks attempted for type (z=1, y=0)"
+        )
+
+
 class TestRunGoldPhase:
     def test_identity_worker_estimated_exactly(self):
         w = make_worker(1.0, 1.0, 1.0, 1.0)
         for n_gold in (1, 5, 50):
             for seed in (0, 9):
-                (est,) = [run_gold_phase([w], GoldPhaseConfig(n_gold), seed)[0]]
-                assert est[0] == AccuracyMatrix.identity()
-                assert est[1] == AccuracyMatrix.identity()
+                est = run_gold_phase([w], GoldPhaseConfig(n_gold), seed)
+                assert est.shape == (1, 2, 2)
+                assert np.all(est == 1.0)
 
     def test_concentrates_at_large_gold_count(self):
         w = make_worker(0.7, 0.7, 0.7, 0.7)
-        (m0, m1) = run_gold_phase([w], GoldPhaseConfig(10_000), seed=3)[0]
-        for m in (m0, m1):
-            assert abs(m[0, 0] - 0.7) < 0.02
-            assert abs(m[1, 1] - 0.7) < 0.02
+        est = run_gold_phase([w], GoldPhaseConfig(10_000), seed=3)[0]
+        assert np.all(np.abs(est - 0.7) < 0.02)
 
     def test_same_seed_bitwise_identical(self):
         workers = [make_worker(0.8, 0.6, 0.75, 0.9, wid=f"w{i}") for i in range(4)]
         a = run_gold_phase(workers, GoldPhaseConfig(13), seed=77)
         b = run_gold_phase(workers, GoldPhaseConfig(13), seed=77)
-        for (a0, a1), (b0, b1) in zip(a, b):
-            assert a0 == b0 and a1 == b1
+        assert a.tobytes() == b.tobytes()
 
     def test_per_worker_streams_are_order_independent(self):
         # recomputing one worker's phase in isolation matches the batch run
         workers = [make_worker(0.8, 0.6, 0.75, 0.9, wid=f"w{i}") for i in range(5)]
         batch = run_gold_phase(workers, GoldPhaseConfig(21), seed=5)
         solo_tally = simulate_gold_tally(workers[3], 21, stream(5, "gold", 3))
-        solo = estimate_matrices(solo_tally)
-        assert batch[3][0] == solo[0] and batch[3][1] == solo[1]
+        solo = stack_diagonals([estimate_matrices(solo_tally)])[0]
+        assert batch[3].tobytes() == solo.tobytes()
 
     def test_empty_worker_list_rejected(self):
         with pytest.raises(ValueError):

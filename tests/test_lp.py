@@ -316,6 +316,24 @@ class TestMonotonicityAndScale:
 
 
 class TestDumpAndBinding:
+    @pytest.mark.parametrize("kind", list(FairnessKind))
+    def test_dump_identical_from_pairs_or_array(self, kind):
+        rng = np.random.default_rng(17)
+        pairs = [
+            (AccuracyMatrix.from_diagonals(*rng.uniform(0, 1, 2)),
+             AccuracyMatrix.from_diagonals(*rng.uniform(0, 1, 2)))
+            for _ in range(30)
+        ]
+        diag = np.array([[[pair[z][y, y] for y in (0, 1)] for z in (0, 1)] for pair in pairs])
+        costs = rng.uniform(0.5, 2.0, 30)
+        cs = ConstraintSet(alpha=0.02, beta=0.1, budget=1.2, fairness_kind=kind)
+        from_pairs = build_lp(pairs, costs, PRIORS, cs)
+        from_array = build_lp(diag, costs, PRIORS, cs)
+        assert dump(from_pairs) == dump(from_array)
+        assert from_pairs.objective.tobytes() == from_array.objective.tobytes()
+        for a, b in zip(from_pairs.rows, from_array.rows, strict=True):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
     def test_dump_fixed_format(self):
         lp = LpProblem(
             objective=np.array([-0.5, -0.25]),
