@@ -29,9 +29,7 @@ from .datagen import (
 from .estimation import GoldPhaseConfig
 from .lp import ConstraintSet
 from .model import FairnessKind, Priors, WorkerProfile
-from .simulator import METHODS, ExperimentConfig, SweepSpec
-
-import numpy as np
+from .simulator import METHODS, ExperimentConfig, SweepSpec, task_priors
 
 
 class ConfigError(ValueError):
@@ -338,26 +336,11 @@ def resolve_priors(cfg: dict[str, str]) -> Priors:
     override = priors_override(cfg)
     if override is not None:
         return override
-    if "tasks.file" in cfg:
-        tasks = load_tasks(cfg["tasks.file"])
-        zs = np.array([t.z for t in tasks])
-        ys = np.array([t.y for t in tasks])
-        if zs.size == 0 or not (zs == 0).any() or not (zs == 1).any():
-            raise ConfigError("task file lacks one of the groups; set priors.* explicitly")
-        return Priors(
-            p_z1=float(zs.mean()),
-            p_y1_given_z0=float(ys[zs == 0].mean()),
-            p_y1_given_z1=float(ys[zs == 1].mean()),
-        )
-    spec = task_pool_spec(cfg)
-    total = spec.n_z0 + spec.n_z1
-    if total == 0:
-        raise ConfigError("task pool is empty; set priors.* explicitly")
-    return Priors(
-        p_z1=spec.n_z1 / total,
-        p_y1_given_z0=spec.base_rate_z0,
-        p_y1_given_z1=spec.base_rate_z1,
-    )
+    pool = load_tasks(cfg["tasks.file"]) if "tasks.file" in cfg else task_pool_spec(cfg)
+    try:
+        return task_priors(pool)
+    except ValueError as err:
+        raise ConfigError(str(err))
 
 
 def resolve_workers(cfg: dict[str, str]) -> list[WorkerProfile]:

@@ -4,7 +4,8 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
 
   workers: id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11
            where a{z}_{y}{yhat} is the matrix entry [y, yhat] for group z;
-           floats are written with shortest round-trip precision.
+           floats are written with shortest round-trip precision.  Each
+           matrix must be row-stochastic; a worker keeps its diagonal.
   tasks:   id,z,y with z, y in {0, 1}.
   gold tallies: id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,
                 att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1
@@ -153,34 +154,16 @@ def _worker_id(index: int, n_workers: int) -> str:
     return f"w{index:0{width}d}"
 
 
-def _split_error_rate(base_error: float, offset: float) -> tuple[float, float]:
-    z0 = float(np.clip(base_error + offset / 2.0, 0.0, 1.0))
-    z1 = float(np.clip(base_error - offset / 2.0, 0.0, 1.0))
-    return z0, z1
-
-
-def _draw_matrices(
-    model: IntervalBiasModel | ClusterBiasModel, rng: np.random.Generator
-) -> tuple[AccuracyMatrix, AccuracyMatrix]:
+def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, rng: np.random.Generator) -> np.ndarray:
     if isinstance(model, IntervalBiasModel):
-        d = {
-            (z, y): rng.uniform(*getattr(model, f"diag_z{z}_y{y}"))
-            for z in (0, 1)
-            for y in (0, 1)
-        }
-        return (
-            AccuracyMatrix.from_diagonals(d[(0, 0)], d[(0, 1)]),
-            AccuracyMatrix.from_diagonals(d[(1, 0)], d[(1, 1)]),
-        )
+        return np.array([[rng.uniform(*getattr(model, f"diag_z{z}_y{y}")) for y in (0, 1)] for z in (0, 1)])
     biased = bool(rng.random() < model.biased_fraction)
     prefix = "biased" if biased else "unbiased"
-    base_diag_y0 = rng.uniform(*getattr(model, f"{prefix}_diag_y0"))
-    base_diag_y1 = rng.uniform(*getattr(model, f"{prefix}_diag_y1"))
-    fpr_z0, fpr_z1 = _split_error_rate(1.0 - base_diag_y0, getattr(model, f"{prefix}_fpr_offset"))
-    fnr_z0, fnr_z1 = _split_error_rate(1.0 - base_diag_y1, getattr(model, f"{prefix}_fnr_offset"))
-    return (
-        AccuracyMatrix.from_diagonals(1.0 - fpr_z0, 1.0 - fnr_z0),
-        AccuracyMatrix.from_diagonals(1.0 - fpr_z1, 1.0 - fnr_z1),
+    # the FPR and FNR shared by both groups, split by the offsets: z=0 up, z=1 down
+    errors = [1.0 - rng.uniform(*getattr(model, f"{prefix}_diag_y{y}")) for y in (0, 1)]
+    halves = [getattr(model, f"{prefix}_{rate}_offset") / 2.0 for rate in ("fpr", "fnr")]
+    return np.array(
+        [[1.0 - min(max(e + sign * h, 0.0), 1.0) for e, h in zip(errors, halves)] for sign in (1.0, -1.0)]
     )
 
 
@@ -189,16 +172,13 @@ def generate_population(spec: PopulationSpec) -> list[WorkerProfile]:
     workers = []
     for i in range(spec.n_workers):
         rng = stream(spec.seed, "population", i)
-        m0, m1 = _draw_matrices(spec.bias_model, rng)
+        correct = _draw_correctness(spec.bias_model, rng)
         if isinstance(spec.cost_model, UniformCost):
             cost = spec.cost_model.fee
         else:
-            avg_diag = (m0[0, 0] + m0[1, 1] + m1[0, 0] + m1[1, 1]) / 4.0
-            high = bool(rng.random() < avg_diag)
+            high = bool(rng.random() < sum(correct.flat) / 4.0)
             cost = spec.cost_model.high_fee if high else spec.cost_model.low_fee
-        workers.append(
-            WorkerProfile(id=_worker_id(i, spec.n_workers), matrix_z0=m0, matrix_z1=m1, cost=cost)
-        )
+        workers.append(WorkerProfile(id=_worker_id(i, spec.n_workers), correct=correct, cost=cost))
     return workers
 
 
@@ -238,14 +218,10 @@ def make_binding_fairness_instance(gap: float, n_pairs: int, seed: int) -> list[
     for p in range(n_pairs):
         f = float(rng.uniform(0.05 * (1.0 - gap), 0.95 * (1.0 - gap)))
         fnr = float(rng.uniform(0.05, 0.35))
-        high = AccuracyMatrix.from_diagonals(1.0 - (f + gap), 1.0 - fnr)
-        low = AccuracyMatrix.from_diagonals(1.0 - f, 1.0 - fnr)
-        workers.append(
-            WorkerProfile(id=f"p{p:03d}a", matrix_z0=high, matrix_z1=low, cost=1.0)
-        )
-        workers.append(
-            WorkerProfile(id=f"p{p:03d}b", matrix_z0=low, matrix_z1=high, cost=1.0)
-        )
+        high = (1.0 - (f + gap), 1.0 - fnr)
+        low = (1.0 - f, 1.0 - fnr)
+        workers.append(WorkerProfile(id=f"p{p:03d}a", correct=(high, low), cost=1.0))
+        workers.append(WorkerProfile(id=f"p{p:03d}b", correct=(low, high), cost=1.0))
     return workers
 
 
@@ -316,11 +292,14 @@ def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_WORKER_COLUMNS)
         for w in workers:
-            entries = [w.matrix(z)[y, yhat] for z in (0, 1) for y in (0, 1) for yhat in (0, 1)]
-            writer.writerow([w.id, repr(float(w.cost))] + [repr(float(e)) for e in entries])
+            c = w.correct.tolist()
+            entries = [c[z][y] if y == yhat else 1.0 - c[z][y] for z in (0, 1) for y in (0, 1) for yhat in (0, 1)]
+            writer.writerow([w.id, repr(float(w.cost))] + [repr(e) for e in entries])
 
 
 def load_workers(path: str | Path) -> list[WorkerProfile]:
+    """Workers from a file; each a{z} matrix must be row-stochastic, and only
+    its diagonal is kept (the off-diagonal entries are its complements)."""
     workers = []
     with _data_rows(path, _WORKER_COLUMNS) as rows:
         for lineno, row in rows:
@@ -328,16 +307,13 @@ def load_workers(path: str | Path) -> list[WorkerProfile]:
                 _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
             )
             grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
-            matrices = []
             for z in (0, 1):
                 try:
-                    matrices.append(AccuracyMatrix(grids[z]))
+                    AccuracyMatrix(grids[z])  # rejects a row that does not sum to 1
                 except ValueError as err:
                     raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
             try:
-                workers.append(
-                    WorkerProfile(id=row[0], matrix_z0=matrices[0], matrix_z1=matrices[1], cost=cost)
-                )
+                workers.append(WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost))
             except ValueError as err:
                 raise FileFormatError(f"{path} line {lineno}: {err}")
     return workers

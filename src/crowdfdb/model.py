@@ -1,14 +1,16 @@
-"""Core domain types: worker accuracy matrices, assignment policies, priors.
+"""Core domain types: worker correctness, assignment policies, priors.
 
-A worker is described by two 2x2 row-stochastic matrices, one per value of
-the binary sensitive attribute z; entry [y, yhat] is the probability she
-reports yhat on a task whose true label is y.  A policy is a probability
-vector over workers, and its group-level accuracy matrices are the
-policy-weighted mixtures of the workers' matrices.
+A worker is four correctness probabilities and a fee: correct[z, y] is the
+probability that the worker labels a task of group z and true label y
+correctly.  With binary labels this fixes the worker's 2x2 row-stochastic
+accuracy matrix for each group, entry [y, yhat] = P(label yhat | truth y),
+which matrix(z) derives.  A policy is a probability vector over workers,
+and its group-level accuracy matrices are the policy-weighted mixtures of
+the workers'.
 
-Off-diagonal entries are the complements of the diagonal, so estimates
-travel as one (n, z, y) correctness array, diag[i, z, y] = P(correct |
-z, y); matrices are validated once, at the loaders and generators.
+Estimates travel the same way, as one (n, z, y) correctness array
+diag[i, z, y] = P(correct | z, y).  A worker is validated once, when it is
+built; the worker file loader also checks each matrix it reads.
 """
 
 from __future__ import annotations
@@ -111,25 +113,40 @@ class AccuracyMatrix:
         return AccuracyMatrix(np.eye(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerProfile:
-    """One worker: per-group accuracy matrices plus her per-label fee."""
+    """One worker: read-only correct[z, y] = P(correct | z, y) and the per-label fee."""
 
     id: str
-    matrix_z0: AccuracyMatrix
-    matrix_z1: AccuracyMatrix
+    correct: np.ndarray
     cost: float
 
     def __post_init__(self) -> None:
+        c = np.array(self.correct, dtype=float)
+        if c.shape != (2, 2):
+            raise ValueError(f"worker correctness must be 2x2 [z, y], got shape {c.shape}")
+        if not all(0.0 <= v <= 1.0 for v in c.ravel().tolist()):  # NaN fails every comparison
+            raise ValueError(f"worker correctness entries must lie in [0, 1]: {c.tolist()}")
+        c.flags.writeable = False
+        object.__setattr__(self, "correct", c)
         if not (self.cost >= 0.0 and np.isfinite(self.cost)):
             raise ValueError(f"worker cost must be finite and >= 0, got {self.cost}")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WorkerProfile):
+            return NotImplemented
+        return (self.id, self.cost) == (other.id, other.cost) and bool(
+            np.array_equal(self.correct, other.correct)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.cost))
+
     def matrix(self, z: int) -> AccuracyMatrix:
-        if z == 0:
-            return self.matrix_z0
-        if z == 1:
-            return self.matrix_z1
-        raise ValueError(f"sensitive attribute must be 0 or 1, got {z}")
+        """The group-z accuracy matrix implied by the diagonal correct[z]."""
+        if z not in (0, 1):
+            raise ValueError(f"sensitive attribute must be 0 or 1, got {z}")
+        return AccuracyMatrix.from_diagonals(*self.correct[z])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,21 +229,14 @@ def _check_dimensions(policy: Policy, workers: list[WorkerProfile]) -> None:
 
 
 def compose_policy_accuracy(policy: Policy, workers: list[WorkerProfile]) -> PolicyAccuracy:
-    """Mixture of the workers' accuracy matrices under the policy weights.
-
-    The weighted sum is divided by the exact weight total so the result is
-    row-stochastic to machine precision even though policy sums are only
-    required to be 1 within the policy_sum tolerance.
-    """
+    """Group accuracy matrices of the policy-weighted mixture of the workers'
+    correctness, divided by the exact weight total (policy sums are only
+    required to be 1 within the policy_sum tolerance)."""
     _check_dimensions(policy, workers)
     w = policy.weights
-    total = float(w.sum())
-    out = []
-    for z in (0, 1):
-        stacked = np.stack([wk.matrix(z).entries for wk in workers])
-        mixed = np.tensordot(w, stacked, axes=1) / total
-        out.append(AccuracyMatrix(np.clip(mixed, 0.0, 1.0)))
-    return PolicyAccuracy(matrix_z0=out[0], matrix_z1=out[1])
+    mixed = np.tensordot(w, np.stack([wk.correct for wk in workers]), axes=1) / float(w.sum())
+    mixed = np.clip(mixed, 0.0, 1.0)
+    return PolicyAccuracy(*(AccuracyMatrix.from_diagonals(*mixed[z]) for z in (0, 1)))
 
 
 def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]]) -> np.ndarray:
@@ -242,7 +252,8 @@ def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMa
 
 def label_one_probabilities(workers: list[WorkerProfile]) -> np.ndarray:
     """True P(label 1 | z, y) of every worker, as an (n, z, y) array."""
-    return np.array([(w.matrix_z0.entries, w.matrix_z1.entries) for w in workers])[..., 1]
+    correct = np.stack([w.correct for w in workers])
+    return np.where(np.array([False, True]), correct, 1.0 - correct)  # label 1 is correct iff y == 1
 
 
 def diagonal_accuracies(
@@ -261,7 +272,7 @@ def diagonal_accuracies(
 def expected_accuracy(policy: Policy, workers: list[WorkerProfile], priors: Priors) -> float:
     """Probability that a label collected under the policy is correct."""
     _check_dimensions(policy, workers)
-    per_worker = diagonal_accuracies([(w.matrix_z0, w.matrix_z1) for w in workers], priors)
+    per_worker = diagonal_accuracies(np.stack([w.correct for w in workers]), priors)
     return float(np.dot(policy.weights, per_worker))
 
 
@@ -286,5 +297,5 @@ def sample_label(worker: WorkerProfile, z: int, y: int, rng: np.random.Generator
     """One simulated label from the worker's accuracy matrix row (z, y)."""
     if z not in (0, 1) or y not in (0, 1):
         raise ValueError(f"z and y must be 0 or 1, got z={z} y={y}")
-    p_one = worker.matrix(z)[y, 1]
-    return int(rng.random() < p_one)
+    c = worker.correct[z, y]
+    return int(rng.random() < (c if y == 1 else 1.0 - c))

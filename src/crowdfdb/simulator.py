@@ -58,9 +58,9 @@ class SweepSpec:
         if not self.values:
             raise ValueError("sweep needs at least one value")
         for v in self.values:
-            if self.parameter == SWEEP_GOLD and (int(v) != v or v < 1):
+            if self.parameter == SWEEP_GOLD and not (v >= 1 and float(v).is_integer()):
                 raise ValueError(f"gold sweep values must be integers >= 1, got {v}")
-            if self.parameter == SWEEP_ALPHA and v < 0:
+            if self.parameter == SWEEP_ALPHA and not v >= 0:
                 raise ValueError(f"alpha sweep values must be >= 0, got {v}")
 
 
@@ -146,35 +146,40 @@ class SweepPointResult:
     aggregate: AggregateMetrics
 
 
+def task_priors(pool: TaskPoolSpec | list[TaskRecord]) -> Priors:
+    """Priors implied by a task pool: a generated pool's spec rates, or the
+    group and label frequencies of loaded tasks."""
+    if isinstance(pool, TaskPoolSpec):
+        total = pool.n_z0 + pool.n_z1
+        if total == 0:
+            raise ValueError("task pool is empty; set priors.* explicitly")
+        return Priors(
+            p_z1=pool.n_z1 / total,
+            p_y1_given_z0=pool.base_rate_z0,
+            p_y1_given_z1=pool.base_rate_z1,
+        )
+    zs = np.array([t.z for t in pool])
+    ys = np.array([t.y for t in pool])
+    if not (zs == 0).any() or not (zs == 1).any():
+        raise ValueError("task file lacks one of the groups; set priors.* explicitly")
+    return Priors(
+        p_z1=float(zs.mean()),
+        p_y1_given_z0=float(ys[zs == 0].mean()),
+        p_y1_given_z1=float(ys[zs == 1].mean()),
+    )
+
+
 def resolve_inputs(cfg: ExperimentConfig) -> tuple[list[WorkerProfile], list[TaskRecord], Priors]:
     """Materialize workers, tasks, and priors from specs or files."""
     workers = (
         generate_population(cfg.population) if cfg.population is not None else load_workers(cfg.worker_file)
     )
     tasks = generate_task_pool(cfg.task_pool) if cfg.task_pool is not None else load_tasks(cfg.task_file)
+    if not tasks:
+        raise ValueError("task pool has no tasks to assign")
     if cfg.priors is not None:
-        priors = cfg.priors
-    elif cfg.task_pool is not None:
-        spec = cfg.task_pool
-        total = spec.n_z0 + spec.n_z1
-        if total == 0:
-            raise ValueError("task pool is empty; supply explicit priors")
-        priors = Priors(
-            p_z1=spec.n_z1 / total,
-            p_y1_given_z0=spec.base_rate_z0,
-            p_y1_given_z1=spec.base_rate_z1,
-        )
-    else:
-        zs = np.array([t.z for t in tasks])
-        ys = np.array([t.y for t in tasks])
-        if zs.size == 0 or not (zs == 0).any() or not (zs == 1).any():
-            raise ValueError("task file lacks one of the groups; supply explicit priors")
-        priors = Priors(
-            p_z1=float(zs.mean()),
-            p_y1_given_z0=float(ys[zs == 0].mean()),
-            p_y1_given_z1=float(ys[zs == 1].mean()),
-        )
-    return workers, tasks, priors
+        return workers, tasks, cfg.priors
+    return workers, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
 
 
 def score_labels(records: list[tuple[int, int, int]]) -> MetricsReport:
@@ -356,18 +361,8 @@ def aggregate_reports(reports: list[MetricsReport]) -> AggregateMetrics:
 
 def _apply_sweep(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == SWEEP_GOLD:
-        return replace(
-            cfg, gold=GoldPhaseConfig(n_gold_per_type=int(value), smoothing=cfg.gold.smoothing)
-        )
-    return replace(
-        cfg,
-        constraints=ConstraintSet(
-            alpha=float(value),
-            beta=cfg.constraints.beta,
-            budget=cfg.constraints.budget,
-            fairness_kind=cfg.constraints.fairness_kind,
-        ),
-    )
+        return replace(cfg, gold=replace(cfg.gold, n_gold_per_type=int(value)))
+    return replace(cfg, constraints=replace(cfg.constraints, alpha=float(value)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:

@@ -16,7 +16,6 @@ import pytest
 
 from crowdfdb import (
     AccuracyLinkedCost,
-    AccuracyMatrix,
     BoundQuery,
     ConstraintSet,
     ExperimentConfig,
@@ -136,7 +135,7 @@ def estimate_then_solve_trials():
     workers = make_binding_fairness_instance(0.3, 10, seed=301)  # n = 20
     costs = [w.cost for w in workers]
     gold = GoldPhaseConfig(20)
-    true_pairs = [(w.matrix_z0, w.matrix_z1) for w in workers]
+    true_pairs = [(w.matrix(0), w.matrix(1)) for w in workers]
     true_solution = solve_lp(build_lp(true_pairs, costs, TRIAL_PRIORS, TRIAL_CONSTRAINTS))
     assert true_solution.status == LpStatus.OPTIMAL
     trials = []
@@ -320,12 +319,7 @@ def test_07_non_uniform_costs_budget_and_accuracy():
 
 # ---------------------------------------------------------------- criterion 8
 def test_08_estimator_unbiasedness():
-    worker = WorkerProfile(
-        id="w0",
-        matrix_z0=AccuracyMatrix.from_diagonals(0.73, 0.81),
-        matrix_z1=AccuracyMatrix.from_diagonals(0.62, 0.90),
-        cost=1.0,
-    )
+    worker = WorkerProfile(id="w0", correct=((0.73, 0.81), (0.62, 0.90)), cost=1.0)
     n_gold, reps = 20, 1000
     sums = np.zeros((2, 2, 2))
     for r in range(reps):

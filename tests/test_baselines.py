@@ -41,12 +41,7 @@ class TestRandomPolicy:
     def test_composed_accuracy_is_unweighted_mean(self):
         rng = np.random.default_rng(8)
         workers = [
-            WorkerProfile(
-                id=f"w{i}",
-                matrix_z0=AccuracyMatrix.from_diagonals(*rng.uniform(0.2, 0.95, 2)),
-                matrix_z1=AccuracyMatrix.from_diagonals(*rng.uniform(0.2, 0.95, 2)),
-                cost=1.0,
-            )
+            WorkerProfile(id=f"w{i}", correct=rng.uniform(0.2, 0.95, (2, 2)), cost=1.0)
             for i in range(6)
         ]
         pa = compose_policy_accuracy(random_policy(6), workers)

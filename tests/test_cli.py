@@ -56,6 +56,16 @@ class TestGenerate:
         assert w1.read_bytes() == w2.read_bytes()
         assert t1.read_bytes() == t2.read_bytes()
 
+    def test_regenerating_from_the_worker_file_is_byte_identical(self, tmp_path):
+        w1, t1 = tmp_path / "w1.csv", tmp_path / "t1.csv"
+        assert run_cli(["generate", "--workers", 40, "--workers-out", w1, "--tasks-out", t1]) == 0
+        cfg = tmp_path / "from-file.cfg"
+        cfg.write_text(f"workers.file = {w1}\n", encoding="utf-8")
+        w2, t2 = tmp_path / "w2.csv", tmp_path / "t2.csv"
+        assert run_cli(["generate", "--config", cfg, "--workers-out", w2, "--tasks-out", t2]) == 0
+        assert w1.read_bytes() == w2.read_bytes()
+        assert t1.read_bytes() == t2.read_bytes()
+
 
 class TestPolicy:
     def test_constrained_run_satisfies_all_rows(self, tmp_path, capsys):
@@ -215,6 +225,37 @@ class TestExperiment:
 
     def test_unknown_recipe_exits_2(self, tmp_path):
         assert run_cli(["experiment", "--recipe", "figure99", "--out", tmp_path / "r.csv"]) == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_gold_sweep_value_exits_2(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"experiment.sweep = gold\nexperiment.sweep_values = 5,{bad}\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "gold sweep values must be integers >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_task_pool_exits_2_before_the_gold_phase(self, tmp_path, capsys, monkeypatch):
+        def no_gold_phase(*args, **kwargs):
+            raise AssertionError("gold phase ran on an empty task pool")
+
+        monkeypatch.setattr("crowdfdb.pipeline.run_gold_phase", no_gold_phase)
+        monkeypatch.setattr("crowdfdb.simulator.run_gold_phase", no_gold_phase)
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(
+            "population.n_workers = 20\ntasks.n_z0 = 0\ntasks.n_z1 = 0\n"
+            "priors.p_z1 = 0.5\npriors.p_y1_given_z0 = 0.4\npriors.p_y1_given_z1 = 0.6\n"
+            "experiment.repetitions = 1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "task pool has no tasks" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestBounds:

@@ -15,6 +15,8 @@ from crowdfdb import (
     TaskPoolSpec,
     UniformCost,
     compose_policy_accuracy,
+    default_population_spec,
+    expected_accuracy,
     fairness_gap,
     generate_population,
     generate_task_pool,
@@ -23,10 +25,12 @@ from crowdfdb import (
     load_tasks,
     load_workers,
     make_binding_fairness_instance,
+    random_policy,
     save_gold_tallies,
     save_tasks,
     save_workers,
 )
+from crowdfdb.model import label_one_probabilities
 
 
 def interval_spec(n, lo, hi, cost_model, seed=1):
@@ -63,7 +67,7 @@ class TestGeneratePopulation:
         a = generate_population(spec)
         b = generate_population(spec)
         assert all(
-            x.id == y.id and x.cost == y.cost and x.matrix_z0 == y.matrix_z0 and x.matrix_z1 == y.matrix_z1
+            x.id == y.id and x.cost == y.cost and np.array_equal(x.correct, y.correct)
             for x, y in zip(a, b)
         )
 
@@ -83,11 +87,24 @@ class TestGeneratePopulation:
             seed=3,
         )
         for w in generate_population(spec):
-            assert w.matrix_z0.fpr - w.matrix_z1.fpr == pytest.approx(0.2, abs=1e-12)
-            assert w.matrix_z0.fnr - w.matrix_z1.fnr == pytest.approx(-0.1, abs=1e-12)
+            assert w.matrix(0).fpr - w.matrix(1).fpr == pytest.approx(0.2, abs=1e-12)
+            assert w.matrix(0).fnr - w.matrix(1).fnr == pytest.approx(-0.1, abs=1e-12)
+
+    def test_generators_and_array_helpers_build_no_matrix(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("an AccuracyMatrix was constructed")
+
+        monkeypatch.setattr(AccuracyMatrix, "__post_init__", forbidden)
+        workers = (
+            generate_population(default_population_spec(n_workers=20))
+            + generate_population(interval_spec(20, 0.3, 0.9, AccuracyLinkedCost(1.0, 3.0)))
+            + make_binding_fairness_instance(0.3, 3, seed=1)
+        )
+        assert label_one_probabilities(workers).shape == (len(workers), 2, 2)
+        expected_accuracy(random_policy(len(workers)), workers, Priors(0.5, 0.4, 0.6))
 
     def test_generated_profiles_always_valid(self):
-        # validity is enforced by the AccuracyMatrix/WorkerProfile constructors;
+        # validity is enforced by the WorkerProfile constructor;
         # just exercise a spread of specs
         for seed in range(5):
             generate_population(interval_spec(40, 0.0, 1.0, UniformCost(0.0), seed=seed))
@@ -152,8 +169,25 @@ class TestFileRoundTrips:
         for a, b in zip(workers, loaded):
             assert a.id == b.id
             assert a.cost == b.cost
-            assert a.matrix_z0 == b.matrix_z0
-            assert a.matrix_z1 == b.matrix_z1
+            assert np.array_equal(a.correct, b.correct)
+
+    @pytest.mark.parametrize("spec", [
+        interval_spec(40, 0.0, 1.0, AccuracyLinkedCost(1.0, 3.0), seed=4),
+        default_population_spec(seed=5, n_workers=40),
+    ], ids=["intervals", "clusters"])
+    def test_workers_save_load_save_byte_identical(self, tmp_path, spec):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_workers(generate_population(spec), first)
+        save_workers(load_workers(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_off_diagonal_within_tolerance_is_implied_by_the_diagonal(self, tmp_path):
+        path = tmp_path / "workers.csv"
+        header = "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11"
+        path.write_text(header + "\nw0,1.0,0.9,0.1000000000005,0.2,0.8,0.7,0.3,0.4,0.6\n", encoding="utf-8")
+        (w,) = load_workers(path)
+        assert w.correct.tolist() == [[0.9, 0.8], [0.7, 0.6]]
+        assert label_one_probabilities([w])[0, 0, 0] == 1.0 - 0.9
 
     def test_tasks_round_trip(self, tmp_path):
         spec = TaskPoolSpec(n_z0=2454, n_z1=3696, base_rate_z0=0.3936, base_rate_z1=0.5143, seed=5)
@@ -177,6 +211,15 @@ class TestFileRoundTrips:
         row = "w0,1.0,0.7,0.5,0.2,0.8,0.5,0.5,0.5,0.5"  # first row sums to 1.2
         path.write_text(header + "\n" + row + "\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="line 2"):
+            load_workers(path)
+
+    def test_bad_second_matrix_names_its_line_and_matrix(self, tmp_path):
+        path = tmp_path / "workers.csv"
+        header = "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11"
+        good = "w0,1.0,0.9,0.1,0.1,0.9,0.9,0.1,0.1,0.9"
+        bad = "w1,1.0,0.9,0.1,0.1,0.9,0.9,0.1,0.2,0.9"  # a1 row y=1 sums to 1.1
+        path.write_text(f"{header}\n{good}\n{bad}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"line 3: matrix a1_\*: .*sum to 1"):
             load_workers(path)
 
     def test_unknown_column_rejected(self, tmp_path):

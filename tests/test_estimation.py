@@ -18,12 +18,7 @@ from crowdfdb import (
 
 
 def make_worker(d00, d01, d10, d11, wid="w0"):
-    return WorkerProfile(
-        id=wid,
-        matrix_z0=AccuracyMatrix.from_diagonals(d00, d01),
-        matrix_z1=AccuracyMatrix.from_diagonals(d10, d11),
-        cost=1.0,
-    )
+    return WorkerProfile(id=wid, correct=((d00, d01), (d10, d11)), cost=1.0)
 
 
 class TestGoldPhaseConfig:

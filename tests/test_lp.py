@@ -138,7 +138,7 @@ class TestSolveLp:
 
     def test_infeasibility_hint_names_fairness(self):
         workers = make_binding_fairness_instance(0.4, 1, seed=2)
-        estimates = [(w.matrix_z0, w.matrix_z1) for w in workers]
+        estimates = [(w.matrix(0), w.matrix(1)) for w in workers]
         # force all mass to one side with a cap of 1-eps on worker 0 only:
         # alpha=0 with asymmetric costs and a tight budget that only worker 0 fits
         cs = ConstraintSet(alpha=0.05, beta=0.999, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
@@ -171,7 +171,7 @@ class TestVerifySolution:
 
     def test_reports_binding_fairness_row_after_perturbation(self):
         workers = make_binding_fairness_instance(0.3, 1, seed=11)
-        estimates = [(w.matrix_z0, w.matrix_z1) for w in workers]
+        estimates = [(w.matrix(0), w.matrix(1)) for w in workers]
         cs = ConstraintSet(alpha=0.0, beta=0.6, budget=math.inf, fairness_kind=FairnessKind.FPR_PARITY)
         lp = build_lp(estimates, [1.0, 1.0], PRIORS, cs)
         sol = solve_lp(lp)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +23,7 @@ from oracles import loop_expected_accuracy
 
 
 def worker(diag_z0, diag_z1, cost=1.0, wid="w"):
-    return WorkerProfile(
-        id=wid,
-        matrix_z0=AccuracyMatrix.from_diagonals(*diag_z0),
-        matrix_z1=AccuracyMatrix.from_diagonals(*diag_z1),
-        cost=cost,
-    )
+    return WorkerProfile(id=wid, correct=(diag_z0, diag_z1), cost=cost)
 
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -112,15 +110,15 @@ class TestCompose:
     def test_single_worker_identity_case(self):
         w = worker((0.9, 0.7), (0.8, 0.6))
         pa = compose_policy_accuracy(Policy(np.array([1.0])), [w])
-        assert pa.matrix_z0 == w.matrix_z0
-        assert pa.matrix_z1 == w.matrix_z1
+        assert pa.matrix_z0 == w.matrix(0)
+        assert pa.matrix_z1 == w.matrix(1)
 
     def test_identical_matrices_fixed_point(self):
         w1 = worker((0.8, 0.75), (0.7, 0.9), wid="a")
         w2 = worker((0.8, 0.75), (0.7, 0.9), wid="b")
         pa = compose_policy_accuracy(Policy(np.array([0.3, 0.7])), [w1, w2])
-        assert np.allclose(pa.matrix_z0.entries, w1.matrix_z0.entries)
-        assert np.allclose(pa.matrix_z1.entries, w1.matrix_z1.entries)
+        assert np.allclose(pa.matrix_z0.entries, w1.matrix(0).entries)
+        assert np.allclose(pa.matrix_z1.entries, w1.matrix(1).entries)
 
     def test_half_half_average(self):
         # frozen hand arithmetic: entrywise average of the two matrices
@@ -244,7 +242,7 @@ class TestFairnessGap:
         g2 = fairness_gap(compose_policy_accuracy(p2, workers), kind)
         assert g_blend <= lam * g1 + (1.0 - lam) * g2 + 1e-9
         single = [
-            fairness_gap(PolicyAccuracy(w.matrix_z0, w.matrix_z1), kind) for w in workers
+            fairness_gap(PolicyAccuracy(w.matrix(0), w.matrix(1)), kind) for w in workers
         ]
         assert g_blend <= max(single) + 1e-9
 
@@ -258,7 +256,7 @@ class TestSampleLabel:
         assert all(sample_label(always_zero, 1, 1, rng) == 0 for _ in range(50))
 
     def test_law_of_large_numbers(self):
-        w = worker((0.8, 0.9), (0.3, 0.6))  # matrix_z1 row y=0: P(label 1) = 0.7
+        w = worker((0.8, 0.9), (0.3, 0.6))  # group z=1 row y=0: P(label 1) = 0.7
         rng = stream(424242, "lln")
         draws = [sample_label(w, 1, 0, rng) for _ in range(100_000)]
         assert np.mean(draws) == pytest.approx(0.7, abs=0.01)
@@ -283,9 +281,41 @@ class TestWorkerProfile:
         with pytest.raises(ValueError, match="cost"):
             worker((0.8, 0.8), (0.8, 0.8), cost=-1.0)
 
+    @pytest.mark.parametrize("cost", [math.inf, math.nan])
+    def test_rejects_non_finite_cost(self, cost):
+        with pytest.raises(ValueError, match="cost"):
+            worker((0.8, 0.8), (0.8, 0.8), cost=cost)
+
+    @pytest.mark.parametrize("correct", [np.full(4, 0.8), np.full((2, 3), 0.8), np.full((2, 2, 2), 0.8)])
+    def test_rejects_bad_shape(self, correct):
+        with pytest.raises(ValueError, match="2x2"):
+            WorkerProfile(id="w", correct=correct, cost=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.0 + 1e-12])
+    def test_rejects_entry_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            worker((0.8, bad), (0.8, 0.8))
+
+    def test_fields_are_id_correctness_and_cost(self):
+        assert [f.name for f in dataclasses.fields(WorkerProfile)] == ["id", "correct", "cost"]
+
+    def test_correctness_is_a_read_only_copy(self):
+        source = np.array([[0.8, 0.7], [0.6, 0.9]])
+        w = WorkerProfile(id="w", correct=source, cost=1.0)
+        source[0, 0] = 0.1
+        assert w.correct[0, 0] == 0.8
+        with pytest.raises(ValueError):
+            w.correct[0, 0] = 0.5
+
+    def test_value_equality(self):
+        assert worker((0.8, 0.7), (0.6, 0.9)) == worker((0.8, 0.7), (0.6, 0.9))
+        assert hash(worker((0.8, 0.7), (0.6, 0.9))) == hash(worker((0.8, 0.7), (0.6, 0.9)))
+        assert worker((0.8, 0.7), (0.6, 0.9)) != worker((0.8, 0.7), (0.6, 0.91))
+        assert worker((0.8, 0.7), (0.6, 0.9)) != worker((0.8, 0.7), (0.6, 0.9), cost=2.0)
+
     def test_matrix_accessor(self):
         w = worker((0.8, 0.7), (0.6, 0.9))
-        assert w.matrix(0) == w.matrix_z0
-        assert w.matrix(1) == w.matrix_z1
+        assert w.matrix(0) == AccuracyMatrix.from_diagonals(0.8, 0.7)
+        assert w.matrix(1) == AccuracyMatrix.from_diagonals(0.6, 0.9)
         with pytest.raises(ValueError):
             w.matrix(2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crowdfdb import (
-    AccuracyMatrix,
     ConstraintSet,
     FairnessKind,
     GoldPhaseConfig,
@@ -23,12 +22,7 @@ PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
 def perfect_workers(n):
     return [
-        WorkerProfile(
-            id=f"w{i}",
-            matrix_z0=AccuracyMatrix.identity(),
-            matrix_z1=AccuracyMatrix.identity(),
-            cost=1.0,
-        )
+        WorkerProfile(id=f"w{i}", correct=np.ones((2, 2)), cost=1.0)
         for i in range(n)
     ]
 
@@ -103,12 +97,7 @@ class TestBuildPolicy:
         for trial in range(3):
             diag = rng.uniform(0.55, 0.95, size=(8, 4))
             workers = [
-                WorkerProfile(
-                    id=f"w{i}",
-                    matrix_z0=AccuracyMatrix.from_diagonals(*d[:2]),
-                    matrix_z1=AccuracyMatrix.from_diagonals(*d[2:]),
-                    cost=1.0,
-                )
+                WorkerProfile(id=f"w{i}", correct=d.reshape(2, 2), cost=1.0)
                 for i, d in enumerate(diag)
             ]
             cs = ConstraintSet(

@@ -194,6 +194,66 @@ class TestRunOnce:
         assert sum(plan.counts) == len(tasks)
 
 
+class TestSweepSpec:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5, 0.0])
+    def test_gold_values_must_be_positive_integers(self, value):
+        with pytest.raises(ValueError, match="gold sweep values"):
+            SweepSpec("gold", (5.0, value))
+
+    @pytest.mark.parametrize("value", [-0.1, math.nan])
+    def test_alpha_values_must_be_non_negative(self, value):
+        with pytest.raises(ValueError, match="alpha sweep values"):
+            SweepSpec("alpha", (0.01, value))
+
+    def test_sweep_point_keeps_every_other_field(self):
+        cfg = base_config(
+            gold=GoldPhaseConfig(10, smoothing=True),
+            constraints=ConstraintSet(
+                alpha=0.05, beta=0.2, budget=1.5, fairness_kind=FairnessKind.FNR_PARITY
+            ),
+        )
+        at_gold = simulator._apply_sweep(cfg, "gold", 40.0)
+        assert at_gold == dataclasses.replace(cfg, gold=GoldPhaseConfig(40, smoothing=True))
+        at_alpha = simulator._apply_sweep(cfg, "alpha", 0.2)
+        assert at_alpha.constraints == dataclasses.replace(cfg.constraints, alpha=0.2)
+        assert at_alpha.gold == cfg.gold
+
+
+class TestPriorsRule:
+    """config.resolve_priors and resolve_inputs share one rule."""
+
+    def test_task_spec_and_task_file_agree_across_both_entry_points(self, tmp_path):
+        from crowdfdb import save_tasks
+        from crowdfdb.config import experiment_configs, resolve, resolve_priors
+
+        spec_cfg = resolve(overrides={"tasks.n_z0": "40", "tasks.n_z1": "60"})
+        assert resolve_priors(spec_cfg) == resolve_inputs(experiment_configs(spec_cfg)[0])[2]
+        assert resolve_priors(spec_cfg).p_z1 == 0.6
+        tasks_path = tmp_path / "tasks.csv"
+        save_tasks(simulator.generate_task_pool(small_pool()), tasks_path)
+        file_cfg = resolve(overrides={"tasks.file": str(tasks_path), "population.n_workers": "10"})
+        priors = resolve_priors(file_cfg)
+        assert priors == resolve_inputs(experiment_configs(file_cfg)[0])[2]
+        assert priors.p_z1 == 0.6
+
+    def test_single_group_task_file_rejected_by_both(self, tmp_path):
+        from crowdfdb.config import ConfigError, experiment_configs, resolve, resolve_priors
+
+        tasks_path = tmp_path / "tasks.csv"
+        tasks_path.write_text("id,z,y\nt0,0,1\nt1,0,0\n", encoding="utf-8")
+        cfg = resolve(overrides={"tasks.file": str(tasks_path), "population.n_workers": "10"})
+        with pytest.raises(ConfigError, match="lacks one of the groups"):
+            resolve_priors(cfg)
+        with pytest.raises(ValueError, match="lacks one of the groups"):
+            resolve_inputs(experiment_configs(cfg)[0])
+
+    def test_empty_pool_rejected_even_with_explicit_priors(self):
+        empty = TaskPoolSpec(n_z0=0, n_z1=0, base_rate_z0=0.4, base_rate_z1=0.5, seed=1)
+        cfg = base_config(task_pool=empty, priors=simulator.Priors(0.5, 0.4, 0.5))
+        with pytest.raises(ValueError, match="no tasks"):
+            resolve_inputs(cfg)
+
+
 class TestRunExperiment:
     def test_repeat_with_same_seed_identical(self):
         cfg = base_config(repetitions=1)
