@@ -113,12 +113,11 @@ def cmd_policy(args) -> int:
         overrides["policy.gamma"] = repr(args.gamma)
     cfg = _resolved_config(args, overrides)
 
+    gamma, seed = cfgmod.policy_settings(cfg)
     workers = cfgmod.resolve_workers(cfg)
     priors = cfgmod.resolve_priors(cfg)
     constraints = cfgmod.constraint_set(cfg)
     gold = cfgmod.gold_config(cfg)
-    gamma = float(cfg["policy.gamma"])
-    seed = int(cfg["experiment.seed"])
     if args.tallies and args.responses:
         raise ConfigError("--tallies and --responses are mutually exclusive")
     tallies = None

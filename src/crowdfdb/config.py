@@ -314,6 +314,11 @@ def gold_config(cfg: dict[str, str]) -> GoldPhaseConfig:
         raise ConfigError(str(err))
 
 
+def policy_settings(cfg: dict[str, str]) -> tuple[float, int]:
+    """The `policy` command's bound confidence gamma and its gold-phase seed."""
+    return _get_float(cfg, "policy.gamma"), _get_int(cfg, "experiment.seed")
+
+
 def priors_override(cfg: dict[str, str]) -> Priors | None:
     keys = ("priors.p_z1", "priors.p_y1_given_z0", "priors.p_y1_given_z1")
     present = [k for k in keys if k in cfg]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .estimation import TYPE_ORDER, GoldResponseTally
 from .model import AccuracyMatrix, WorkerProfile
-from .rng import stream
+from .rng import random_rows, stream
 
 
 class FileFormatError(ValueError):
@@ -154,32 +154,52 @@ def _worker_id(index: int, n_workers: int) -> str:
     return f"w{index:0{width}d}"
 
 
-def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, rng: np.random.Generator) -> np.ndarray:
+def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, u: np.ndarray) -> np.ndarray:
+    """(n, z, y) correctness from each worker's leading draws, row u[i].
+
+    A uniform draw from (lo, hi) is lo + (hi - lo) * u, as Generator.uniform
+    computes it.  Intervals read u[:, :4] in (z, y) order; clusters read the
+    bias test u[:, 0], then the two base accuracies u[:, 1:3] (y = 0, 1).
+    """
     if isinstance(model, IntervalBiasModel):
-        return np.array([[rng.uniform(*getattr(model, f"diag_z{z}_y{y}")) for y in (0, 1)] for z in (0, 1)])
-    biased = bool(rng.random() < model.biased_fraction)
-    prefix = "biased" if biased else "unbiased"
+        lo, hi = np.array([getattr(model, f"diag_z{z}_y{y}") for z in (0, 1) for y in (0, 1)]).T
+        return (lo + (hi - lo) * u[:, :4]).reshape(-1, 2, 2)
+    biased = (u[:, 0] < model.biased_fraction)[:, None]  # broadcast over the truth label y
+    ranges = np.where(biased[..., None], [model.biased_diag_y0, model.biased_diag_y1],
+                      [model.unbiased_diag_y0, model.unbiased_diag_y1])  # [i, y, (lo, hi)]
+    lo, hi = ranges[..., 0], ranges[..., 1]
     # the FPR and FNR shared by both groups, split by the offsets: z=0 up, z=1 down
-    errors = [1.0 - rng.uniform(*getattr(model, f"{prefix}_diag_y{y}")) for y in (0, 1)]
-    halves = [getattr(model, f"{prefix}_{rate}_offset") / 2.0 for rate in ("fpr", "fnr")]
-    return np.array(
-        [[1.0 - min(max(e + sign * h, 0.0), 1.0) for e, h in zip(errors, halves)] for sign in (1.0, -1.0)]
-    )
+    errors = 1.0 - (lo + (hi - lo) * u[:, 1:3])
+    halves = np.where(biased, [model.biased_fpr_offset, model.biased_fnr_offset],
+                      [model.unbiased_fpr_offset, model.unbiased_fnr_offset]) / 2.0
+    signs = np.array([1.0, -1.0])[:, None]
+    return 1.0 - np.minimum(np.maximum(errors[:, None, :] + signs * halves[:, None, :], 0.0), 1.0)
 
 
 def generate_population(spec: PopulationSpec) -> list[WorkerProfile]:
-    """Draw n_workers profiles; deterministic given the spec (incl. seed)."""
-    workers = []
-    for i in range(spec.n_workers):
-        rng = stream(spec.seed, "population", i)
-        correct = _draw_correctness(spec.bias_model, rng)
-        if isinstance(spec.cost_model, UniformCost):
-            cost = spec.cost_model.fee
-        else:
-            high = bool(rng.random() < sum(correct.flat) / 4.0)
-            cost = spec.cost_model.high_fee if high else spec.cost_model.low_fee
-        workers.append(WorkerProfile(id=_worker_id(i, spec.n_workers), correct=correct, cost=cost))
-    return workers
+    """Draw n_workers profiles; deterministic given the spec (incl. seed).
+
+    Worker i reads the leading draws of the stream (seed, "population", i):
+    its correctness (4 draws for intervals, 3 for clusters), then one fee
+    draw for accuracy-linked fees, high with probability equal to its mean
+    correctness.  random_rows computes every worker's draws in one pass.
+    """
+    n_correct = 4 if isinstance(spec.bias_model, IntervalBiasModel) else 3
+    linked = isinstance(spec.cost_model, AccuracyLinkedCost)
+    u = random_rows(spec.seed, "population", spec.n_workers, n_correct + linked)
+    correct = _draw_correctness(spec.bias_model, u)
+    if linked:
+        c = correct.reshape(-1, 4)
+        # summed left to right, as the per-worker reference in tests/oracles.py sums it
+        mean = (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3]) / 4.0
+        fees = (spec.cost_model.low_fee, spec.cost_model.high_fee)
+        costs = [fees[high] for high in (u[:, n_correct] < mean).tolist()]
+    else:
+        costs = [spec.cost_model.fee] * spec.n_workers
+    return [
+        WorkerProfile(id=_worker_id(i, spec.n_workers), correct=c, cost=cost)
+        for i, (c, cost) in enumerate(zip(correct, costs))
+    ]
 
 
 def generate_task_pool(spec: TaskPoolSpec) -> list[TaskRecord]:

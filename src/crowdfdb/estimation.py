@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AccuracyMatrix, WorkerProfile, label_one_probabilities
-from .rng import stream
+from .rng import random_rows
 
 # fixed type order used for simulation draws and file columns
 TYPE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -112,15 +112,15 @@ def estimate_tallies(tallies: list[GoldResponseTally], smoothing: bool = False) 
 def run_gold_phase(workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
     """Simulate the gold phase and return the (n, z, y) estimate array.
 
-    Worker i draws from the derived stream (seed, "gold", i), consuming it
-    in TYPE_ORDER exactly as simulate_gold_tally does, so per-worker
-    phases can run in any order (or in parallel) with results identical to
-    sequential execution.
+    Worker i's draws are those of the derived stream (seed, "gold", i),
+    consumed in TYPE_ORDER exactly as simulate_gold_tally does; random_rows
+    computes all n streams' draws in one vectorised pass, and each worker's
+    estimate depends on its own stream only.
     """
     if not workers:
         raise ValueError("worker list must be nonempty")
     n_gold = cfg.n_gold_per_type
-    draws = np.stack([stream(seed, "gold", i).random(4 * n_gold) for i in range(len(workers))])
+    draws = random_rows(seed, "gold", len(workers), 4 * n_gold)
     labels = draws.reshape(-1, 2, 2, n_gold) < label_one_probabilities(workers)[..., None]
     correct = (labels == np.array([[False], [True]])).sum(axis=-1)  # label == y
     return (correct + cfg.smoothing) / (n_gold + 2 * cfg.smoothing)

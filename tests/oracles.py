@@ -234,3 +234,35 @@ def random_lp_instance(rng, n, alpha, beta, budget_kind, fairness_kind):
     cs = ConstraintSet(alpha=alpha, beta=beta, budget=budget, fairness_kind=fairness_kind)
     lp = build_lp(estimates, costs, priors, cs)
     return lp, estimates, costs, priors, cs
+
+
+def reference_population(spec):
+    """generate_population as a per-worker loop: one stream(seed, "population", i)
+    per worker, drawn with scalar Generator.uniform/random calls."""
+    from crowdfdb.datagen import IntervalBiasModel, UniformCost, _worker_id
+    from crowdfdb.model import WorkerProfile
+    from crowdfdb.rng import stream
+
+    model = spec.bias_model
+    workers = []
+    for i in range(spec.n_workers):
+        rng = stream(spec.seed, "population", i)
+        if isinstance(model, IntervalBiasModel):
+            correct = np.array(
+                [[rng.uniform(*getattr(model, f"diag_z{z}_y{y}")) for y in (0, 1)] for z in (0, 1)]
+            )
+        else:
+            prefix = "biased" if bool(rng.random() < model.biased_fraction) else "unbiased"
+            errors = [1.0 - rng.uniform(*getattr(model, f"{prefix}_diag_y{y}")) for y in (0, 1)]
+            halves = [getattr(model, f"{prefix}_{rate}_offset") / 2.0 for rate in ("fpr", "fnr")]
+            correct = np.array(
+                [[1.0 - min(max(e + sign * h, 0.0), 1.0) for e, h in zip(errors, halves)]
+                 for sign in (1.0, -1.0)]
+            )
+        if isinstance(spec.cost_model, UniformCost):
+            cost = spec.cost_model.fee
+        else:
+            high = bool(rng.random() < sum(correct.flat) / 4.0)
+            cost = spec.cost_model.high_fee if high else spec.cost_model.low_fee
+        workers.append(WorkerProfile(id=_worker_id(i, spec.n_workers), correct=correct, cost=cost))
+    return workers

@@ -150,6 +150,19 @@ class TestPolicy:
         assert run_cli(["policy", "--config", f"{out1}.manifest", "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "line, key", [("policy.gamma = abc", "policy.gamma"), ("experiment.seed = x1", "experiment.seed")]
+    )
+    def test_malformed_policy_setting_exits_2_naming_the_key(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key} must be" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_id", [b"x" * 200_000, b"\xff"], ids=["oversized-field", "non-utf8"])
     def test_malformed_workers_file_exits_2_with_line(self, tmp_path, capsys, bad_id):
         workers = tmp_path / "workers.csv"

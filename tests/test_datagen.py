@@ -32,6 +32,8 @@ from crowdfdb import (
 )
 from crowdfdb.model import label_one_probabilities
 
+from oracles import reference_population
+
 
 def interval_spec(n, lo, hi, cost_model, seed=1):
     return PopulationSpec(
@@ -108,6 +110,53 @@ class TestGeneratePopulation:
         # just exercise a spread of specs
         for seed in range(5):
             generate_population(interval_spec(40, 0.0, 1.0, UniformCost(0.0), seed=seed))
+
+
+def cluster_model(biased_fraction, fpr_offset=-0.25, fnr_offset=0.25, unbiased_offsets=(0.0, 0.0)):
+    return ClusterBiasModel(
+        biased_fraction=biased_fraction,
+        biased_diag_y0=(0.0, 1.0),
+        biased_diag_y1=(0.6, 0.86),
+        unbiased_diag_y0=(0.75, 0.75),
+        unbiased_diag_y1=(0.2, 0.9),
+        biased_fpr_offset=fpr_offset,
+        biased_fnr_offset=fnr_offset,
+        unbiased_fpr_offset=unbiased_offsets[0],
+        unbiased_fnr_offset=unbiased_offsets[1],
+    )
+
+
+BIAS_MODELS = {
+    "clusters-default": default_population_spec().bias_model,
+    "clusters-clipping": cluster_model(0.5, fpr_offset=1.0, fnr_offset=-1.0, unbiased_offsets=(-1.0, 1.0)),
+    "clusters-all-biased": cluster_model(1.0),
+    "clusters-none-biased": cluster_model(0.0, unbiased_offsets=(0.3, -0.6)),
+    "intervals": IntervalBiasModel(
+        diag_z0_y0=(0.1, 0.9), diag_z0_y1=(0.5, 0.5), diag_z1_y0=(0.0, 1.0), diag_z1_y1=(1.0, 1.0)
+    ),
+}
+
+
+class TestVectorisedMatchesPerWorkerReference:
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize(
+        "cost_model", [UniformCost(1.5), AccuracyLinkedCost(0.5, 2.0)], ids=["uniform", "linked"]
+    )
+    @pytest.mark.parametrize("bias", BIAS_MODELS.values(), ids=BIAS_MODELS.keys())
+    def test_population_bytes(self, tmp_path, bias, cost_model, n):
+        spec = PopulationSpec(n_workers=n, bias_model=bias, cost_model=cost_model, seed=4482)
+        got, reference = generate_population(spec), reference_population(spec)
+        assert [(w.id, w.cost) for w in got] == [(w.id, w.cost) for w in reference]
+        stacked = [np.stack([w.correct for w in pool]).tobytes() for pool in (got, reference)]
+        assert stacked[0] == stacked[1]
+        save_workers(got, tmp_path / "got.csv")
+        save_workers(reference, tmp_path / "reference.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_clipping_reaches_both_ends(self):
+        spec = PopulationSpec(300, BIAS_MODELS["clusters-clipping"], UniformCost(1.0), seed=4482)
+        correct = np.stack([w.correct for w in generate_population(spec)])
+        assert (correct == 0.0).any() and (correct == 1.0).any()
 
 
 class TestGenerateTaskPool:
