@@ -24,6 +24,17 @@ run of degenerate pivots exceeds a fixed threshold, which restores the
 anti-cycling guarantee while keeping every choice deterministic.
 Feasibility is accepted at 1e-7 and reduced costs at 1e-9 (see
 Tolerances in model.py).
+
+Phase 1 starts from a crash basis (Bixby, "Implementing the simplex
+method: the initial basis", ORSA J. Computing 1992) instead of S = 0:
+the k = floor(1/beta) workers with the lowest key sit at their cap, and
+each row is signed by its residual at that start.  A <= row the start
+satisfies keeps its slack basic; the total row and every violated row
+get an artificial, so phase 1 repairs only those.  The key is the
+objective plus lam times the fee, where lam is a single Lagrange
+multiplier on the budget row (Fisher, "The Lagrangian relaxation
+method", Management Science 1981): the least price at which the crash
+spend fits the budget.  Relaxation-hint re-solves crash the same way.
 """
 
 from __future__ import annotations
@@ -47,6 +58,7 @@ FEASIBILITY_TOL = TOL.lp_feasibility
 OPTIMALITY_TOL = TOL.lp_optimality
 _RATIO_TOL = 1e-11
 _DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before engaging Bland
+_CRASH_BISECTIONS = 40  # fixed bisection steps for the crash's budget price
 
 
 class SolverError(RuntimeError):
@@ -135,12 +147,14 @@ class LpStatus:
 @dataclass(frozen=True)
 class LpSolution:
     """Solver outcome; objective_value is the achieved expected accuracy
-    (sign-corrected to positive) when status is optimal."""
+    (sign-corrected to positive) when status is optimal, and iterations
+    counts every simplex iteration run, relaxation-hint re-solves included."""
 
     status: str
     policy: Policy | None = None
     objective_value: float | None = None
     relaxation_hints: tuple[str, ...] = ()
+    iterations: int = 0
 
 
 def build_lp(
@@ -195,18 +209,19 @@ def _simplex(
     basis: np.ndarray,
     at_upper: np.ndarray,
     max_iter: int,
-) -> tuple[str, np.ndarray]:
+) -> tuple[str, np.ndarray, int]:
     """Bounded-variable primal simplex on A x = b, 0 <= x <= upper.
 
     Starts from a feasible basis; nonbasic variables sit at 0 or, where
     at_upper is set, at their upper bound.  Updates basis and at_upper in
-    place and returns ("optimal" | "unbounded", x); raises SolverError past
+    place and returns ("optimal" | "unbounded", x, iterations), counting
+    the final pass that proves the status; raises SolverError past
     max_iter.
     """
     m = len(basis)
     movable = upper > 0.0
     degenerate_streak = 0
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         x = np.where(at_upper, upper, 0.0)
         x[basis] = 0.0
         B_inv = np.linalg.inv(A[:, basis])
@@ -215,7 +230,7 @@ def _simplex(
         eligible = movable & np.where(at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
         eligible[basis] = False
         if not eligible.any():
-            return "optimal", x
+            return "optimal", x, iteration
         if degenerate_streak > _DEGENERATE_SWITCH:
             entering = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
@@ -235,7 +250,7 @@ def _simplex(
         best = ratios.min()
         if upper[entering] <= best:  # bound flip: the entering variable crosses its range first
             if math.isinf(upper[entering]):
-                return "unbounded", x
+                return "unbounded", x, iteration
             at_upper[entering] = not at_upper[entering]
             degenerate_streak = 0
             continue
@@ -249,41 +264,97 @@ def _simplex(
     raise SolverError(f"simplex exceeded {max_iter} pivots (cycling guard)")
 
 
-def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None]:
+def _crash(lp: LpProblem) -> np.ndarray:
+    """Indices of the weights the crash start puts at their cap.
+
+    These are the k = min(n, floor(1/beta)) lowest keys, where the key is
+    the objective plus lam times the fee.  The price lam is the least
+    one, found by bisection, at which the crash spend beta * sum(fee)
+    fits the budget; it is 0 without a budget row or when the objective
+    order already fits.  When even the cheapest k bust the budget, they
+    are the crash.
+    """
+    beta = lp.upper
+    k = 0 if beta == 0.0 else min(lp.n, int(math.floor(1.0 / beta + 1e-9)))
+    objective = lp.objective
+    budget = next((row for row in lp.rows if row.family == "budget"), None)
+
+    def lowest(key: np.ndarray) -> np.ndarray:
+        return np.argsort(key, kind="stable")[:k]
+
+    by_objective = lowest(objective)
+    if budget is None or k == 0:
+        return by_objective
+    fee = budget.coeffs
+
+    def fits(picked: np.ndarray) -> bool:
+        return beta * float(fee[picked].sum()) <= budget.rhs
+
+    if fits(by_objective):
+        return by_objective
+    # the lam -> inf limit: cheapest first, ties broken by objective
+    by_fee = np.lexsort((objective, fee))
+    if not fits(by_fee[:k]):
+        return by_fee[:k]
+    # Some fee differs here, and above this price a lower fee always means
+    # a lower key, so the crash spends what the cheapest k spend.
+    fee_steps = np.diff(fee[by_fee])
+    lo, hi = 0.0, float(objective.max() - objective.min()) / float(fee_steps[fee_steps > 0.0].min()) + 1.0
+    for _ in range(_CRASH_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if fits(lowest(objective + mid * fee)):
+            hi = mid
+        else:
+            lo = mid
+    return lowest(objective + hi * fee)
+
+
+def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
+    """Two-phase simplex from the crash start; returns (status, weights or
+    None, iterations of both phases)."""
     n, m = lp.n, len(lp.rows)
-    # rows flipped so every right-hand side is >= 0; a flipped or equality
-    # row starts with an artificial basic, every other row with its slack
-    sign = np.array([-1.0 if row.rhs < 0.0 else 1.0 for row in lp.rows])
-    b = sign * np.array([float(row.rhs) for row in lp.rows])
+    x0 = np.zeros(n)
+    x0[_crash(lp)] = lp.upper
+    coeffs = np.array([row.coeffs for row in lp.rows])
+    rhs = np.array([float(row.rhs) for row in lp.rows])
+    residual = rhs - coeffs @ x0
+    # rows flipped so every crash residual is >= 0; the equality row and
+    # every row the crash violates start with an artificial basic, every
+    # other row with its slack
+    sign = np.where(residual < 0.0, -1.0, 1.0)
     le = [k for k, row in enumerate(lp.rows) if row.relation == "<="]
-    art = [k for k, row in enumerate(lp.rows) if row.relation == "==" or row.rhs < 0.0]
+    art = [k for k, row in enumerate(lp.rows) if row.relation == "==" or residual[k] < 0.0]
     n_struct = n + len(le)
     A = np.zeros((m, n_struct + len(art)))
-    A[:, :n] = sign[:, None] * np.array([row.coeffs for row in lp.rows])
+    A[:, :n] = sign[:, None] * coeffs
     A[le, n + np.arange(len(le))] = sign[le]
     A[art, n_struct + np.arange(len(art))] = 1.0
+    b = sign * rhs
     basis = np.array([n_struct + art.index(k) if k in art else n + le.index(k) for k in range(m)])
     upper = np.full(A.shape[1], np.inf)
     upper[:n] = lp.upper
     at_upper = np.zeros(A.shape[1], dtype=bool)
+    at_upper[:n] = x0 > 0.0
     max_iter = 2000 + 200 * (m + A.shape[1])
 
-    if art:
-        phase1 = np.zeros(A.shape[1])
-        phase1[n_struct:] = 1.0
-        status, x = _simplex(A, b, phase1, upper, basis, at_upper, max_iter)
-        if status != "optimal":
-            raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
-        if x[n_struct:].sum() > 1e-9:
-            return LpStatus.INFEASIBLE, None
-        upper[n_struct:] = 0.0  # artificials still basic stay at 0 on redundant rows
+    # phase 1 repairs only the rows with an artificial: the total row
+    # always has one, so phase 1 always runs
+    phase1 = np.zeros(A.shape[1])
+    phase1[n_struct:] = 1.0
+    status, x, iterations = _simplex(A, b, phase1, upper, basis, at_upper, max_iter)
+    if status != "optimal":
+        raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
+    if x[n_struct:].sum() > 1e-9:
+        return LpStatus.INFEASIBLE, None, iterations
+    upper[n_struct:] = 0.0  # artificials still basic stay at 0 on redundant rows
 
     cost = np.zeros(A.shape[1])
     cost[:n] = lp.objective
-    status, x = _simplex(A, b, cost, upper, basis, at_upper, max_iter)
+    status, x, phase2_iterations = _simplex(A, b, cost, upper, basis, at_upper, max_iter)
+    iterations += phase2_iterations
     if status == "unbounded":
-        return LpStatus.UNBOUNDED, None
-    return LpStatus.OPTIMAL, x[:n]
+        return LpStatus.UNBOUNDED, None, iterations
+    return LpStatus.OPTIMAL, x[:n], iterations
 
 
 def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
@@ -291,22 +362,29 @@ def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
 
     On infeasibility the solution carries relaxation hints: the constraint
     families (fairness / diversity / budget) whose individual removal makes
-    the program feasible, so the requester knows what to relax.
+    the program feasible, so the requester knows what to relax.  An
+    optimal weight vector whose sum misses 1 by more than TOL.policy_sum is
+    a solver failure and raises SolverError.
     """
-    status, x = _solve_bounded(lp)
+    status, x, iterations = _solve_bounded(lp)
     if status == LpStatus.OPTIMAL:
         weights = np.clip(x, 0.0, 1.0)
+        residual = float(weights.sum()) - 1.0
+        if abs(residual) > TOL.policy_sum:
+            raise SolverError(
+                f"optimal weights sum to 1 {residual:+.3g}, outside the policy tolerance {TOL.policy_sum:g}"
+            )
         value = -float(np.dot(lp.objective, weights))
-        return LpSolution(status=status, policy=Policy(weights), objective_value=value)
-    hints: tuple[str, ...] = ()
+        return LpSolution(status=status, policy=Policy(weights), objective_value=value, iterations=iterations)
+    hints = []
     if status == LpStatus.INFEASIBLE and _with_hints:
-        hints = tuple(
-            family
-            for family in ("fairness", "diversity", "budget")
-            if (family == "diversity" or any(r.family == family for r in lp.rows))
-            and solve_lp(_without_family(lp, family), _with_hints=False).status == LpStatus.OPTIMAL
-        )
-    return LpSolution(status=status, relaxation_hints=hints)
+        for family in ("fairness", "diversity", "budget"):
+            if family == "diversity" or any(r.family == family for r in lp.rows):
+                relaxed = solve_lp(_without_family(lp, family), _with_hints=False)
+                iterations += relaxed.iterations
+                if relaxed.status == LpStatus.OPTIMAL:
+                    hints.append(family)
+    return LpSolution(status=status, relaxation_hints=tuple(hints), iterations=iterations)
 
 
 def _without_family(lp: LpProblem, family: str) -> LpProblem:

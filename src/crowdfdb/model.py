@@ -29,6 +29,11 @@ class Tolerances:
     policy_sum:     policy weight sums
     lp_feasibility: constraint residuals accepted from the LP solver
     lp_optimality:  reduced-cost threshold for simplex termination
+
+    One rule joins the LP to the policy: the solver accepts each row at
+    lp_feasibility, but the total row of an optimal solution must land
+    within policy_sum, or solve_lp raises SolverError (a solver failure,
+    not a user error).
     """
 
     structural: float = 1e-12

@@ -224,21 +224,42 @@ def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsR
     )
 
 
-def run_once(
-    cfg: ExperimentConfig,
-    rep_index: int,
-    _resolved: tuple[list[WorkerProfile], list[TaskRecord], Priors] | None = None,
-) -> MetricsReport:
+@dataclass(frozen=True, eq=False)
+class RunInputs:
+    """What every repetition of one command reads, built once: the
+    workers and priors, each task's group and true label, the worker fees,
+    and P(label 1 | z, y) per worker."""
+
+    workers: list[WorkerProfile]
+    priors: Priors
+    zs: np.ndarray
+    ys: np.ndarray
+    costs: np.ndarray
+    p_label_one: np.ndarray
+
+    @classmethod
+    def build(cls, workers: list[WorkerProfile], tasks: list[TaskRecord], priors: Priors) -> RunInputs:
+        return cls(
+            workers=workers,
+            priors=priors,
+            zs=np.array([t.z for t in tasks]),
+            ys=np.array([t.y for t in tasks]),
+            costs=np.array([w.cost for w in workers]),
+            p_label_one=label_one_probabilities(workers),
+        )
+
+
+def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None = None) -> MetricsReport:
     """One repetition; deterministic given (cfg.seed, rep_index).
 
     The gold stream is keyed by the gold-task count as well, so sweeping
     alpha reuses identical estimates per repetition (paired comparisons)
     while sweeping the gold count re-draws them.
     """
-    workers, tasks, priors = _resolved if _resolved is not None else resolve_inputs(cfg)
+    inputs = _resolved if _resolved is not None else RunInputs.build(*resolve_inputs(cfg))
+    workers, priors, zs, ys, costs = inputs.workers, inputs.priors, inputs.zs, inputs.ys, inputs.costs
     n = len(workers)
-    n_tasks = len(tasks)
-    costs = np.array([w.cost for w in workers])
+    n_tasks = zs.size
     gold_seed = mix(cfg.seed, "goldphase", cfg.gold.n_gold_per_type, rep_index)
 
     weights: np.ndarray | None = None
@@ -264,8 +285,6 @@ def run_once(
         assignment = plan.assignment_sequence()
         entropy = Policy(np.array(plan.counts) / n_tasks).entropy()
 
-    zs = np.array([t.z for t in tasks])
-    ys = np.array([t.y for t in tasks])
     rng = stream(cfg.seed, "collect", rep_index)
     if assignment is None:
         # inverse-CDF draw keeps worker choice fully determined by the stream
@@ -275,8 +294,7 @@ def run_once(
     else:
         chosen = assignment
 
-    p_label_one = label_one_probabilities(workers)
-    yhats = (rng.random(n_tasks) < p_label_one[chosen, zs, ys]).astype(int)
+    yhats = (rng.random(n_tasks) < inputs.p_label_one[chosen, zs, ys]).astype(int)
 
     scored = _score_arrays(zs, ys, yhats)
     return replace(
@@ -372,7 +390,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     at most min(CROWDFDB_THREADS, cpu count, repetitions) worker processes;
     outputs are aggregated in repetition order either way.
     """
-    resolved = resolve_inputs(cfg)
+    resolved = RunInputs.build(*resolve_inputs(cfg))
     if cfg.sweep is not None:
         points = [(cfg.sweep.parameter, v) for v in cfg.sweep.values]
     else:

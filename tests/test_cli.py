@@ -186,6 +186,23 @@ class TestPolicy:
         code = run_cli(["policy", "--gold", 5, "--out", tmp_path / "p.csv"])
         assert code == 4
 
+    def test_weight_sum_outside_policy_tolerance_exits_4(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        def off_by_1e_8(lp):
+            weights = np.zeros(lp.n)
+            weights[:2] = 0.5
+            weights[0] += 1e-8
+            return "optimal", weights, 1
+
+        monkeypatch.setattr("crowdfdb.lp._solve_bounded", off_by_1e_8)
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", "--gold", 5, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: optimal weights sum to 1 +1e-08" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestExperiment:
     def smoke_config(self, tmp_path):

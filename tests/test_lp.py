@@ -17,8 +17,10 @@ from crowdfdb import (
     solve_lp,
     verify_solution,
 )
-from crowdfdb.lp import LpProblem, Row, binding_rows
+from crowdfdb import lp as lp_module
+from crowdfdb.lp import LpProblem, Row, SolverError, _crash, _without_family, binding_rows
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
+from test_lp_differential import SEEDED_CASES, check_against, draw_lp, highs
 
 PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
@@ -356,3 +358,121 @@ class TestDumpAndBinding:
         sol = solve_lp(lp)
         assert "diversity[0]" in binding_rows(lp, sol.policy)
         assert "diversity[1]" not in binding_rows(lp, sol.policy)
+
+
+def tied_program(seed, fees, beta, budget=math.inf, alpha=math.inf, kind=FairnessKind.NONE):
+    """A program over len(fees) workers with tied k/5 estimates."""
+    diag = np.random.default_rng(seed).integers(0, 6, size=(len(fees), 2, 2)) / 5
+    return build_lp(diag, fees, PRIORS, ConstraintSet(alpha=alpha, beta=beta, budget=budget, fairness_kind=kind))
+
+
+def crash_spend(lp, picked):
+    (budget,) = [row for row in lp.rows if row.family == "budget"]
+    return lp.upper * float(budget.coeffs[picked].sum()), budget.rhs
+
+
+class TestCrashStart:
+    """Edge cases of the crash start, each checked against an oracle."""
+
+    def test_zero_cap_crashes_nothing(self):
+        lp = tied_program(1, [1.0, 1.0, 1.0], beta=0.0)
+        assert _crash(lp).size == 0
+        assert check_against(lp, vertex_enumeration) == LpStatus.INFEASIBLE
+        assert solve_lp(lp).relaxation_hints == ("diversity",)
+
+    @pytest.mark.parametrize("kind, alpha", [(FairnessKind.NONE, math.inf), (FairnessKind.ERROR_RATE_PARITY, 0.0)])
+    def test_cap_one_over_93_crashes_all_93(self, kind, alpha):
+        # 1/(1/93) is 92.99999999999999, so int(1/beta) would crash one short
+        lp = tied_program(2, np.ones(93), beta=1 / 93, budget=1.0, alpha=alpha, kind=kind)
+        assert int(1 / lp.upper) == 92
+        assert _crash(lp).size == 93
+        check_against(lp, highs)
+
+    def test_integer_inverse_cap_starts_the_total_row_at_zero(self):
+        lp = tied_program(3, np.ones(6), beta=0.25, alpha=0.05, kind=FairnessKind.ERROR_RATE_PARITY)
+        assert lp.upper * _crash(lp).size == 1.0  # the total row's artificial starts degenerate at 0
+        assert check_against(lp, vertex_enumeration) == LpStatus.OPTIMAL
+
+    def test_fewer_workers_than_the_crash_wants(self):
+        lp = tied_program(4, np.ones(3), beta=0.25, alpha=0.05, kind=FairnessKind.ERROR_RATE_PARITY)
+        assert _crash(lp).size == 3
+        assert check_against(lp, vertex_enumeration) == LpStatus.INFEASIBLE
+
+    def test_zero_fee_workers_under_a_finite_budget(self):
+        lp = tied_program(5, [2.0, 0.0, 2.0, 1.0, 0.0, 1.0], beta=0.3, budget=0.7)
+        best_three = np.argsort(lp.objective, kind="stable")[:3]
+        spend, budget = crash_spend(lp, best_three)
+        assert spend > budget  # the objective order busts, so the crash is priced
+        spend, budget = crash_spend(lp, _crash(lp))
+        assert spend <= budget
+        assert check_against(lp, vertex_enumeration) == LpStatus.OPTIMAL
+
+    def test_budget_below_the_cheapest_crash(self):
+        lp = tied_program(6, [1.0, 1.5, 2.0, 2.0, 3.0, 1.0], beta=0.3, budget=0.5)
+        spend, budget = crash_spend(lp, _crash(lp))
+        assert spend == pytest.approx(0.3 * 3.5) and spend > budget  # the three cheapest
+        assert check_against(lp, vertex_enumeration) == LpStatus.INFEASIBLE
+        assert solve_lp(lp).relaxation_hints == ("budget",)
+
+    def test_diversity_hint_re_solve_crashes_one_worker(self):
+        lp = tied_program(8, [1.0, 2.0, 1.0, 2.0], beta=0.2, alpha=0.2, kind=FairnessKind.ERROR_RATE_PARITY)
+        relaxed = _without_family(lp, "diversity")
+        assert relaxed.upper == 1.0 and _crash(relaxed).size == 1
+        assert check_against(lp, vertex_enumeration) == LpStatus.INFEASIBLE
+        assert solve_lp(lp).relaxation_hints == ("diversity",)
+        assert check_against(relaxed, vertex_enumeration) == LpStatus.OPTIMAL
+
+
+class TestIterations:
+    """Deterministic work bounds: iteration counts, not timings."""
+
+    def test_hint_re_solves_are_counted(self):
+        lp = tied_program(8, [1.0, 2.0, 1.0, 2.0], beta=0.2, alpha=0.2, kind=FairnessKind.ERROR_RATE_PARITY)
+        sol = solve_lp(lp)
+        parts = [solve_lp(lp, _with_hints=False)] + [
+            solve_lp(_without_family(lp, family), _with_hints=False) for family in ("fairness", "diversity")
+        ]
+        assert all(part.iterations > 0 for part in parts)
+        assert sol.iterations == sum(part.iterations for part in parts)
+
+    def test_infeasible_one_over_n_program_at_5000_workers(self):
+        # the last seeded program of test_seeded_programs_match_highs at
+        # n = 5000: 19 iterations with its three hint re-solves, against
+        # 21,000 from a cold start at S = 0
+        rng = np.random.default_rng(9000 + 5000)
+        for case in SEEDED_CASES:
+            lp = draw_lp(rng, 5000, *case)
+        assert lp.upper == 1 / 5000
+        sol = solve_lp(lp)
+        assert sol.status == LpStatus.INFEASIBLE
+        assert sol.relaxation_hints == ("fairness", "diversity")
+        assert sol.iterations <= 100
+
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [
+            # measured 8 iterations, against 3,063 from a cold start
+            (FairnessKind.NONE, 300),
+            # four fairness rows the crash violates, which phase 1 repairs
+            # pivot by pivot: measured 557, against 3,617 from a cold start
+            (FairnessKind.ERROR_RATE_PARITY, 1000),
+        ],
+    )
+    def test_ten_thousand_workers_at_cap_one_in_a_thousand(self, kind, bound):
+        n = 10_000
+        rng = np.random.default_rng(10_000)
+        diag = (rng.integers(0, 21, size=(n, 4)) / 20).reshape(n, 2, 2)
+        cs = ConstraintSet(alpha=0.01, beta=0.001, budget=1.0, fairness_kind=kind)
+        lp = build_lp(diag, rng.uniform(0.5, 2.0, size=n), PRIORS, cs)
+        sol = solve_lp(lp)
+        assert sol.status == LpStatus.OPTIMAL
+        assert verify_solution(lp, sol) == []
+        assert sol.iterations <= bound
+
+
+def test_weight_sum_outside_policy_tolerance_is_a_solver_error(monkeypatch):
+    lp = tied_program(3, np.ones(4), beta=0.5)
+    weights = np.array([0.5, 0.5 + 1e-8, 0.0, 0.0])
+    monkeypatch.setattr(lp_module, "_solve_bounded", lambda program: (LpStatus.OPTIMAL, weights, 3))
+    with pytest.raises(SolverError, match=r"sum to 1 \+1e-08"):
+        solve_lp(lp)

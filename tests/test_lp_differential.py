@@ -33,6 +33,17 @@ N_GOLD = 5  # few gold tasks per type: estimates k/5 tie often
 FAMILIES = ("fairness", "diversity", "budget")
 KINDS = (FairnessKind.FPR_PARITY, FairnessKind.FNR_PARITY, FairnessKind.ERROR_RATE_PARITY, FairnessKind.NONE)
 FEES = np.array([0.0, 0.5, 1.0, 2.0])
+# (alpha, beta kind, budget kind, fairness kind), drawn in this order from
+# default_rng(9000 + n) by test_seeded_programs_match_highs
+SEEDED_CASES = (
+    (0.05, "two_over_n", "mean_fee", FairnessKind.ERROR_RATE_PARITY),
+    (0.0, "half", "none", FairnessKind.FPR_PARITY),
+    (0.02, "one_over_n", "none", FairnessKind.NONE),
+    (0.01, "two_over_n", "min_fee", FairnessKind.ERROR_RATE_PARITY),
+    (0.05, "half", "min_fee", FairnessKind.FNR_PARITY),
+    (math.inf, "loose", "below_min_fee", FairnessKind.NONE),
+    (0.0, "one_over_n", "mean_fee", FairnessKind.ERROR_RATE_PARITY),
+)
 
 
 def draw_lp(rng, n, alpha, beta_kind, budget_kind, kind):
@@ -127,16 +138,35 @@ def highs(lp):
 def test_seeded_programs_match_highs(n):
     pytest.importorskip("scipy")
     rng = np.random.default_rng(9000 + n)
-    cases = [
-        (0.05, "two_over_n", "mean_fee", FairnessKind.ERROR_RATE_PARITY),
-        (0.0, "half", "none", FairnessKind.FPR_PARITY),
-        (0.02, "one_over_n", "none", FairnessKind.NONE),
-        (0.01, "two_over_n", "min_fee", FairnessKind.ERROR_RATE_PARITY),
-        (0.05, "half", "min_fee", FairnessKind.FNR_PARITY),
-        (math.inf, "loose", "below_min_fee", FairnessKind.NONE),
-        (0.0, "one_over_n", "mean_fee", FairnessKind.ERROR_RATE_PARITY),
-    ]
-    statuses = [check_against(draw_lp(rng, n, *case), highs) for case in cases]
+    statuses = [check_against(draw_lp(rng, n, *case), highs) for case in SEEDED_CASES]
     assert LpStatus.INFEASIBLE in statuses
     if n >= 10:
         assert LpStatus.OPTIMAL in statuses
+
+
+def test_every_shipped_recipe_lp_matches_highs(tmp_path, monkeypatch):
+    """Every CrowdFDB program of the 8 shipped recipes (2 reps, seed 5)."""
+    pytest.importorskip("scipy")
+    from crowdfdb import cli, pipeline
+
+    solved = []
+
+    def recording_solve(lp):
+        sol = solve_lp(lp)
+        solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(pipeline, "solve_lp", recording_solve)
+    monkeypatch.delenv("CROWDFDB_THREADS", raising=False)
+    recipes = cli.recipe_names()
+    assert len(recipes) == 8
+    for recipe in recipes:
+        out = tmp_path / f"{recipe}.csv"
+        args = ["experiment", "--recipe", recipe, "--repetitions", "2", "--seed", "5", "--methods", "CrowdFDB"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+    assert len(solved) == 8 * 4 * 2
+    for lp, sol in solved:
+        status, best = highs(lp)
+        assert sol.status == status
+        if status == LpStatus.OPTIMAL:
+            assert sol.objective_value == pytest.approx(best, abs=1e-9)

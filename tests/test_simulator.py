@@ -25,7 +25,7 @@ from crowdfdb import (
     write_results_csv,
 )
 from crowdfdb import simulator
-from crowdfdb.simulator import RESULTS_COLUMNS
+from crowdfdb.simulator import RESULTS_COLUMNS, RunInputs
 from oracles import recount_scores
 
 
@@ -146,7 +146,7 @@ class TestRunOnce:
             population=perfect_population(6),  # placeholder; replaced via _resolved
             task_pool=default_task_pool_spec(seed=4),
         )
-        resolved = (workers, *resolve_inputs(cfg)[1:])
+        resolved = RunInputs.build(workers, *resolve_inputs(cfg)[1:])
         report = run_once(cfg, 0, _resolved=resolved)
         assert report.fpr_gap <= 0.05
 
@@ -266,6 +266,14 @@ class TestRunExperiment:
         results = run_experiment(cfg)
         assert [r.value for r in results] == [5, 10]
         assert all(len(r.reports) == 2 for r in results)
+
+    def test_per_command_arrays_built_once(self, monkeypatch):
+        calls = []
+        original = simulator.label_one_probabilities
+        monkeypatch.setattr(simulator, "label_one_probabilities", lambda w: calls.append(1) or original(w))
+        cfg = base_config(sweep=SweepSpec("gold", (5, 10)), repetitions=2)
+        assert len(run_experiment(cfg)) == 2
+        assert len(calls) == 1
 
     def test_alpha_sweep_shares_gold_draws_per_rep(self):
         pop = default_population_spec(seed=51, n_workers=30)
