@@ -16,8 +16,8 @@ from .datagen import (
     FileFormatError,
     IntervalBiasModel,
     PopulationSpec,
+    TaskPool,
     TaskPoolSpec,
-    TaskRecord,
     UniformCost,
     default_population_spec,
     default_task_pool_spec,

@@ -6,7 +6,8 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
            where a{z}_{y}{yhat} is the matrix entry [y, yhat] for group z;
            floats are written with shortest round-trip precision.  Each
            matrix must be row-stochastic; a worker keeps its diagonal.
-  tasks:   id,z,y with z, y in {0, 1}.
+  tasks:   id,z,y with z, y in {0, 1}; held as a TaskPool of int8 arrays,
+           validated once when the pool is generated or loaded.
   gold tallies: id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,
                 att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1
            (attempted/correct per task type, ordered z-major then y).
@@ -37,15 +38,25 @@ class FileFormatError(ValueError):
     """A delimited input file does not match its documented schema."""
 
 
-@dataclass(frozen=True)
-class TaskRecord:
-    id: str
-    z: int
-    y: int
+@dataclass(frozen=True, eq=False)
+class TaskPool:
+    """Pool tasks in order: their ids, and read-only int8 arrays of each task's
+    group z and true label y, checked to be 0 or 1 before they are narrowed."""
+
+    ids: tuple[str, ...]
+    z: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.z not in (0, 1) or self.y not in (0, 1):
-            raise ValueError(f"task {self.id}: z and y must be 0 or 1, got z={self.z} y={self.y}")
+        for name in ("z", "y"):
+            values = np.asarray(getattr(self, name))
+            if values.shape != (len(self.ids),) or not ((values == 0) | (values == 1)).all():
+                raise ValueError(f"task pool {name} must hold one 0 or 1 per task id")
+            object.__setattr__(self, name, values.astype(np.int8))
+            getattr(self, name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -202,22 +213,15 @@ def generate_population(spec: PopulationSpec) -> list[WorkerProfile]:
     ]
 
 
-def generate_task_pool(spec: TaskPoolSpec) -> list[TaskRecord]:
+def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
     """Labeled tasks for both groups, i.i.d. per base rate, shuffled order."""
     rng = stream(spec.seed, "tasks")
-    zs = np.concatenate([np.zeros(spec.n_z0, dtype=int), np.ones(spec.n_z1, dtype=int)])
-    ys = np.concatenate(
-        [
-            (rng.random(spec.n_z0) < spec.base_rate_z0).astype(int),
-            (rng.random(spec.n_z1) < spec.base_rate_z1).astype(int),
-        ]
-    )
+    zs = np.repeat(np.array([0, 1], dtype=np.int8), [spec.n_z0, spec.n_z1])
+    ys = rng.random(zs.size) < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
     order = rng.permutation(zs.size)
     width = max(5, len(str(max(zs.size - 1, 0))))
-    return [
-        TaskRecord(id=f"t{pos:0{width}d}", z=int(zs[j]), y=int(ys[j]))
-        for pos, j in enumerate(order)
-    ]
+    ids = tuple(f"t{pos:0{width}d}" for pos in range(zs.size))
+    return TaskPool(ids=ids, z=zs[order], y=ys[order])
 
 
 def make_binding_fairness_instance(gap: float, n_pairs: int, seed: int) -> list[WorkerProfile]:
@@ -307,6 +311,13 @@ def _parse_int(path, lineno: int, field: str, raw: str) -> int:
         raise FileFormatError(f"{path} line {lineno}: field {field} is not an integer: {raw!r}")
 
 
+def _parse_bit(path, lineno: int, field: str, raw: str) -> int:
+    value = _parse_int(path, lineno, field, raw)
+    if value not in (0, 1):
+        raise FileFormatError(f"{path} line {lineno}: field {field} must be 0 or 1, got {value}")
+    return value
+
+
 def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -339,25 +350,21 @@ def load_workers(path: str | Path) -> list[WorkerProfile]:
     return workers
 
 
-def save_tasks(tasks: list[TaskRecord], path: str | Path) -> None:
+def save_tasks(tasks: TaskPool, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TASK_COLUMNS)
-        for t in tasks:
-            writer.writerow([t.id, t.z, t.y])
+        writer.writerows(zip(tasks.ids, tasks.z.tolist(), tasks.y.tolist()))
 
 
-def load_tasks(path: str | Path) -> list[TaskRecord]:
-    tasks = []
+def load_tasks(path: str | Path) -> TaskPool:
+    ids, zs, ys = [], [], []
     with _data_rows(path, _TASK_COLUMNS) as rows:
         for lineno, row in rows:
-            z = _parse_int(path, lineno, "z", row[1])
-            y = _parse_int(path, lineno, "y", row[2])
-            try:
-                tasks.append(TaskRecord(id=row[0], z=z, y=y))
-            except ValueError as err:
-                raise FileFormatError(f"{path} line {lineno}: {err}")
-    return tasks
+            ids.append(row[0])
+            zs.append(_parse_bit(path, lineno, "z", row[1]))
+            ys.append(_parse_bit(path, lineno, "y", row[2]))
+    return TaskPool(ids=tuple(ids), z=np.array(zs), y=np.array(ys))
 
 
 def save_gold_tallies(
@@ -405,14 +412,9 @@ def load_responses(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
     with _data_rows(path, _RESPONSE_COLUMNS) as rows:
         for lineno, row in rows:
             worker_id = row[0]
-            answer = _parse_int(path, lineno, "answer", row[2])
-            z = _parse_int(path, lineno, "z", row[3])
-            y = _parse_int(path, lineno, "y", row[4])
-            for field, value in (("answer", answer), ("z", z), ("y", y)):
-                if value not in (0, 1):
-                    raise FileFormatError(
-                        f"{path} line {lineno}: field {field} must be 0 or 1, got {value}"
-                    )
+            answer = _parse_bit(path, lineno, "answer", row[2])
+            z = _parse_bit(path, lineno, "z", row[3])
+            y = _parse_bit(path, lineno, "y", row[4])
             if worker_id not in attempted:
                 attempted[worker_id] = [0, 0, 0, 0]
                 correct[worker_id] = [0, 0, 0, 0]

@@ -27,8 +27,8 @@ import numpy as np
 from .baselines import CapacityError, greedy_plan, random_policy
 from .datagen import (
     PopulationSpec,
+    TaskPool,
     TaskPoolSpec,
-    TaskRecord,
     generate_population,
     generate_task_pool,
     load_tasks,
@@ -146,7 +146,7 @@ class SweepPointResult:
     aggregate: AggregateMetrics
 
 
-def task_priors(pool: TaskPoolSpec | list[TaskRecord]) -> Priors:
+def task_priors(pool: TaskPoolSpec | TaskPool) -> Priors:
     """Priors implied by a task pool: a generated pool's spec rates, or the
     group and label frequencies of loaded tasks."""
     if isinstance(pool, TaskPoolSpec):
@@ -158,18 +158,16 @@ def task_priors(pool: TaskPoolSpec | list[TaskRecord]) -> Priors:
             p_y1_given_z0=pool.base_rate_z0,
             p_y1_given_z1=pool.base_rate_z1,
         )
-    zs = np.array([t.z for t in pool])
-    ys = np.array([t.y for t in pool])
-    if not (zs == 0).any() or not (zs == 1).any():
+    if not (pool.z == 0).any() or not (pool.z == 1).any():
         raise ValueError("task file lacks one of the groups; set priors.* explicitly")
     return Priors(
-        p_z1=float(zs.mean()),
-        p_y1_given_z0=float(ys[zs == 0].mean()),
-        p_y1_given_z1=float(ys[zs == 1].mean()),
+        p_z1=float(pool.z.mean()),
+        p_y1_given_z0=float(pool.y[pool.z == 0].mean()),
+        p_y1_given_z1=float(pool.y[pool.z == 1].mean()),
     )
 
 
-def resolve_inputs(cfg: ExperimentConfig) -> tuple[list[WorkerProfile], list[TaskRecord], Priors]:
+def resolve_inputs(cfg: ExperimentConfig) -> tuple[list[WorkerProfile], TaskPool, Priors]:
     """Materialize workers, tasks, and priors from specs or files."""
     workers = (
         generate_population(cfg.population) if cfg.population is not None else load_workers(cfg.worker_file)
@@ -227,23 +225,21 @@ def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsR
 @dataclass(frozen=True, eq=False)
 class RunInputs:
     """What every repetition of one command reads, built once: the
-    workers and priors, each task's group and true label, the worker fees,
-    and P(label 1 | z, y) per worker."""
+    workers and priors, the task pool, the worker fees, and P(label 1 | z, y)
+    per worker."""
 
     workers: list[WorkerProfile]
     priors: Priors
-    zs: np.ndarray
-    ys: np.ndarray
+    tasks: TaskPool
     costs: np.ndarray
     p_label_one: np.ndarray
 
     @classmethod
-    def build(cls, workers: list[WorkerProfile], tasks: list[TaskRecord], priors: Priors) -> RunInputs:
+    def build(cls, workers: list[WorkerProfile], tasks: TaskPool, priors: Priors) -> RunInputs:
         return cls(
             workers=workers,
             priors=priors,
-            zs=np.array([t.z for t in tasks]),
-            ys=np.array([t.y for t in tasks]),
+            tasks=tasks,
             costs=np.array([w.cost for w in workers]),
             p_label_one=label_one_probabilities(workers),
         )
@@ -257,7 +253,8 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
     while sweeping the gold count re-draws them.
     """
     inputs = _resolved if _resolved is not None else RunInputs.build(*resolve_inputs(cfg))
-    workers, priors, zs, ys, costs = inputs.workers, inputs.priors, inputs.zs, inputs.ys, inputs.costs
+    workers, priors, costs = inputs.workers, inputs.priors, inputs.costs
+    zs, ys = inputs.tasks.z, inputs.tasks.y
     n = len(workers)
     n_tasks = zs.size
     gold_seed = mix(cfg.seed, "goldphase", cfg.gold.n_gold_per_type, rep_index)
@@ -387,7 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     """Run all repetitions at every sweep point and aggregate.
 
     Repetitions execute in a process pool when CROWDFDB_THREADS > 1, with
-    at most min(CROWDFDB_THREADS, cpu count, repetitions) worker processes;
+    at most min(CROWDFDB_THREADS, usable CPUs, repetitions) worker processes;
     outputs are aggregated in repetition order either way.
     """
     resolved = RunInputs.build(*resolve_inputs(cfg))
@@ -396,7 +393,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     else:
         points = [(None, None)]
 
-    threads = min(_thread_count(), os.cpu_count() or 1, cfg.repetitions)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(_thread_count(), cpus, cfg.repetitions)
     results = []
     for parameter, value in points:
         cfg_point = cfg if parameter is None else _apply_sweep(cfg, parameter, value)

@@ -266,3 +266,21 @@ def reference_population(spec):
             cost = spec.cost_model.high_fee if high else spec.cost_model.low_fee
         workers.append(WorkerProfile(id=_worker_id(i, spec.n_workers), correct=correct, cost=cost))
     return workers
+
+
+def reference_task_pool(spec):
+    """generate_task_pool as the per-task loop it replaced: one (id, z, y)
+    per task, each group's labels drawn in turn, then one permutation."""
+    from crowdfdb.rng import stream
+
+    rng = stream(spec.seed, "tasks")
+    zs = np.concatenate([np.zeros(spec.n_z0, dtype=int), np.ones(spec.n_z1, dtype=int)])
+    ys = np.concatenate(
+        [
+            (rng.random(spec.n_z0) < spec.base_rate_z0).astype(int),
+            (rng.random(spec.n_z1) < spec.base_rate_z1).astype(int),
+        ]
+    )
+    order = rng.permutation(zs.size)
+    width = max(5, len(str(max(zs.size - 1, 0))))
+    return [(f"t{pos:0{width}d}", int(zs[j]), int(ys[j])) for pos, j in enumerate(order)]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -17,6 +18,16 @@ class TestGenerate:
         assert sum(1 for _ in open(w)) == 401  # header + 400 workers
         assert sum(1 for _ in open(t)) == 6151  # header + 6150 tasks
         assert (tmp_path / "w.csv.manifest").exists()
+
+    def test_default_files_keep_their_bytes(self, tmp_path):
+        w, t = tmp_path / "w.csv", tmp_path / "t.csv"
+        assert run_cli(["generate", "--workers-out", w, "--tasks-out", t]) == 0
+        assert hashlib.sha256(t.read_bytes()).hexdigest() == (
+            "f9eeac133580131a76e507ddfd38f63e526949eb626a55df6c4d9d3e38e31d2e"
+        )
+        assert hashlib.sha256(w.read_bytes()).hexdigest() == (
+            "ec7383cbc1992cd9edc92bbfd8f2c106ce9a9f4e770afe2fe0acd5a41f96f423"
+        )
 
     def test_repeated_seed_identical_files(self, tmp_path):
         out = []
@@ -285,6 +296,50 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "task pool has no tasks" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_task_file_outside_0_1_exits_2_with_line(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text("id,z,y\nt0,0,1\nt1,1,0\nt2,256,1\n", encoding="utf-8")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tasks.file = {tasks}\npopulation.n_workers = 20\nexperiment.repetitions = 1\n",
+                       encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks} line 4: field z must be 0 or 1, got 256" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_run_from_the_generated_task_file_matches_the_run_from_the_spec(self, tmp_path):
+        from crowdfdb import config as cfgmod
+
+        workers, tasks = tmp_path / "w.csv", tmp_path / "t.csv"
+        assert run_cli(["generate", "--workers-out", workers, "--tasks-out", tasks]) == 0
+        from_file = tmp_path / "from-file.cfg"
+        from_file.write_text(cfgmod.format_config({
+            **cli._load_recipe("figure1"),
+            "tasks.file": str(tasks),
+            # the default spec's priors; a task file alone implies its empirical frequencies
+            "priors.p_z1": "0.6009756097560975",
+            "priors.p_y1_given_z0": "0.3936",
+            "priors.p_y1_given_z1": "0.5143",
+        }), encoding="utf-8")
+        spec_out, file_out = tmp_path / "spec.csv", tmp_path / "file.csv"
+        assert run_cli(["experiment", "--recipe", "figure1", "--repetitions", 2, "--out", spec_out]) == 0
+        assert run_cli(["experiment", "--config", from_file, "--repetitions", 2, "--out", file_out]) == 0
+        assert spec_out.read_bytes() == file_out.read_bytes()
+
+    def test_solver_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        from crowdfdb.lp import SolverError
+
+        def boom(*args, **kwargs):
+            raise SolverError("forced failure")
+
+        monkeypatch.setattr("crowdfdb.pipeline.solve_lp", boom)
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", self.smoke_config(tmp_path), "--out", out]) == 4
+        assert "numerical failure: forced failure" in capsys.readouterr().err
         assert not out.exists()
 
 

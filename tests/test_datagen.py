@@ -12,10 +12,12 @@ from crowdfdb import (
     Policy,
     PopulationSpec,
     Priors,
+    TaskPool,
     TaskPoolSpec,
     UniformCost,
     compose_policy_accuracy,
     default_population_spec,
+    default_task_pool_spec,
     expected_accuracy,
     fairness_gap,
     generate_population,
@@ -32,7 +34,7 @@ from crowdfdb import (
 )
 from crowdfdb.model import label_one_probabilities
 
-from oracles import reference_population
+from oracles import reference_population, reference_task_pool
 
 
 def interval_spec(n, lo, hi, cost_model, seed=1):
@@ -163,26 +165,53 @@ class TestGenerateTaskPool:
     def test_default_counts(self):
         spec = TaskPoolSpec(n_z0=2454, n_z1=3696, base_rate_z0=0.3936, base_rate_z1=0.5143, seed=5)
         tasks = generate_task_pool(spec)
-        assert len(tasks) == 6150
-        assert sum(1 for t in tasks if t.z == 1) == 3696
-        assert sum(1 for t in tasks if t.z == 0) == 2454
+        assert len(tasks) == len(tasks.ids) == tasks.z.size == tasks.y.size == 6150
+        assert tasks.z.dtype == tasks.y.dtype == np.int8
+        assert int((tasks.z == 1).sum()) == 3696
+        assert int((tasks.z == 0).sum()) == 2454
 
     def test_zero_base_rate(self):
         spec = TaskPoolSpec(n_z0=500, n_z1=0, base_rate_z0=0.0, base_rate_z1=0.5, seed=5)
         tasks = generate_task_pool(spec)
-        assert all(t.y == 0 for t in tasks)
+        assert (tasks.y == 0).all()
 
     def test_base_rate_tolerance(self):
         spec = TaskPoolSpec(n_z0=0, n_z1=3696, base_rate_z0=0.5, base_rate_z1=0.5143, seed=6)
         tasks = generate_task_pool(spec)
-        assert np.mean([t.y for t in tasks]) == pytest.approx(0.5143, abs=0.025)
+        assert tasks.y.mean() == pytest.approx(0.5143, abs=0.025)
 
     def test_shuffled_and_deterministic(self):
         spec = TaskPoolSpec(n_z0=50, n_z1=50, base_rate_z0=0.3, base_rate_z1=0.7, seed=9)
         a = generate_task_pool(spec)
         b = generate_task_pool(spec)
-        assert a == b
-        assert any(t.z == 1 for t in a[:50])  # groups interleaved, not in blocks
+        assert a.ids == b.ids
+        assert np.array_equal(a.z, b.z) and np.array_equal(a.y, b.y)
+        assert (a.z[:50] == 1).any()  # groups interleaved, not in blocks
+
+    @pytest.mark.parametrize("spec", [
+        default_task_pool_spec(),
+        TaskPoolSpec(n_z0=0, n_z1=700, base_rate_z0=0.5, base_rate_z1=0.3, seed=3),
+        TaskPoolSpec(n_z0=0, n_z1=0, base_rate_z0=0.5, base_rate_z1=0.5, seed=3),
+        TaskPoolSpec(n_z0=40_000, n_z1=60_001, base_rate_z0=0.25, base_rate_z1=0.6, seed=8),
+    ], ids=["default", "one-group", "empty", "six-digit-ids"])
+    def test_matches_the_per_task_loop(self, spec):
+        tasks = generate_task_pool(spec)
+        assert list(zip(tasks.ids, tasks.z.tolist(), tasks.y.tolist())) == reference_task_pool(spec)
+
+
+class TestTaskPool:
+    @pytest.mark.parametrize("z, y", [([0, 2], [0, 1]), ([0, 1], [256, 1]), ([0, 1], [0, -1]),
+                                      ([0, 1], [0.5, 1.0]), ([0], [0, 1])])
+    def test_rejects_non_bits_and_wrong_lengths(self, z, y):
+        with pytest.raises(ValueError, match="must hold one 0 or 1 per task id"):
+            TaskPool(ids=("t0", "t1"), z=np.array(z), y=np.array(y))
+
+    def test_narrows_validated_bits_to_read_only_int8(self):
+        tasks = TaskPool(ids=("t0", "t1"), z=np.array([1, 0]), y=np.array([True, False]))
+        assert tasks.z.dtype == tasks.y.dtype == np.int8
+        assert tasks.z.tolist() == [1, 0] and tasks.y.tolist() == [1, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            tasks.z[0] = 2
 
 
 class TestMirroredPairs:
@@ -243,7 +272,10 @@ class TestFileRoundTrips:
         tasks = generate_task_pool(spec)
         path = tmp_path / "tasks.csv"
         save_tasks(tasks, path)
-        assert load_tasks(path) == tasks
+        loaded = load_tasks(path)
+        assert loaded.ids == tasks.ids
+        assert np.array_equal(loaded.z, tasks.z) and np.array_equal(loaded.y, tasks.y)
+        assert loaded.z.dtype == loaded.y.dtype == np.int8
 
     def test_tallies_round_trip(self, tmp_path):
         tallies = [
@@ -282,6 +314,16 @@ class TestFileRoundTrips:
         path.write_text("id,z,y\nt0,nope,1\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="field z"):
             load_tasks(path)
+
+    @pytest.mark.parametrize("row, field, value", [
+        ("t1,2,1", "z", 2), ("t1,0,256", "y", 256), ("t1,-1,0", "z", -1),
+    ])
+    def test_task_field_outside_0_1_names_file_line_and_field(self, tmp_path, row, field, value):
+        path = tmp_path / "tasks.csv"
+        path.write_text(f"id,z,y\nt0,0,1\n{row}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_tasks(path)
+        assert str(err.value) == f"{path} line 3: field {field} must be 0 or 1, got {value}"
 
     def test_unix_newlines(self, tmp_path):
         path = tmp_path / "tasks.csv"

@@ -303,12 +303,10 @@ class TestRunExperiment:
         parallel = run_experiment(cfg)
         assert sequential == parallel
 
-    @pytest.mark.parametrize(
-        "env, cpus, reps, expected",
-        [("64", 2, 4, [2]), ("3", 8, 4, [3]), ("64", 8, 2, [2]), ("2", 8, 1, [])],
-    )
-    def test_process_count_clamped(self, monkeypatch, env, cpus, reps, expected):
-        # a recording stand-in: no worker process is ever started
+    @staticmethod
+    def record_pool_sizes(monkeypatch):
+        """A recording stand-in for the process pool: no worker process is
+        ever started, and the jobs run in this process."""
         recorded = []
 
         class RecordingExecutor:
@@ -324,13 +322,33 @@ class TestRunExperiment:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingExecutor)
+        return recorded
+
+    @pytest.mark.parametrize(
+        "env, cpus, reps, expected",
+        [("64", 2, 4, [2]), ("3", 8, 4, [3]), ("64", 8, 2, [2]), ("2", 8, 1, []), ("2", 1, 4, [])],
+    )
+    def test_process_count_clamped(self, monkeypatch, env, cpus, reps, expected):
+        # the process may use `cpus` of the machine's 64 CPUs (as under taskset)
         cfg = base_config(method="Random", repetitions=reps)
         sequential = run_experiment(cfg)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: cpus)
+        recorded = self.record_pool_sizes(monkeypatch)
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 64)
         monkeypatch.setenv("CROWDFDB_THREADS", env)
         assert run_experiment(cfg) == sequential
         assert recorded == expected
+
+    def test_process_count_falls_back_to_the_cpu_count_without_affinity(self, monkeypatch):
+        cfg = base_config(method="Random", repetitions=4)
+        sequential = run_experiment(cfg)
+        recorded = self.record_pool_sizes(monkeypatch)
+        monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("CROWDFDB_THREADS", "64")
+        assert run_experiment(cfg) == sequential
+        assert recorded == [2]
 
     def test_bad_thread_env_rejected(self, monkeypatch):
         monkeypatch.setenv("CROWDFDB_THREADS", "many")
