@@ -16,8 +16,12 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
            aggregates these into per-worker gold tallies, so externally
            collected answer sets can drive estimation directly.
 
-Loaders reject unknown or missing columns and report the first malformed
-row by line number and field.
+Worker and gold-tally ids must not repeat.  Loaders reject unknown or
+missing columns and report the first malformed row in file order by line
+number and field, whatever its fault: bytes that are not UTF-8, a row the
+csv parser rejects, a wrong field count, a bad value or a repeated id.
+They read rows in fixed-size blocks and check each block a column at a
+time; a block that fails is parsed again row by row for that error.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .estimation import TYPE_ORDER, GoldResponseTally
-from .model import AccuracyMatrix, WorkerProfile
+from .estimation import GoldResponseTally
+from .model import TOL, AccuracyMatrix, WorkerProfile
 from .rng import random_rows, stream
 
 
@@ -257,44 +262,94 @@ _TALLY_COLUMNS = ["id"] + [
 _RESPONSE_COLUMNS = ["worker_id", "task_id", "answer", "z", "y"]
 
 
+# Loaders read a file this many rows at a time: each block is checked a
+# column at a time, and no loader holds a whole file of rows.  A block stays
+# under the garbage collector's generation-0 threshold (700 by default), so
+# its row lists are usually freed before a collection would scan them; at
+# 1,024 rows, loading 64,000 responses ran 122 collections, one a full one.
+_BLOCK_ROWS = 512
+
+
 @contextmanager
 def _data_rows(path: str | Path, expected: list[str]):
-    """Open a delimited file, check its header, and yield an iterator of
-    its data rows as (line number, fields), each with the header's width.
+    """Open a delimited file, check its header, and yield an iterator over its
+    data rows in blocks of up to _BLOCK_ROWS, as (line number of the block's
+    first row, rows); the rows are lists of str of any width.
 
-    Text that is not UTF-8 and rows the csv module rejects (such as a field
-    over its size limit) raise FileFormatError naming the line, whether
-    they surface here or while the caller iterates.
+    Bytes that are not UTF-8 reach the rows as lone surrogates, which
+    _check_row reports; a row the csv module rejects (such as a field over
+    its size limit) raises FileFormatError naming its line once the rows
+    before it have been yielded, so every error surfaces in file order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
-            if header is None:
-                raise FileFormatError(f"{path}: empty file, expected header {','.join(expected)}")
-            if header != expected:
-                raise FileFormatError(
-                    f"{path} line 1: header must be exactly {','.join(expected)}, got {','.join(header)}"
-                )
-            yield _checked_width(path, enumerate(reader, start=2), len(expected))
         except csv.Error as err:
             raise FileFormatError(f"{path} line {reader.line_num}: {err}")
-        except UnicodeDecodeError:
-            # the reader's error counts from its last read chunk; decode the whole file for the line
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as err:
-                line = data.count(b"\n", 0, err.start) + 1
-                raise FileFormatError(f"{path} line {line}: not UTF-8 text: {err.reason}")
-            raise
+        if header is None:
+            raise FileFormatError(f"{path} line 1: empty file, expected header {','.join(expected)}")
+        if header != expected:
+            _check_row(path, 1, header, len(header))  # a header that is not UTF-8 says so
+            raise FileFormatError(
+                f"{path} line 1: header must be exactly {','.join(expected)}, got {','.join(header)}"
+            )
+        yield _blocks(path, reader)
 
 
-def _checked_width(path, rows, width: int):
-    for lineno, row in rows:
-        if len(row) != width:
-            raise FileFormatError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
-        yield lineno, row
+def _blocks(path, reader):
+    first = 2
+    while True:
+        rows, error = [], None
+        try:
+            rows.extend(islice(reader, _BLOCK_ROWS))  # on a csv error, rows keeps those read before it
+        except csv.Error as err:
+            error = FileFormatError(f"{path} line {reader.line_num}: {err}")
+        if rows:
+            yield first, rows
+        if error is not None:
+            raise error
+        if len(rows) < _BLOCK_ROWS:
+            return
+        first += _BLOCK_ROWS
+
+
+def _is_text(*columns) -> bool:
+    """Whether no field holds a lone surrogate, the escape of a byte that is not UTF-8."""
+    try:
+        for column in columns:
+            "".join(column).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_row(path, lineno: int, row: list[str], width: int) -> None:
+    """Reject a row that is not UTF-8 text or not `width` fields wide."""
+    if not _is_text(row):
+        # the first row holding an escape holds the file's first undecodable byte
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = err.object.count(b"\n", 0, err.start) + 1
+            raise FileFormatError(f"{path} line {line}: not UTF-8 text: {err.reason}") from None
+    if len(row) != width:
+        raise FileFormatError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+
+
+def _check_new_id(path, lineno: int, row_id: str, seen: dict[str, int]) -> None:
+    first = seen.setdefault(row_id, lineno)
+    if first != lineno:
+        raise FileFormatError(f"{path} line {lineno}: repeated id {row_id!r}, first on line {first}")
+
+
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
+    """A block's columns, or None unless every row is `width` fields wide."""
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:  # rows of unequal width
+        return None
+    return columns if len(columns) == width else None
 
 
 def _parse_float(path, lineno: int, field: str, raw: str) -> float:
@@ -318,6 +373,41 @@ def _parse_bit(path, lineno: int, field: str, raw: str) -> int:
     return value
 
 
+def _bits(column: tuple[str, ...]) -> np.ndarray | None:
+    """A column of one-character 0 or 1 fields as uint8, or None if any field is otherwise.
+
+    Joined with commas, n such fields make 2n - 1 characters with a bit at
+    every even index.  An empty field would put two commas side by side, one
+    at an even index, so a join of that length and pattern has no empty
+    field, and with it no field longer than one character.
+    """
+    text = ",".join(column)
+    if len(text) != 2 * len(column) - 1 or not text.isascii():
+        return None
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[::2] - ord("0")
+    return None if (bits > 1).any() else bits
+
+
+def _text_and_bits(path, first: int, rows: list[list[str]], columns: list[str], n_text: int):
+    """A block's first n_text columns as tuples of str, and the rest as uint8
+    arrays of bits.
+
+    The block is checked a column at a time; if any field fails that check
+    (it may still be a bit to _parse_bit, such as " 1" or "+1"), the rows are
+    parsed one by one, so the first bad row in file order raises its error.
+    """
+    text = _columns(rows, len(columns))
+    if text is not None:
+        bits = [_bits(column) for column in text[n_text:]]
+        if all(b is not None for b in bits) and _is_text(*text[:n_text]):
+            return text[:n_text], bits
+    parsed = []
+    for lineno, row in enumerate(rows, first):
+        _check_row(path, lineno, row, len(columns))
+        parsed.append([_parse_bit(path, lineno, f, raw) for f, raw in zip(columns[n_text:], row[n_text:])])
+    return list(zip(*rows))[:n_text], [np.array(b, dtype=np.uint8) for b in zip(*parsed)]
+
+
 def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -330,24 +420,62 @@ def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
 
 def load_workers(path: str | Path) -> list[WorkerProfile]:
     """Workers from a file; each a{z} matrix must be row-stochastic, and only
-    its diagonal is kept (the off-diagonal entries are its complements)."""
-    workers = []
-    with _data_rows(path, _WORKER_COLUMNS) as rows:
-        for lineno, row in rows:
-            cost, *entries = (
-                _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
-            )
-            grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
-            for z in (0, 1):
-                try:
-                    AccuracyMatrix(grids[z])  # rejects a row that does not sum to 1
-                except ValueError as err:
-                    raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
-            try:
-                workers.append(WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost))
-            except ValueError as err:
-                raise FileFormatError(f"{path} line {lineno}: {err}")
+    its diagonal is kept (the off-diagonal entries are its complements).  An
+    id may appear once."""
+    workers: list[WorkerProfile] = []
+    seen: dict[str, int] = {}
+    with _data_rows(path, _WORKER_COLUMNS) as blocks:
+        for first, rows in blocks:
+            block = _checked_workers(path, rows, first, seen)
+            if block is None:  # some row fails: check them one by one for its error
+                block = [_worker_row(path, lineno, row, seen) for lineno, row in enumerate(rows, first)]
+            workers.extend(block)
     return workers
+
+
+def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, int]) -> list[WorkerProfile] | None:
+    """A block's workers, checked all at once as _worker_row checks each; None
+    if any row fails a check that comes before its id's."""
+    columns = _columns(rows, len(_WORKER_COLUMNS))
+    if columns is None:
+        return None
+    ids, *fields = columns
+    try:
+        numbers = np.array([np.fromiter(map(float, field), dtype=float, count=len(ids)) for field in fields])
+    except ValueError:
+        return None
+    cost, grids = numbers[0], numbers[1:].T.reshape(-1, 2, 2, 2)  # numbers[field, row]; grids[row, z, y, yhat]
+    valid = (
+        np.isfinite(numbers).all()
+        and (numbers >= 0.0).all()
+        and (grids <= 1.0).all()
+        and (np.abs(grids.sum(axis=-1) - 1.0) <= TOL.structural).all()
+    )
+    if not (valid and _is_text(ids)):
+        return None
+    for lineno, worker_id in enumerate(ids, first):
+        _check_new_id(path, lineno, worker_id, seen)
+    correct = grids.diagonal(axis1=2, axis2=3)
+    return [WorkerProfile(id=i, correct=c, cost=f) for i, c, f in zip(ids, correct, cost.tolist())]
+
+
+def _worker_row(path, lineno: int, row: list[str], seen: dict[str, int]) -> WorkerProfile:
+    _check_row(path, lineno, row, len(_WORKER_COLUMNS))
+    cost, *entries = (
+        _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
+    )
+    grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
+    for z in (0, 1):
+        try:
+            AccuracyMatrix(grids[z])  # rejects a row that does not sum to 1
+        except ValueError as err:
+            raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
+    try:
+        worker = WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost)
+    except ValueError as err:
+        raise FileFormatError(f"{path} line {lineno}: {err}")
+    _check_new_id(path, lineno, row[0], seen)
+    return worker
 
 
 def save_tasks(tasks: TaskPool, path: str | Path) -> None:
@@ -358,13 +486,15 @@ def save_tasks(tasks: TaskPool, path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> TaskPool:
-    ids, zs, ys = [], [], []
-    with _data_rows(path, _TASK_COLUMNS) as rows:
-        for lineno, row in rows:
-            ids.append(row[0])
-            zs.append(_parse_bit(path, lineno, "z", row[1]))
-            ys.append(_parse_bit(path, lineno, "y", row[2]))
-    return TaskPool(ids=tuple(ids), z=np.array(zs), y=np.array(ys))
+    ids: list[str] = []
+    zs, ys = [np.zeros(0, dtype=np.uint8)], [np.zeros(0, dtype=np.uint8)]
+    with _data_rows(path, _TASK_COLUMNS) as blocks:
+        for first, rows in blocks:
+            (block_ids,), (z, y) = _text_and_bits(path, first, rows, _TASK_COLUMNS, 1)
+            ids.extend(block_ids)
+            zs.append(z)
+            ys.append(y)
+    return TaskPool(ids=tuple(ids), z=np.concatenate(zs), y=np.concatenate(ys))
 
 
 def save_gold_tallies(
@@ -381,20 +511,25 @@ def save_gold_tallies(
 
 
 def load_gold_tallies(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
+    """Recorded tallies in file order; an id may appear once."""
     out = []
-    with _data_rows(path, _TALLY_COLUMNS) as rows:
-        for lineno, row in rows:
-            numbers = [
-                _parse_int(path, lineno, field, raw)
-                for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])
-            ]
-            try:
-                tally = GoldResponseTally(
-                    attempted=tuple(numbers[0::2]), correct=tuple(numbers[1::2])
-                )
-            except ValueError as err:
-                raise FileFormatError(f"{path} line {lineno}: {err}")
-            out.append((row[0], tally))
+    seen: dict[str, int] = {}
+    with _data_rows(path, _TALLY_COLUMNS) as blocks:
+        for first, rows in blocks:
+            for lineno, row in enumerate(rows, first):
+                _check_row(path, lineno, row, len(_TALLY_COLUMNS))
+                numbers = [
+                    _parse_int(path, lineno, field, raw)
+                    for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])
+                ]
+                try:
+                    tally = GoldResponseTally(
+                        attempted=tuple(numbers[0::2]), correct=tuple(numbers[1::2])
+                    )
+                except ValueError as err:
+                    raise FileFormatError(f"{path} line {lineno}: {err}")
+                _check_new_id(path, lineno, row[0], seen)
+                out.append((row[0], tally))
     return out
 
 
@@ -406,27 +541,29 @@ def load_responses(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
     (z, y) type tally, correct when answer == y.  Workers are returned in
     order of first appearance.
     """
-    attempted: dict[str, list[int]] = {}
-    correct: dict[str, list[int]] = {}
-    order: list[str] = []
-    with _data_rows(path, _RESPONSE_COLUMNS) as rows:
-        for lineno, row in rows:
-            worker_id = row[0]
-            answer = _parse_bit(path, lineno, "answer", row[2])
-            z = _parse_bit(path, lineno, "z", row[3])
-            y = _parse_bit(path, lineno, "y", row[4])
-            if worker_id not in attempted:
-                attempted[worker_id] = [0, 0, 0, 0]
-                correct[worker_id] = [0, 0, 0, 0]
-                order.append(worker_id)
-            idx = TYPE_ORDER.index((z, y))
-            attempted[worker_id][idx] += 1
-            if answer == y:
-                correct[worker_id][idx] += 1
+    codes: dict[str, int] = {}  # worker id -> order of first appearance
+    # counts[4 * code + 2 * z + y]: a worker's four types in TYPE_ORDER, z-major
+    attempted = correct = np.zeros(0, dtype=np.intp)
+    with _data_rows(path, _RESPONSE_COLUMNS) as blocks:
+        for first, rows in blocks:
+            (worker_ids, _), (answer, z, y) = _text_and_bits(path, first, rows, _RESPONSE_COLUMNS, 2)
+            for worker_id in dict.fromkeys(worker_ids):
+                codes.setdefault(worker_id, len(codes))
+            worker = np.fromiter(map(codes.__getitem__, worker_ids), dtype=np.intp, count=len(worker_ids))
+            kind = 4 * worker + 2 * z + y
+            attempted = _add_counts(attempted, kind, 4 * len(codes))
+            correct = _add_counts(correct, kind[answer == y], 4 * len(codes))
     return [
-        (wid, GoldResponseTally(attempted=tuple(attempted[wid]), correct=tuple(correct[wid])))
-        for wid in order
+        (wid, GoldResponseTally(attempted=tuple(a), correct=tuple(c)))
+        for wid, a, c in zip(codes, attempted.reshape(-1, 4).tolist(), correct.reshape(-1, 4).tolist())
     ]
+
+
+def _add_counts(total: np.ndarray, kind: np.ndarray, size: int) -> np.ndarray:
+    """total, grown to size, plus the number of times each index occurs in kind."""
+    counts = np.bincount(kind, minlength=size)
+    counts[: total.size] += total
+    return counts
 
 
 def default_population_spec(seed: int = 4482, n_workers: int = 400,

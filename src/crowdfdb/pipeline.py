@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundQuery, fairness_violation_bound
-from .estimation import GoldPhaseConfig, GoldResponseTally, estimate_tallies, run_gold_phase
+from .estimation import (
+    EstimationError,
+    GoldPhaseConfig,
+    GoldResponseTally,
+    estimate_tallies,
+    run_gold_phase,
+)
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
 from .model import Policy, Priors, WorkerProfile
 
@@ -57,7 +63,12 @@ def build_policy(
         missing = [w.id for w in workers if w.id not in by_id]
         if missing:
             raise ValueError(f"gold tallies missing for workers: {', '.join(missing)}")
-        estimates = estimate_tallies([by_id[w.id] for w in workers], smoothing=gold_cfg.smoothing)
+        ordered = [by_id[w.id] for w in workers]
+        try:
+            estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
+        except EstimationError as err:
+            worker = next(w.id for w, tally in zip(workers, ordered) if 0 in tally.attempted)
+            raise EstimationError(f"worker {worker}: {err}") from None
 
     lp = build_lp(estimates, [w.cost for w in workers], priors, constraints)
     solution = solve_lp(lp)

@@ -284,3 +284,67 @@ def reference_task_pool(spec):
     order = rng.permutation(zs.size)
     width = max(5, len(str(max(zs.size - 1, 0))))
     return [(f"t{pos:0{width}d}", int(zs[j]), int(ys[j])) for pos, j in enumerate(order)]
+
+
+def _reference_rows(path, columns):
+    """(line number, row) for each data row, checked for text and width one
+    row at a time, as the per-row loaders read them."""
+    from crowdfdb.datagen import _check_row, _data_rows
+
+    with _data_rows(path, columns) as blocks:
+        for first, rows in blocks:
+            for lineno, row in enumerate(rows, first):
+                _check_row(path, lineno, row, len(columns))
+                yield lineno, row
+
+
+def reference_load_workers(path):
+    """load_workers as the per-row loop it replaced: each row's fields parsed
+    in turn, then both of its matrices and the worker validated as objects."""
+    from crowdfdb.datagen import _WORKER_COLUMNS, FileFormatError, _parse_float
+    from crowdfdb.model import AccuracyMatrix, WorkerProfile
+
+    workers, seen = [], {}
+    for lineno, row in _reference_rows(path, _WORKER_COLUMNS):
+        cost, *entries = (
+            _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
+        )
+        grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
+        for z in (0, 1):
+            try:
+                AccuracyMatrix(grids[z])
+            except ValueError as err:
+                raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
+        try:
+            workers.append(WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost))
+        except ValueError as err:
+            raise FileFormatError(f"{path} line {lineno}: {err}")
+        if row[0] in seen:
+            raise FileFormatError(f"{path} line {lineno}: repeated id {row[0]!r}, first on line {seen[row[0]]}")
+        seen[row[0]] = lineno
+    return workers
+
+
+def reference_load_responses(path):
+    """load_responses as the per-row loop it replaced: three bits parsed per
+    row, and per-worker count lists in dicts."""
+    from crowdfdb.datagen import _RESPONSE_COLUMNS, _parse_bit
+    from crowdfdb.estimation import TYPE_ORDER, GoldResponseTally
+
+    attempted, correct = {}, {}
+    for lineno, row in _reference_rows(path, _RESPONSE_COLUMNS):
+        worker_id = row[0]
+        answer = _parse_bit(path, lineno, "answer", row[2])
+        z = _parse_bit(path, lineno, "z", row[3])
+        y = _parse_bit(path, lineno, "y", row[4])
+        if worker_id not in attempted:
+            attempted[worker_id] = [0, 0, 0, 0]
+            correct[worker_id] = [0, 0, 0, 0]
+        idx = TYPE_ORDER.index((z, y))
+        attempted[worker_id][idx] += 1
+        if answer == y:
+            correct[worker_id][idx] += 1
+    return [
+        (wid, GoldResponseTally(attempted=tuple(attempted[wid]), correct=tuple(correct[wid])))
+        for wid in attempted
+    ]

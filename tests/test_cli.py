@@ -214,6 +214,67 @@ class TestPolicy:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_responses_and_the_same_counts_as_tallies_give_identical_policies(self, tmp_path):
+        workers, responses, tallies = write_gold_files(tmp_path, n_workers=60)
+        flags = ["policy", "--workers-file", workers, "--fairness", "error-rate", "--alpha", 0.01,
+                 "--beta", 0.1, "--budget", 2.0]
+        assert run_cli(flags + ["--responses", responses, "--out", tmp_path / "from-responses.csv"]) == 0
+        assert run_cli(flags + ["--tallies", tallies, "--out", tmp_path / "from-tallies.csv"]) == 0
+        policy = (tmp_path / "from-responses.csv").read_bytes()
+        assert policy == (tmp_path / "from-tallies.csv").read_bytes()
+        assert policy.count(b"\n") == 61
+
+    def test_zero_attempts_name_the_worker(self, tmp_path, capsys):
+        workers, responses, _ = write_gold_files(tmp_path, n_workers=8, skip=("w0003", 1, 0))
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", "--workers-file", workers, "--responses", responses, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: worker w0003: no gold tasks attempted for type (z=1, y=0)"
+        assert not out.exists()
+
+    def test_repeated_tally_id_exits_2_naming_both_lines(self, tmp_path, capsys):
+        workers, _, tallies = write_gold_files(tmp_path, n_workers=4)
+        lines = tallies.read_text(encoding="utf-8").splitlines()
+        tallies.write_text("\n".join(lines + [lines[2]]) + "\n", encoding="utf-8")
+        code = run_cli(["policy", "--workers-file", workers, "--tallies", tallies, "--out", tmp_path / "p.csv"])
+        assert code == 2
+        assert f"{tallies} line 6: repeated id 'w0001', first on line 3" in capsys.readouterr().err
+
+
+def write_gold_files(tmp_path, n_workers, per_type=6, skip=None):
+    """A generated worker file, raw responses drawn from the workers' true
+    correctness, and the same counts written as a gold-tally file; the
+    (id, z, y) in `skip` gets no responses."""
+    import numpy as np
+
+    from crowdfdb import GoldResponseTally, load_workers, save_gold_tallies
+
+    workers = tmp_path / "workers.csv"
+    cfg = tmp_path / "linked.cfg"
+    cfg.write_text("population.cost_model = accuracy-linked\n", encoding="utf-8")
+    assert run_cli(["generate", "--config", cfg, "--workers", n_workers, "--seed", 3,
+                    "--workers-out", workers, "--tasks-out", tmp_path / "tasks.csv"]) == 0
+    rng = np.random.default_rng(8)
+    responses = tmp_path / "responses.csv"
+    tallies = []
+    with open(responses, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["worker_id", "task_id", "answer", "z", "y"])
+        for worker in load_workers(workers):
+            attempted, correct = [], []
+            for z, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                count = 0 if (worker.id, z, y) == skip else per_type
+                right = rng.random(count) < worker.correct[z, y]
+                writer.writerows(
+                    (worker.id, f"g{z}{y}-{j}", y if ok else 1 - y, z, y) for j, ok in enumerate(right)
+                )
+                attempted.append(count)
+                correct.append(int(right.sum()))
+            tallies.append((worker.id, GoldResponseTally(tuple(attempted), tuple(correct))))
+    tally_file = tmp_path / "tallies.csv"
+    save_gold_tallies(tallies, tally_file)
+    return workers, responses, tally_file
+
 
 class TestExperiment:
     def smoke_config(self, tmp_path):

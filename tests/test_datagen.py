@@ -375,6 +375,58 @@ class TestMalformedFiles:
         with pytest.raises(FileFormatError, match=r"line 2502: not UTF-8"):
             load_tasks(path)
 
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_undecodable_header(self, tmp_path, kind):
+        loader, header, row = LOADERS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(header.encode() + b"\xff\n" + row.encode() + b"\n")
+        with pytest.raises(FileFormatError) as err:
+            loader(path)
+        assert str(err.value) == f"{path} line 1: not UTF-8 text: invalid start byte"
+
+    def test_empty_file_names_line_1(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_bytes(b"")
+        with pytest.raises(FileFormatError) as err:
+            load_tasks(path)
+        assert str(err.value) == f"{path} line 1: empty file, expected header id,z,y"
+
+    @pytest.mark.parametrize("line_5", [
+        b"w0,t3,1,0", b"w0,t3," + b"1" * 200_000 + b",0,1", b"w0,t3,\xff,0,1",
+    ], ids=["4-field row", "oversized field", "undecodable byte"])
+    def test_the_first_bad_row_in_file_order_is_reported(self, tmp_path, line_5):
+        path = tmp_path / "responses.csv"
+        path.write_bytes(b"worker_id,task_id,answer,z,y\nw0,t0,1,0,1\nw0,t1,2,0,1\nw0,t2,1,0,1\n" + line_5 + b"\n")
+        with pytest.raises(FileFormatError) as err:
+            load_responses(path)
+        assert str(err.value) == f"{path} line 3: field answer must be 0 or 1, got 2"
+
+
+class TestRepeatedIds:
+    @pytest.mark.parametrize("kind", ["workers", "tallies"])
+    def test_repeated_id_names_both_lines(self, tmp_path, kind):
+        loader, header, row = LOADERS[kind]
+        other = row.replace("w0", "w1", 1)
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header}\n{row}\n{other}\n{row}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            loader(path)
+        assert str(err.value) == f"{path} line 4: repeated id 'w0', first on line 2"
+
+    @pytest.mark.parametrize("kind", ["workers", "tallies"])
+    def test_an_earlier_bad_row_is_reported_before_a_repeat(self, tmp_path, kind):
+        loader, header, row = LOADERS[kind]
+        bad = row.replace("w0", "w1", 1).replace(",5,", ",x,", 1).replace(",0.9,", ",x,", 1)
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header}\n{row}\n{bad}\n{row}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match=r"line 3: field \S+ is not a"):
+            loader(path)
+
+    def test_task_ids_may_repeat(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        path.write_text("id,z,y\nt0,0,1\nt0,1,0\n", encoding="utf-8")
+        assert load_tasks(path).ids == ("t0", "t0")
+
 
 class TestLoadResponses:
     def test_aggregates_per_worker_tallies(self, tmp_path):
@@ -395,6 +447,17 @@ class TestLoadResponses:
         assert loaded["w0"].get(0, 0) == (0, 0)
         assert loaded["w1"].get(0, 1) == (1, 1)
         assert [wid for wid, _ in load_responses(path)] == ["w0", "w1"]
+
+    def test_bits_that_int_accepts_are_read_as_bits(self, tmp_path):
+        responses = tmp_path / "responses.csv"
+        responses.write_text("worker_id,task_id,answer,z,y\nw0,t0, 1,+1,01\nw0,t1,0,0,0\n", encoding="utf-8")
+        assert load_responses(responses) == [
+            ("w0", GoldResponseTally(attempted=(1, 0, 0, 1), correct=(1, 0, 0, 1)))
+        ]
+        tasks = tmp_path / "tasks.csv"
+        tasks.write_text("id,z,y\nt0, 1,+0\nt1,1,1\n", encoding="utf-8")
+        pool = load_tasks(tasks)
+        assert pool.z.tolist() == [1, 1] and pool.y.tolist() == [0, 1]
 
     def test_rejects_non_binary_fields(self, tmp_path):
         from crowdfdb import load_responses

@@ -1,0 +1,207 @@
+"""The block loaders against the per-row reference loaders, and all four
+loaders fuzzed over raw bytes.
+
+Blocks are _BLOCK_ROWS rows long; the hypothesis tests also run with a
+block of a few rows, so that drawn files cross many block boundaries, and
+with the real block after a prefix of valid rows that ends near the first
+boundary.
+"""
+
+import re
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from crowdfdb import FileFormatError, datagen, load_gold_tallies, load_responses, load_tasks, load_workers
+
+from oracles import reference_load_responses, reference_load_workers
+
+BLOCK = datagen._BLOCK_ROWS
+
+RESPONSE_HEADER = "worker_id,task_id,answer,z,y"
+WORKER_HEADER = "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11"
+TALLY_HEADER = "id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1"
+TASK_HEADER = "id,z,y"
+
+# a valid data row of each loader; {i} makes its id unique
+VALID_ROWS = {
+    load_responses: (RESPONSE_HEADER, "w{i},t{i},1,0,1"),
+    load_workers: (WORKER_HEADER, "w{i},1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6"),
+    load_gold_tallies: (TALLY_HEADER, "w{i},5,5,5,3,5,0,5,4"),
+    load_tasks: (TASK_HEADER, "t{i},0,1"),
+}
+
+OVERSIZED = "x" * 131_073  # one past the csv module's default field limit
+UNDECODABLE = ["\udcff", "\udcc3(", "\udced\udca0\udc80"]  # written back as the bytes they escape
+CANONICAL_BITS = ["0", "1"]
+LOOSE_BITS = [" 1", "+1", "01", "1 ", "١", "0_0"]  # int() accepts these
+BAD_BITS = ["2", "-1", "x", "", "1.0", "10", "11", "١١"]
+
+
+def quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+def render(fields, quote):
+    return ",".join(quoted(f) if quote else f for f in fields)
+
+
+@st.composite
+def field_row(draw, fields):
+    """A row from per-field strategies, sometimes a field short or long,
+    quoted, or holding an oversized or undecodable field."""
+    values = [draw(f) for f in fields]
+    change = draw(st.sampled_from(["none"] * 6 + ["short", "long", "oversized", "undecodable"]))
+    if change == "short":
+        values.pop(draw(st.integers(0, len(values) - 1)))
+    elif change == "long":
+        values.append(draw(st.sampled_from(["", "1", "x"])))
+    elif change in ("oversized", "undecodable"):
+        where = draw(st.integers(0, len(values) - 1))
+        values[where] += OVERSIZED if change == "oversized" else draw(st.sampled_from(UNDECODABLE))
+    return render(values, draw(st.booleans()))
+
+
+def bit():
+    return st.sampled_from(CANONICAL_BITS * 4 + LOOSE_BITS + BAD_BITS)
+
+
+def response_row():
+    worker = st.sampled_from(["w0", "w1", "w2", "w,3", 'w"4', "w\n5", "é"])
+    return field_row([worker, st.sampled_from(["t0", "t1", ""]), bit(), bit(), bit()])
+
+
+def worker_row():
+    """A worker row that is valid but for at most one drawn fault."""
+    identity = st.sampled_from([f"w{i}" for i in range(12)])
+    cost = st.sampled_from(["1.0", "3", "0", "-0.0", " 2.5", "1e0"])
+    pair = st.sampled_from([("0.9", "0.1"), ("1", "0"), ("0.75", "0.25"), ("0.3", "0.7000000000000001"),
+                            ("0.9", "0.1000000000001")])  # the last sums to 1 within 1e-12
+    bad_cost = st.sampled_from(["-1", "-1e-300", "inf", "nan", "x", ""])
+    bad_pair = st.sampled_from([("0.9", "0.2"), ("nan", "0"), ("-0.5", "1.5"), ("1.5", "-0.5"), ("x", "1"),
+                                ("0.9", "0.100000000002")])
+
+    @st.composite
+    def values(draw):
+        fault = draw(st.sampled_from(["none"] * 4 + ["cost", "pair"]))
+        pairs = [draw(pair) for _ in range(4)]
+        if fault == "pair":
+            pairs[draw(st.integers(0, 3))] = draw(bad_pair)
+        row = [draw(identity), draw(bad_cost if fault == "cost" else cost)]
+        return [st.just(v) for v in row + [v for p in pairs for v in p]]
+
+    return values().flatmap(field_row)
+
+
+def file_text(header, rows, crlf):
+    newline = "\r\n" if crlf else "\n"
+    return header + newline + newline.join(rows) + (newline if rows else "")
+
+
+def write(path, text):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def outcome(loader, path):
+    """What a loader returns, or the message of the FileFormatError it raises."""
+    try:
+        return loader(path)
+    except FileFormatError as err:
+        return ("error", str(err))
+
+
+@st.composite
+def block_and_prefix(draw, valid_row):
+    """A block size, and valid rows to put first: with the real block, enough
+    that the drawn rows begin a few rows before or after its first boundary."""
+    block = draw(st.sampled_from([1, 2, 3, BLOCK]))
+    count = draw(st.integers(BLOCK - 3, BLOCK + 1)) if block == BLOCK else draw(st.integers(0, 3))
+    return block, [valid_row.format(i=f"p{i}") for i in range(count)]
+
+
+DIFFERENTIAL = {
+    "responses": (load_responses, reference_load_responses, response_row),
+    "workers": (load_workers, reference_load_workers, worker_row),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DIFFERENTIAL))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_block_loader_matches_the_per_row_reference(tmp_path, kind, data):
+    loader, reference, row = DIFFERENTIAL[kind]
+    header, valid = VALID_ROWS[loader]
+    block, prefix = data.draw(block_and_prefix(valid))
+    rows = prefix + data.draw(st.lists(row(), max_size=8))
+    if data.draw(st.integers(0, 9)) == 0:
+        header = data.draw(st.sampled_from(["", header + ",extra", header.upper(), header + "\udcff"]))
+    text = data.draw(st.sampled_from([file_text(header, rows, crlf=False), file_text(header, rows, crlf=True), ""]))
+    path = write(tmp_path / f"{kind}.csv", text)
+    with mock.patch.object(datagen, "_BLOCK_ROWS", block):
+        got = outcome(loader, path)
+        want = outcome(reference, path)
+    assert got == want
+
+
+LINE = re.compile(r" line [0-9]+: ")
+
+
+@pytest.mark.parametrize("loader", list(VALID_ROWS), ids=lambda f: f.__name__)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_bytes_raise_a_format_error_naming_the_line(tmp_path, loader, data):
+    header, valid = VALID_ROWS[loader]
+    block, prefix = data.draw(block_and_prefix(valid))
+    pieces = st.one_of(
+        st.binary(max_size=12),
+        st.sampled_from([valid.format(i="q").encode(), b'"', b",", b"\r", b"\n", b"\xff", b"\xc3", b"\x00"]),
+    )
+    tail = b"".join(data.draw(st.lists(pieces, max_size=10)))
+    with_header = data.draw(st.booleans())
+    body = "".join(row + "\n" for row in prefix).encode()
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes((header.encode() + b"\n" if with_header else b"") + body + tail)
+    with mock.patch.object(datagen, "_BLOCK_ROWS", block):
+        try:
+            loader(path)
+        except FileFormatError as err:
+            assert str(err).startswith(str(path))
+            assert LINE.search(str(err)), str(err)
+
+
+@pytest.mark.parametrize("loader", list(VALID_ROWS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad_line", [BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3])
+@pytest.mark.parametrize("fault", ["width", "undecodable", "oversized"])
+def test_faults_around_the_first_block_boundary_name_their_line(tmp_path, loader, bad_line, fault):
+    # data rows start on line 2, so the first block ends on line BLOCK + 1
+    header, valid = VALID_ROWS[loader]
+    rows = [valid.format(i=i) for i in range(BLOCK + 8)]
+    index = bad_line - 2
+    rows[index] = {"width": rows[index] + ",extra", "undecodable": "\udcff" + rows[index],
+                   "oversized": OVERSIZED + rows[index]}[fault]
+    path = write(tmp_path / "boundary.csv", file_text(header, rows, crlf=False))
+    with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))} line {bad_line}: "):
+        loader(path)
+
+
+@pytest.mark.parametrize("fault", [
+    "w9,-1,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6",
+    "w9,inf,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6",
+    "w9,nan,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6",
+    "w9,1.0,inf,0.1,0.2,0.8,0.7,0.3,0.4,0.6",
+    "w9,1.0,0.9,0.1,0.2,0.8,0.7,0.3,1.5,-0.5",
+    "w9,1.0,0.9,0.1,0.2,0.8,1.0000000000005,0,0.4,0.6",  # sums to 1 within 1e-12, but above 1
+    "w9,1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.600000000002",
+    "w9,1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,x",
+    "w3,1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6",
+])
+def test_each_worker_fault_is_reported_as_the_reference_reports_it(tmp_path, fault):
+    header, valid = VALID_ROWS[load_workers]
+    rows = [valid.format(i=i) for i in range(8)]
+    rows[5] = fault
+    path = write(tmp_path / "workers.csv", file_text(header, rows, crlf=False))
+    got = outcome(load_workers, path)
+    assert got == outcome(reference_load_workers, path)
+    assert got[0] == "error" and f"{path} line 7: " in got[1]
