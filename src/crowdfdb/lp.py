@@ -31,10 +31,14 @@ the k = floor(1/beta) workers with the lowest key sit at their cap, and
 each row is signed by its residual at that start.  A <= row the start
 satisfies keeps its slack basic; the total row and every violated row
 get an artificial, so phase 1 repairs only those.  The key is the
-objective plus lam times the fee, where lam is a single Lagrange
-multiplier on the budget row (Fisher, "The Lagrangian relaxation
-method", Management Science 1981): the least price at which the crash
-spend fits the budget.  Relaxation-hint re-solves crash the same way.
+objective plus a nonnegative price times each <= row, fairness and
+budget alike: a Lagrangian relaxation of those rows (Fisher, "The
+Lagrangian relaxation method", Management Science 1981).  Each price is
+the least one, found by bisection with the other prices held, at which
+the crash fits its row; the crash goes round the rows a fixed number of
+times.  The k lowest keys are selected in O(n), equal keys going to the
+lower index, so the start is a function of the keys alone.
+Relaxation-hint re-solves crash the same way.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ FEASIBILITY_TOL = TOL.lp_feasibility
 OPTIMALITY_TOL = TOL.lp_optimality
 _RATIO_TOL = 1e-11
 _DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before engaging Bland
-_CRASH_BISECTIONS = 40  # fixed bisection steps for the crash's budget price
+_CRASH_ROUNDS = 2  # passes of the crash over its priced rows
+_CRASH_STEPS = 12  # bisection steps per row price
+_CRASH_PRICE_SPAN = 2.0**20  # a row price is bisected within [scale / span, scale * span]
 
 
 class SolverError(RuntimeError):
@@ -264,49 +270,72 @@ def _simplex(
     raise SolverError(f"simplex exceeded {max_iter} pivots (cycling guard)")
 
 
+def _lowest(key: np.ndarray, k: int) -> np.ndarray:
+    """Indices, in increasing order, of the k lowest keys, ties broken by
+    the lower index.
+
+    np.partition finds the k-th lowest value v in O(n); the selection is
+    every key below v plus the lowest-index keys equal to v, so it does
+    not depend on the partition algorithm.
+    """
+    if k == 0:
+        return np.arange(0)
+    v = np.partition(key, k - 1)[k - 1]
+    picked = key < v
+    picked[np.flatnonzero(key == v)[: k - np.count_nonzero(picked)]] = True
+    return np.flatnonzero(picked)
+
+
 def _crash(lp: LpProblem) -> np.ndarray:
     """Indices of the weights the crash start puts at their cap.
 
-    These are the k = min(n, floor(1/beta)) lowest keys, where the key is
-    the objective plus lam times the fee.  The price lam is the least
-    one, found by bisection, at which the crash spend beta * sum(fee)
-    fits the budget; it is 0 without a budget row or when the objective
-    order already fits.  When even the cheapest k bust the budget, they
-    are the crash.
+    These are the k = min(n, floor(1/beta)) lowest keys (see _lowest).
+    The key is the objective plus price_j times row j over every <= row,
+    fairness and budget alike.  Every price starts at 0; then
+    _CRASH_ROUNDS times round the rows, each row the crash violates
+    (beta times its coefficients' sum over the crash exceeds the rhs)
+    gets the least price at which the crash fits it, the other prices
+    held.  That price is bisected in _CRASH_STEPS geometric steps within
+    a factor _CRASH_PRICE_SPAN of the price at which the row spreads the
+    keys as far as the rest of the key does; a row that the top of this
+    bracket cannot fit is priced at the top.
     """
     beta = lp.upper
     k = 0 if beta == 0.0 else min(lp.n, int(math.floor(1.0 / beta + 1e-9)))
-    objective = lp.objective
-    budget = next((row for row in lp.rows if row.family == "budget"), None)
+    picked = _lowest(lp.objective, k)
+    if k in (0, lp.n):
+        return picked  # no price changes which weights are capped
+    rows = [row for row in lp.rows if row.relation == "<="]
+    coeffs = np.array([row.coeffs for row in rows])
+    prices = np.zeros(len(rows))
 
-    def lowest(key: np.ndarray) -> np.ndarray:
-        return np.argsort(key, kind="stable")[:k]
+    def fits(j: int, capped: np.ndarray) -> bool:
+        return beta * float(coeffs[j, capped].sum()) <= rows[j].rhs
 
-    by_objective = lowest(objective)
-    if budget is None or k == 0:
-        return by_objective
-    fee = budget.coeffs
-
-    def fits(picked: np.ndarray) -> bool:
-        return beta * float(fee[picked].sum()) <= budget.rhs
-
-    if fits(by_objective):
-        return by_objective
-    # the lam -> inf limit: cheapest first, ties broken by objective
-    by_fee = np.lexsort((objective, fee))
-    if not fits(by_fee[:k]):
-        return by_fee[:k]
-    # Some fee differs here, and above this price a lower fee always means
-    # a lower key, so the crash spends what the cheapest k spend.
-    fee_steps = np.diff(fee[by_fee])
-    lo, hi = 0.0, float(objective.max() - objective.min()) / float(fee_steps[fee_steps > 0.0].min()) + 1.0
-    for _ in range(_CRASH_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if fits(lowest(objective + mid * fee)):
-            hi = mid
-        else:
-            lo = mid
-    return lowest(objective + hi * fee)
+    for _ in range(_CRASH_ROUNDS):
+        for j in range(len(rows)):
+            if fits(j, picked):
+                continue
+            spread = float(np.ptp(coeffs[j]))
+            if spread == 0.0:
+                continue  # every crash spends the same on a flat row
+            prices[j] = 0.0
+            base = lp.objective + prices @ coeffs  # the key without row j
+            # at this price the row spreads the keys as far as base does
+            # (any price orders the keys by the row when base is flat)
+            scale = (float(np.ptp(base)) or 1.0) / spread
+            lo, hi = scale / _CRASH_PRICE_SPAN, scale * _CRASH_PRICE_SPAN
+            picked = _lowest(base + hi * coeffs[j], k)
+            if fits(j, picked):  # else no price in the bracket fits the row
+                for _ in range(_CRASH_STEPS):
+                    mid = math.sqrt(lo * hi)
+                    trial = _lowest(base + mid * coeffs[j], k)
+                    if fits(j, trial):
+                        hi, picked = mid, trial
+                    else:
+                        lo = mid
+            prices[j] = hi
+    return picked
 
 
 def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,17 @@ def build_policy(
     """Estimate every worker, build the LP, and solve it.
 
     When recorded gold tallies are supplied they are matched to workers by
-    id and used instead of simulated gold responses; otherwise worker i's
-    responses are drawn from the stream (seed, "gold", i).
+    id, which must not repeat, and used instead of simulated gold
+    responses; otherwise worker i's responses are drawn from the stream
+    (seed, "gold", i).
     """
     if tallies is None:
         estimates = run_gold_phase(workers, gold_cfg, seed)
     else:
         by_id = dict(tallies)
+        if len(by_id) != len(tallies):
+            repeated = next(i for i, count in Counter(i for i, _ in tallies).items() if count > 1)
+            raise ValueError(f"gold tallies repeat worker id {repeated!r}")
         missing = [w.id for w in workers if w.id not in by_id]
         if missing:
             raise ValueError(f"gold tallies missing for workers: {', '.join(missing)}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -400,6 +399,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
         cfg_point = cfg if parameter is None else _apply_sweep(cfg, parameter, value)
         jobs = [(cfg_point, rep, resolved) for rep in range(cfg.repetitions)]
         if threads > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for multiprocessing
+
             chunk = max(1, cfg.repetitions // (4 * threads))
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 reports = list(pool.map(_run_rep, jobs, chunksize=chunk))

@@ -1,14 +1,28 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crowdfdb
 from crowdfdb import cli
 from crowdfdb.simulator import RESULTS_COLUMNS
 
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only an experiment run with more than one process imports multiprocessing."""
+    code = "import sys, crowdfdb.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(crowdfdb.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestGenerate:

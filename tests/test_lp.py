@@ -18,7 +18,7 @@ from crowdfdb import (
     verify_solution,
 )
 from crowdfdb import lp as lp_module
-from crowdfdb.lp import LpProblem, Row, SolverError, _crash, _without_family, binding_rows
+from crowdfdb.lp import LpProblem, Row, SolverError, _crash, _lowest, _without_family, binding_rows
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
 from test_lp_differential import SEEDED_CASES, check_against, draw_lp, highs
 
@@ -423,6 +423,47 @@ class TestCrashStart:
         assert check_against(relaxed, vertex_enumeration) == LpStatus.OPTIMAL
 
 
+class TestCrashSelection:
+    """The crash picks the k lowest keys, ties broken by the lower index."""
+
+    @pytest.mark.parametrize("n", [1, 7, 400, 5000])
+    @pytest.mark.parametrize("shape", ["twentieths", "twentieths_plus_uniform_fee", "one_value", "distinct"])
+    def test_matches_a_stable_sort(self, n, shape):
+        rng = np.random.default_rng(n)
+        key = {
+            "twentieths": rng.integers(0, 21, size=n) / 20,
+            "twentieths_plus_uniform_fee": rng.integers(0, 21, size=n) / 20 + 0.37 * np.full(n, 1.5),
+            "one_value": np.full(n, 0.25),
+            "distinct": rng.permutation(n) / n,
+        }[shape]
+        for k in sorted({0, 1, n // 3, n - 1, n}):
+            expected = np.sort(np.lexsort((np.arange(n), key))[:k])
+            assert np.array_equal(_lowest(key, k), expected)
+
+    def test_flat_program_crashes_to_the_first_k(self):
+        n = 10
+        rows = (
+            Row(np.ones(n), "==", 1.0, "total", "total"),
+            Row(np.full(n, 0.2), "<=", 0.0, "fairness", "fpr[+]"),
+            Row(np.full(n, -0.2), "<=", 0.0, "fairness", "fpr[-]"),
+            Row(np.full(n, 2.0), "<=", 1.0, "budget", "budget"),
+        )
+        lp = LpProblem(objective=np.full(n, -0.5), rows=rows, upper=0.25)
+        assert np.array_equal(_crash(lp), np.arange(4))
+
+    def test_price_search_runs_no_sort(self, monkeypatch):
+        lp = tied_program(9, np.linspace(0.5, 2.0, 300), beta=0.01, budget=1.0, alpha=0.01,
+                          kind=FairnessKind.ERROR_RATE_PARITY)
+        expected = _crash(lp)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("the crash sorted its keys")
+
+        for name in ("argsort", "lexsort", "sort"):
+            monkeypatch.setattr(np, name, no_sort)
+        assert np.array_equal(_crash(lp), expected)
+
+
 class TestIterations:
     """Deterministic work bounds: iteration counts, not timings."""
 
@@ -448,14 +489,26 @@ class TestIterations:
         assert sol.relaxation_hints == ("fairness", "diversity")
         assert sol.iterations <= 100
 
+    @pytest.mark.parametrize("case", [0, 3])
+    def test_fairness_binding_programs_at_5000_workers(self, case):
+        # seeded cases 0 (optimal) and 3 (infeasible, with its hint
+        # re-solves) of test_seeded_programs_match_highs at n = 5000:
+        # measured 13 and 35 iterations, against 920 and 1,491 from a crash
+        # priced on the budget row alone
+        rng = np.random.default_rng(9000 + 5000)
+        programs = [draw_lp(rng, 5000, *c) for c in SEEDED_CASES]
+        assert solve_lp(programs[case]).iterations <= 100
+
     @pytest.mark.parametrize(
         "kind, bound",
         [
-            # measured 8 iterations, against 3,063 from a cold start
+            # measured 14 iterations (8 when a 40-step bisection priced the
+            # budget alone), against 3,063 from a cold start
             (FairnessKind.NONE, 300),
-            # four fairness rows the crash violates, which phase 1 repairs
-            # pivot by pivot: measured 557, against 3,617 from a cold start
-            (FairnessKind.ERROR_RATE_PARITY, 1000),
+            # four fairness rows, all priced into the crash: measured 41,
+            # against 557 from a crash priced on the budget row alone and
+            # 3,617 from a cold start
+            (FairnessKind.ERROR_RATE_PARITY, 100),
         ],
     )
     def test_ten_thousand_workers_at_cap_one_in_a_thousand(self, kind, bound):

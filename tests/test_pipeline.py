@@ -90,6 +90,15 @@ class TestBuildPolicy:
         with pytest.raises(ValueError, match="w1"):
             build_policy(workers, GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies)
 
+    def test_tallies_repeating_a_worker_rejected(self):
+        workers = perfect_workers(2)
+        right = GoldResponseTally(attempted=(5, 5, 5, 5), correct=(5, 5, 5, 5))
+        wrong = GoldResponseTally(attempted=(5, 5, 5, 5), correct=(0, 0, 0, 0))
+        tallies = [("w0", right), ("w1", right), ("w0", wrong)]
+        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
+        with pytest.raises(ValueError, match="repeat worker id 'w0'"):
+            build_policy(workers, GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies)
+
     def test_large_gold_count_keeps_true_gap_near_alpha(self):
         # estimated-vs-true consistency at n_gold = 10^4
         rng = np.random.default_rng(17)

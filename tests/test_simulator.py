@@ -322,7 +322,7 @@ class TestRunExperiment:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
         return recorded
 
     @pytest.mark.parametrize(
