@@ -46,7 +46,6 @@ from .lp import (
     LpProblem,
     LpSolution,
     LpStatus,
-    Row,
     SolverError,
     Violation,
     build_lp,
@@ -69,7 +68,6 @@ from .model import (
     diagonal_accuracies,
     expected_accuracy,
     fairness_gap,
-    sample_label,
 )
 from .pipeline import PipelineDiagnostics, PipelineResult, build_policy
 from .rng import mix, stream

@@ -118,8 +118,6 @@ def cmd_policy(args) -> int:
     priors = cfgmod.resolve_priors(cfg)
     constraints = cfgmod.constraint_set(cfg)
     gold = cfgmod.gold_config(cfg)
-    if args.tallies and args.responses:
-        raise ConfigError("--tallies and --responses are mutually exclusive")
     tallies = None
     if args.tallies:
         tallies = load_gold_tallies(args.tallies)
@@ -223,8 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pol = sub.add_parser("policy", help="estimate workers and solve for a policy")
     p_pol.add_argument("--config", help="config file (a manifest also works)")
     p_pol.add_argument("--workers-file", help="worker file (default: synthetic population)")
-    p_pol.add_argument("--tallies", help="recorded gold tallies instead of simulated gold answers")
-    p_pol.add_argument("--responses", help="raw labeled responses (worker_id,task_id,answer,z,y)")
+    gold_source = p_pol.add_mutually_exclusive_group()
+    gold_source.add_argument("--tallies", help="recorded gold tallies instead of simulated gold answers")
+    gold_source.add_argument("--responses", help="raw labeled responses (worker_id,task_id,answer,z,y)")
     p_pol.add_argument("--alpha", type=float, help="fairness slack")
     p_pol.add_argument("--beta", type=float, help="diversity cap")
     p_pol.add_argument("--budget", type=float, help="expected per-label budget (inf allowed)")

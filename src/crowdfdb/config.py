@@ -36,61 +36,6 @@ class ConfigError(ValueError):
     """A config file or flag value is malformed."""
 
 
-_CLUSTER_KEYS = [
-    "population.biased_fraction",
-    "population.biased_diag_y0_low",
-    "population.biased_diag_y0_high",
-    "population.biased_diag_y1_low",
-    "population.biased_diag_y1_high",
-    "population.unbiased_diag_y0_low",
-    "population.unbiased_diag_y0_high",
-    "population.unbiased_diag_y1_low",
-    "population.unbiased_diag_y1_high",
-    "population.biased_fpr_offset",
-    "population.biased_fnr_offset",
-    "population.unbiased_fpr_offset",
-    "population.unbiased_fnr_offset",
-]
-_INTERVAL_KEYS = [
-    f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y in (0, 1) for end in ("low", "high")
-]
-
-KNOWN_KEYS = frozenset(
-    [
-        "population.n_workers",
-        "population.seed",
-        "population.model",
-        "population.cost_model",
-        "population.fee",
-        "population.low_fee",
-        "population.high_fee",
-        *_CLUSTER_KEYS,
-        *_INTERVAL_KEYS,
-        "workers.file",
-        "tasks.file",
-        "tasks.n_z0",
-        "tasks.n_z1",
-        "tasks.base_rate_z0",
-        "tasks.base_rate_z1",
-        "tasks.seed",
-        "priors.p_z1",
-        "priors.p_y1_given_z0",
-        "priors.p_y1_given_z1",
-        "gold.n_per_type",
-        "gold.smoothing",
-        "constraints.alpha",
-        "constraints.beta",
-        "constraints.budget",
-        "constraints.fairness",
-        "experiment.methods",
-        "experiment.repetitions",
-        "experiment.seed",
-        "experiment.sweep",
-        "experiment.sweep_values",
-        "policy.gamma",
-    ]
-)
-
 DEFAULTS: dict[str, str] = {
     "population.n_workers": "400",
     "population.seed": "4482",
@@ -128,6 +73,21 @@ DEFAULTS: dict[str, str] = {
     "experiment.seed": "7",
     "policy.gamma": "0.9",
 }
+
+# every key with a default, plus the keys that have none
+KNOWN_KEYS = frozenset(
+    [
+        *DEFAULTS,
+        *(f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y in (0, 1) for end in ("low", "high")),
+        "workers.file",
+        "tasks.file",
+        "priors.p_z1",
+        "priors.p_y1_given_z0",
+        "priors.p_y1_given_z1",
+        "experiment.sweep",
+        "experiment.sweep_values",
+    ]
+)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

@@ -44,7 +44,7 @@ Relaxation-hint re-solves crash the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -92,43 +92,31 @@ class ConstraintSet:
 
 
 @dataclass(frozen=True, eq=False)
-class Row:
-    """One linear constraint: coeffs . S  (relation)  rhs."""
-
-    coeffs: np.ndarray
-    relation: str  # "<=" or "=="
-    rhs: float
-    family: str  # "total" | "fairness" | "budget"
-    label: str
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        if self.relation not in ("<=", "=="):
-            raise ValueError(f"relation must be '<=' or '==', got {self.relation!r}")
-
-
-@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Objective vector (to minimize) and constraint rows over n weights,
-    each weight bounded by 0 <= S[i] <= upper (the diversity cap)."""
+    """Minimize objective . S subject to sum(S) == 1, coeffs @ S <= rhs and
+    0 <= S[i] <= upper (the diversity cap).
+
+    The total row sum(S) == 1 is implicit; coeffs holds only the <= rows,
+    one per label: fpr[+], fpr[-], fnr[+], fnr[-] (the fairness family)
+    and budget (the budget family)."""
 
     objective: np.ndarray
-    rows: tuple[Row, ...]
+    coeffs: np.ndarray
+    rhs: np.ndarray
+    labels: tuple[str, ...]
     upper: float
 
     def __post_init__(self) -> None:
-        c = np.array(self.objective, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "objective", c)
-        n = self.n
-        for row in self.rows:
-            if row.coeffs.size != n:
-                raise ValueError(f"row {row.label!r} has {row.coeffs.size} coefficients, expected {n}")
-        n_eq = sum(1 for row in self.rows if row.relation == "==")
-        if n_eq != 1:
-            raise ValueError(f"expected exactly one equality row, found {n_eq}")
+        for name in ("objective", "coeffs", "rhs"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        k = len(self.labels)
+        if self.coeffs.shape != (k, self.n) or self.rhs.shape != (k,):
+            raise ValueError(
+                f"{k} labels over {self.n} weights need coeffs of shape {(k, self.n)} and rhs of "
+                f"shape {(k,)}, got {self.coeffs.shape} and {self.rhs.shape}"
+            )
         if not self.upper >= 0.0:
             raise ValueError(f"upper bound must be >= 0, got {self.upper}")
 
@@ -137,9 +125,12 @@ class LpProblem:
         return int(self.objective.size)
 
 
+def _family(label: str) -> str:
+    return "budget" if label == "budget" else "fairness"
+
+
 @dataclass(frozen=True)
 class Violation:
-    index: int  # row index, or -1 for a variable-bound violation
     label: str
     amount: float
 
@@ -187,9 +178,7 @@ def build_lp(
         raise ValueError(f"got {costs.size} costs for {n} workers")
 
     objective = -diagonal_accuracies(d, priors)
-    rows: list[Row] = [
-        Row(np.ones(n), "==", 1.0, "total", "total"),
-    ]
+    rows = []  # (coeffs, rhs, label) of each <= row
 
     if cs.fairness_kind is not FairnessKind.NONE and math.isfinite(cs.alpha):
         kinds = []
@@ -198,13 +187,18 @@ def build_lp(
         if cs.fairness_kind in (FairnessKind.FNR_PARITY, FairnessKind.ERROR_RATE_PARITY):
             kinds.append(("fnr", (1.0 - d[:, 0, 1]) - (1.0 - d[:, 1, 1])))
         for name, gaps in kinds:
-            rows.append(Row(gaps, "<=", cs.alpha, "fairness", f"{name}[+]"))
-            rows.append(Row(-gaps, "<=", cs.alpha, "fairness", f"{name}[-]"))
+            rows += [(gaps, cs.alpha, f"{name}[+]"), (-gaps, cs.alpha, f"{name}[-]")]
 
     if math.isfinite(cs.budget):
-        rows.append(Row(costs.copy(), "<=", cs.budget, "budget", "budget"))
+        rows.append((costs, cs.budget, "budget"))
 
-    return LpProblem(objective=objective, rows=tuple(rows), upper=cs.beta)
+    return LpProblem(
+        objective=objective,
+        coeffs=np.reshape([coeffs for coeffs, _, _ in rows], (len(rows), n)),
+        rhs=[rhs for _, rhs, _ in rows],
+        labels=tuple(label for _, _, label in rows),
+        upper=cs.beta,
+    )
 
 
 def _simplex(
@@ -305,15 +299,14 @@ def _crash(lp: LpProblem) -> np.ndarray:
     picked = _lowest(lp.objective, k)
     if k in (0, lp.n):
         return picked  # no price changes which weights are capped
-    rows = [row for row in lp.rows if row.relation == "<="]
-    coeffs = np.array([row.coeffs for row in rows])
-    prices = np.zeros(len(rows))
+    coeffs = lp.coeffs
+    prices = np.zeros(len(coeffs))
 
     def fits(j: int, capped: np.ndarray) -> bool:
-        return beta * float(coeffs[j, capped].sum()) <= rows[j].rhs
+        return beta * float(coeffs[j, capped].sum()) <= lp.rhs[j]
 
     for _ in range(_CRASH_ROUNDS):
-        for j in range(len(rows)):
+        for j in range(len(coeffs)):
             if fits(j, picked):
                 continue
             spread = float(np.ptp(coeffs[j]))
@@ -341,25 +334,29 @@ def _crash(lp: LpProblem) -> np.ndarray:
 def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     """Two-phase simplex from the crash start; returns (status, weights or
     None, iterations of both phases)."""
-    n, m = lp.n, len(lp.rows)
+    n, m = lp.n, 1 + len(lp.rhs)
     x0 = np.zeros(n)
     x0[_crash(lp)] = lp.upper
-    coeffs = np.array([row.coeffs for row in lp.rows])
-    rhs = np.array([float(row.rhs) for row in lp.rows])
+    # row 0 is the total row sum(S) == 1, row r > 0 is <= row r - 1
+    coeffs = np.vstack([np.ones(n), lp.coeffs])
+    rhs = np.concatenate([[1.0], lp.rhs])
     residual = rhs - coeffs @ x0
-    # rows flipped so every crash residual is >= 0; the equality row and
-    # every row the crash violates start with an artificial basic, every
-    # other row with its slack
+    # rows flipped so every crash residual is >= 0 (the total row's too:
+    # k * beta can round above 1); the total row and every row the crash
+    # violates start with an artificial basic, every other row with its
+    # slack
     sign = np.where(residual < 0.0, -1.0, 1.0)
-    le = [k for k, row in enumerate(lp.rows) if row.relation == "<="]
-    art = [k for k, row in enumerate(lp.rows) if row.relation == "==" or residual[k] < 0.0]
-    n_struct = n + len(le)
-    A = np.zeros((m, n_struct + len(art)))
+    needs_art = residual < 0.0
+    needs_art[0] = True
+    art = np.flatnonzero(needs_art)
+    n_struct = n + m - 1
+    A = np.zeros((m, n_struct + art.size))
     A[:, :n] = sign[:, None] * coeffs
-    A[le, n + np.arange(len(le))] = sign[le]
-    A[art, n_struct + np.arange(len(art))] = 1.0
+    A[1:, n:n_struct] = np.diag(sign[1:])
+    A[art, n_struct + np.arange(art.size)] = 1.0
     b = sign * rhs
-    basis = np.array([n_struct + art.index(k) if k in art else n + le.index(k) for k in range(m)])
+    basis = n - 1 + np.arange(m)  # row r > 0 starts with its slack, column n + r - 1
+    basis[art] = n_struct + np.arange(art.size)
     upper = np.full(A.shape[1], np.inf)
     upper[:n] = lp.upper
     at_upper = np.zeros(A.shape[1], dtype=bool)
@@ -386,7 +383,7 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     return LpStatus.OPTIMAL, x[:n], iterations
 
 
-def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
+def solve_lp(lp: LpProblem) -> LpSolution:
     """Solve to a vertex optimum, or diagnose infeasibility.
 
     On infeasibility the solution carries relaxation hints: the constraint
@@ -406,31 +403,28 @@ def solve_lp(lp: LpProblem, _with_hints: bool = True) -> LpSolution:
         value = -float(np.dot(lp.objective, weights))
         return LpSolution(status=status, policy=Policy(weights), objective_value=value, iterations=iterations)
     hints = []
-    if status == LpStatus.INFEASIBLE and _with_hints:
+    if status == LpStatus.INFEASIBLE:
         for family in ("fairness", "diversity", "budget"):
-            if family == "diversity" or any(r.family == family for r in lp.rows):
-                relaxed = solve_lp(_without_family(lp, family), _with_hints=False)
-                iterations += relaxed.iterations
-                if relaxed.status == LpStatus.OPTIMAL:
+            if family == "diversity" or family in map(_family, lp.labels):
+                relaxed_status, _, relaxed_iterations = _solve_bounded(_without_family(lp, family))
+                iterations += relaxed_iterations
+                if relaxed_status == LpStatus.OPTIMAL:
                     hints.append(family)
     return LpSolution(status=status, relaxation_hints=tuple(hints), iterations=iterations)
 
 
 def _without_family(lp: LpProblem, family: str) -> LpProblem:
     if family == "diversity":
-        return LpProblem(objective=lp.objective, rows=lp.rows, upper=1.0)
-    return LpProblem(
-        objective=lp.objective,
-        rows=tuple(r for r in lp.rows if r.family != family),
-        upper=lp.upper,
-    )
+        return replace(lp, upper=1.0)
+    keep = [j for j, label in enumerate(lp.labels) if _family(label) != family]
+    return replace(lp, coeffs=lp.coeffs[keep], rhs=lp.rhs[keep], labels=tuple(lp.labels[j] for j in keep))
 
 
 def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL) -> list[Violation]:
     """Rows and variable bounds violated by more than tol.
 
     A weight above the cap is reported as diversity[i], one below zero as
-    nonneg[i]; both carry index -1.
+    nonneg[i], a weight sum off 1 as total.
 
     An empty list is the pass condition used throughout the test suite.
     """
@@ -439,14 +433,16 @@ def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL
     w = sol.policy.weights
     out = []
     for i in np.flatnonzero(w < -tol):
-        out.append(Violation(index=-1, label=f"nonneg[{int(i)}]", amount=float(-w[i])))
+        out.append(Violation(label=f"nonneg[{int(i)}]", amount=float(-w[i])))
     for i in np.flatnonzero(w > lp.upper + tol):
-        out.append(Violation(index=-1, label=f"diversity[{int(i)}]", amount=float(w[i] - lp.upper)))
-    for k, row in enumerate(lp.rows):
-        residual = float(np.dot(row.coeffs, w) - row.rhs)
-        amount = abs(residual) if row.relation == "==" else residual
+        out.append(Violation(label=f"diversity[{int(i)}]", amount=float(w[i] - lp.upper)))
+    amount = abs(float(np.dot(np.ones(lp.n), w) - 1.0))
+    if amount > tol:
+        out.append(Violation(label="total", amount=amount))
+    for label, coeffs, rhs in zip(lp.labels, lp.coeffs, lp.rhs):
+        amount = float(np.dot(coeffs, w) - rhs)
         if amount > tol:
-            out.append(Violation(index=k, label=row.label, amount=amount))
+            out.append(Violation(label=label, amount=amount))
     return out
 
 
@@ -458,9 +454,9 @@ def binding_rows(lp: LpProblem, policy: Policy, tol: float = 1e-6) -> tuple[str,
     w = policy.weights
     capped = tuple(f"diversity[{int(i)}]" for i in np.flatnonzero(np.abs(w - lp.upper) <= tol))
     return capped + tuple(
-        row.label
-        for row in lp.rows
-        if row.relation == "<=" and abs(float(np.dot(row.coeffs, w)) - row.rhs) <= tol
+        label
+        for label, coeffs, rhs in zip(lp.labels, lp.coeffs, lp.rhs)
+        if abs(float(np.dot(coeffs, w)) - rhs) <= tol
     )
 
 
@@ -470,8 +466,8 @@ def dump(lp: LpProblem) -> str:
     def fmt(values) -> str:
         return " ".join(f"{float(v):.12g}" for v in values)
 
-    lines = [f"min: {fmt(lp.objective)}"]
-    for row in lp.rows:
-        lines.append(f"{row.label}: {fmt(row.coeffs)} {row.relation} {float(row.rhs):.12g}")
+    lines = [f"min: {fmt(lp.objective)}", f"total: {fmt(np.ones(lp.n))} == 1"]
+    for label, coeffs, rhs in zip(lp.labels, lp.coeffs, lp.rhs):
+        lines.append(f"{label}: {fmt(coeffs)} <= {float(rhs):.12g}")
     lines.append(f"bounds: 0 <= S[i] <= {float(lp.upper):.12g}")
     return "\n".join(lines) + "\n"

@@ -297,10 +297,3 @@ def fairness_gap(pa: PolicyAccuracy, kind: FairnessKind) -> float:
         return max(fpr_gap, fnr_gap)
     raise ValueError(f"fairness_gap is undefined for kind {kind}")
 
-
-def sample_label(worker: WorkerProfile, z: int, y: int, rng: np.random.Generator) -> int:
-    """One simulated label from the worker's accuracy matrix row (z, y)."""
-    if z not in (0, 1) or y not in (0, 1):
-        raise ValueError(f"z and y must be 0 or 1, got z={z} y={y}")
-    c = worker.correct[z, y]
-    return int(rng.random() < (c if y == 1 else 1.0 - c))

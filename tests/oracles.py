@@ -19,10 +19,7 @@ FEAS_EPS = 1e-9
 def _constraint_pool(lp):
     """All inequality constraints as (coeffs, rhs) with sense <=."""
     n = lp.n
-    pool = []
-    for row in lp.rows:
-        if row.relation == "<=":
-            pool.append((np.array(row.coeffs, dtype=float), float(row.rhs)))
+    pool = [(np.array(coeffs, dtype=float), float(rhs)) for coeffs, rhs in zip(lp.coeffs, lp.rhs)]
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
@@ -32,9 +29,8 @@ def _constraint_pool(lp):
 
 
 def _equality(lp):
-    eq = [row for row in lp.rows if row.relation == "=="]
-    assert len(eq) == 1
-    return np.array(eq[0].coeffs, dtype=float), float(eq[0].rhs)
+    """The total row sum(S) == 1, which the program holds implicitly."""
+    return np.ones(lp.n), 1.0
 
 
 def _feasible(lp, x):

@@ -254,6 +254,16 @@ class TestPolicy:
         assert code == 2
         assert f"{tallies} line 6: repeated id 'w0001', first on line 3" in capsys.readouterr().err
 
+    def test_tallies_and_responses_together_exit_2_before_any_file_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        args = ["policy", "--workers-file", missing, "--tallies", missing, "--responses", missing,
+                "--out", tmp_path / "p.csv"]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(args)
+        assert exit_info.value.code == 2
+        assert "argument --responses: not allowed with argument --tallies" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
 
 def write_gold_files(tmp_path, n_workers, per_type=6, skip=None):
     """A generated worker file, raw responses drawn from the workers' true

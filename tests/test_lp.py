@@ -18,7 +18,7 @@ from crowdfdb import (
     verify_solution,
 )
 from crowdfdb import lp as lp_module
-from crowdfdb.lp import LpProblem, Row, SolverError, _crash, _lowest, _without_family, binding_rows
+from crowdfdb.lp import LpProblem, SolverError, _crash, _lowest, _solve_bounded, _without_family, binding_rows
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
 from test_lp_differential import SEEDED_CASES, check_against, draw_lp, highs
 
@@ -41,14 +41,10 @@ class TestBuildLp:
             PRIORS,
             ConstraintSet(alpha=0.05, beta=0.6, budget=2.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY),
         )
-        by_family = {}
-        for row in lp.rows:
-            by_family.setdefault(row.family, []).append(row)
-        assert len(by_family["total"]) == 1
-        assert by_family["total"][0].relation == "=="
-        assert len(by_family["fairness"]) == 4
-        assert len(by_family["budget"]) == 1
-        assert len(lp.rows) == 6
+        # the total row sum(S) == 1 is implicit: only the <= rows are held
+        assert lp.labels == ("fpr[+]", "fpr[-]", "fnr[+]", "fnr[-]", "budget")
+        assert lp.coeffs.shape == (5, 2)
+        assert lp.rhs.tolist() == [0.05, 0.05, 0.05, 0.05, 2.0]
         # the diversity cap is one bound on every worker, not a row per worker
         assert lp.upper == 0.6
 
@@ -59,7 +55,7 @@ class TestBuildLp:
             PRIORS,
             ConstraintSet(alpha=0.05, beta=0.6, budget=2.0, fairness_kind=FairnessKind.FPR_PARITY),
         )
-        assert sum(1 for r in lp.rows if r.family == "fairness") == 2
+        assert lp.labels == ("fpr[+]", "fpr[-]", "budget")
 
     def test_infinite_budget_and_alpha_omit_rows(self):
         lp = build_lp(
@@ -70,7 +66,8 @@ class TestBuildLp:
                 alpha=math.inf, beta=0.6, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
         )
-        assert [r.family for r in lp.rows] == ["total"]
+        assert lp.labels == ()
+        assert lp.coeffs.shape == (0, 2) and lp.rhs.shape == (0,)
         assert lp.upper == 0.6
 
     def test_objective_is_negated_accuracy(self):
@@ -106,9 +103,19 @@ class TestBuildLp:
         assert best_grid <= sol.objective_value + 2e-3
         assert sol.objective_value == pytest.approx(best_grid, abs=2e-3)
 
-    def test_exactly_one_equality_row_invariant(self):
-        with pytest.raises(ValueError, match="equality"):
-            LpProblem(objective=np.array([1.0]), rows=(), upper=1.0)
+    @pytest.mark.parametrize(
+        "coeffs, rhs, labels, upper, match",
+        [
+            (np.ones((2, 2)), [1.0], ("fpr[+]", "fpr[-]"), 0.5, "shape"),  # fewer right-hand sides than rows
+            (np.ones((1, 2)), [1.0], ("fpr[+]", "fpr[-]"), 0.5, "shape"),  # more labels than rows
+            (np.ones((1, 3)), [1.0], ("budget",), 0.5, "shape"),  # a row longer than the objective
+            (np.ones(2), [1.0], ("budget",), 0.5, "shape"),  # a flat row, not a (rows, n) array
+            (np.ones((1, 2)), [1.0], ("budget",), -0.5, "upper"),  # a negative cap
+        ],
+    )
+    def test_rejects_inconsistent_arrays(self, coeffs, rhs, labels, upper, match):
+        with pytest.raises(ValueError, match=match):
+            LpProblem(objective=np.array([-0.5, -0.25]), coeffs=coeffs, rhs=rhs, labels=labels, upper=upper)
 
 
 class TestSolveLp:
@@ -212,9 +219,7 @@ class TestOracleAgreement:
                     continue
                 x = np.array([*ks, K - sum(ks)]) / K
                 ok = np.all(x <= lp.upper + 1e-9) and all(
-                    float(np.dot(r.coeffs, x)) <= r.rhs + 1e-9
-                    for r in lp.rows
-                    if r.relation == "<="
+                    float(np.dot(coeffs, x)) <= rhs + 1e-9 for coeffs, rhs in zip(lp.coeffs, lp.rhs)
                 )
                 if ok:
                     v = -float(np.dot(lp.objective, x))
@@ -305,7 +310,7 @@ class TestMonotonicityAndScale:
         ]
         cs = ConstraintSet(alpha=0.01, beta=0.01, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
         lp = build_lp(estimates, rng.uniform(0.5, 2.0, size=n), PRIORS, cs)
-        assert len(lp.rows) <= 6
+        assert len(lp.labels) <= 5  # plus the implicit total row
         sol = solve_lp(lp)
         assert sol.status == LpStatus.OPTIMAL
         assert verify_solution(lp, sol, tol=1e-7) == []
@@ -333,16 +338,14 @@ class TestDumpAndBinding:
         from_array = build_lp(diag, costs, PRIORS, cs)
         assert dump(from_pairs) == dump(from_array)
         assert from_pairs.objective.tobytes() == from_array.objective.tobytes()
-        for a, b in zip(from_pairs.rows, from_array.rows, strict=True):
-            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        assert from_pairs.coeffs.tobytes() == from_array.coeffs.tobytes()
 
     def test_dump_fixed_format(self):
         lp = LpProblem(
             objective=np.array([-0.5, -0.25]),
-            rows=(
-                Row(np.array([1.0, 1.0]), "==", 1.0, "total", "total"),
-                Row(np.array([2.0, 0.5]), "<=", 1.5, "budget", "budget"),
-            ),
+            coeffs=np.array([[2.0, 0.5]]),
+            rhs=np.array([1.5]),
+            labels=("budget",),
             upper=0.75,
         )
         assert dump(lp) == (
@@ -367,8 +370,8 @@ def tied_program(seed, fees, beta, budget=math.inf, alpha=math.inf, kind=Fairnes
 
 
 def crash_spend(lp, picked):
-    (budget,) = [row for row in lp.rows if row.family == "budget"]
-    return lp.upper * float(budget.coeffs[picked].sum()), budget.rhs
+    j = lp.labels.index("budget")
+    return lp.upper * float(lp.coeffs[j, picked].sum()), lp.rhs[j]
 
 
 class TestCrashStart:
@@ -442,13 +445,13 @@ class TestCrashSelection:
 
     def test_flat_program_crashes_to_the_first_k(self):
         n = 10
-        rows = (
-            Row(np.ones(n), "==", 1.0, "total", "total"),
-            Row(np.full(n, 0.2), "<=", 0.0, "fairness", "fpr[+]"),
-            Row(np.full(n, -0.2), "<=", 0.0, "fairness", "fpr[-]"),
-            Row(np.full(n, 2.0), "<=", 1.0, "budget", "budget"),
+        lp = LpProblem(
+            objective=np.full(n, -0.5),
+            coeffs=np.outer([0.2, -0.2, 2.0], np.ones(n)),
+            rhs=np.array([0.0, 0.0, 1.0]),
+            labels=("fpr[+]", "fpr[-]", "budget"),
+            upper=0.25,
         )
-        lp = LpProblem(objective=np.full(n, -0.5), rows=rows, upper=0.25)
         assert np.array_equal(_crash(lp), np.arange(4))
 
     def test_price_search_runs_no_sort(self, monkeypatch):
@@ -470,11 +473,12 @@ class TestIterations:
     def test_hint_re_solves_are_counted(self):
         lp = tied_program(8, [1.0, 2.0, 1.0, 2.0], beta=0.2, alpha=0.2, kind=FairnessKind.ERROR_RATE_PARITY)
         sol = solve_lp(lp)
-        parts = [solve_lp(lp, _with_hints=False)] + [
-            solve_lp(_without_family(lp, family), _with_hints=False) for family in ("fairness", "diversity")
+        parts = [_solve_bounded(lp)] + [
+            _solve_bounded(_without_family(lp, family)) for family in ("fairness", "diversity")
         ]
-        assert all(part.iterations > 0 for part in parts)
-        assert sol.iterations == sum(part.iterations for part in parts)
+        assert [status for status, _, _ in parts] == [LpStatus.INFEASIBLE, LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
+        assert all(iterations > 0 for _, _, iterations in parts)
+        assert sol.iterations == sum(iterations for _, _, iterations in parts)
 
     def test_infeasible_one_over_n_program_at_5000_workers(self):
         # the last seeded program of test_seeded_programs_match_highs at

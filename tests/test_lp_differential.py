@@ -31,6 +31,7 @@ from oracles import vertex_enumeration
 
 N_GOLD = 5  # few gold tasks per type: estimates k/5 tie often
 FAMILIES = ("fairness", "diversity", "budget")
+FAMILY_OF = {"fpr[+]": "fairness", "fpr[-]": "fairness", "fnr[+]": "fairness", "fnr[-]": "fairness", "budget": "budget"}
 KINDS = (FairnessKind.FPR_PARITY, FairnessKind.FNR_PARITY, FairnessKind.ERROR_RATE_PARITY, FairnessKind.NONE)
 FEES = np.array([0.0, 0.5, 1.0, 2.0])
 # (alpha, beta kind, budget kind, fairness kind), drawn in this order from
@@ -75,9 +76,14 @@ def draw_lp(rng, n, alpha, beta_kind, budget_kind, kind):
 def relaxed(lp, family):
     """The program with one constraint family removed, built independently."""
     if family == "diversity":
-        return LpProblem(objective=lp.objective, rows=lp.rows, upper=1.0)
+        return LpProblem(objective=lp.objective, coeffs=lp.coeffs, rhs=lp.rhs, labels=lp.labels, upper=1.0)
+    keep = [j for j, label in enumerate(lp.labels) if FAMILY_OF[label] != family]
     return LpProblem(
-        objective=lp.objective, rows=tuple(r for r in lp.rows if r.family != family), upper=lp.upper
+        objective=lp.objective,
+        coeffs=lp.coeffs[keep],
+        rhs=lp.rhs[keep],
+        labels=tuple(lp.labels[j] for j in keep),
+        upper=lp.upper,
     )
 
 
@@ -96,7 +102,7 @@ def check_against(lp, reference):
         expected = tuple(
             f
             for f in FAMILIES
-            if (f == "diversity" or any(r.family == f for r in lp.rows))
+            if (f == "diversity" or any(FAMILY_OF[label] == f for label in lp.labels))
             and reference(relaxed(lp, f))[0] == LpStatus.OPTIMAL
         )
         assert sol.relaxation_hints == expected
@@ -119,14 +125,12 @@ def test_small_programs_match_vertex_oracle(n, seed, alpha, beta_kind, budget_ki
 
 def highs(lp):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    le = [r for r in lp.rows if r.relation == "<="]
-    eq = [r for r in lp.rows if r.relation == "=="]
     res = linprog(
         lp.objective,
-        A_ub=np.array([r.coeffs for r in le]) if le else None,
-        b_ub=np.array([r.rhs for r in le]) if le else None,
-        A_eq=np.array([r.coeffs for r in eq]),
-        b_eq=np.array([r.rhs for r in eq]),
+        A_ub=lp.coeffs if lp.labels else None,
+        b_ub=lp.rhs if lp.labels else None,
+        A_eq=np.ones((1, lp.n)),
+        b_eq=np.array([1.0]),
         bounds=(0.0, lp.upper),
         method="highs",
     )

@@ -16,7 +16,6 @@ from crowdfdb import (
     compose_policy_accuracy,
     expected_accuracy,
     fairness_gap,
-    sample_label,
     stream,
 )
 from oracles import loop_expected_accuracy
@@ -248,19 +247,6 @@ class TestFairnessGap:
 
 
 class TestSampleLabel:
-    def test_degenerate_rows(self):
-        always_one = worker((0.0, 1.0), (0.0, 1.0))  # row y=0 has P(label 1) = 1
-        rng = stream(1, "t")
-        assert all(sample_label(always_one, 0, 0, rng) == 1 for _ in range(50))
-        always_zero = worker((1.0, 0.0), (1.0, 0.0))  # row y=1 has P(label 1) = 0
-        assert all(sample_label(always_zero, 1, 1, rng) == 0 for _ in range(50))
-
-    def test_law_of_large_numbers(self):
-        w = worker((0.8, 0.9), (0.3, 0.6))  # group z=1 row y=0: P(label 1) = 0.7
-        rng = stream(424242, "lln")
-        draws = [sample_label(w, 1, 0, rng) for _ in range(100_000)]
-        assert np.mean(draws) == pytest.approx(0.7, abs=0.01)
-
     def test_empirical_frequencies_match_all_entries(self):
         w = worker((0.85, 0.65), (0.4, 0.75))
         rng = stream(7, "freq")
@@ -269,11 +255,6 @@ class TestSampleLabel:
                 p = w.matrix(z)[y, 1]
                 draws = rng.random(100_000) < p
                 assert abs(draws.mean() - p) < 0.01
-
-    def test_validates_domains(self):
-        w = worker((0.8, 0.8), (0.8, 0.8))
-        with pytest.raises(ValueError):
-            sample_label(w, 2, 0, stream(1))
 
 
 class TestWorkerProfile:
