@@ -20,8 +20,12 @@ Worker and gold-tally ids must not repeat.  Loaders reject unknown or
 missing columns and report the first malformed row in file order by line
 number and field, whatever its fault: bytes that are not UTF-8, a row the
 csv parser rejects, a wrong field count, a bad value or a repeated id.
-They read rows in fixed-size blocks and check each block a column at a
-time; a block that fails is parsed again row by row for that error.
+Task and response files are read as byte blocks of whole lines, checked and
+counted with numpy; a file in any form but LF line endings, unquoted fields
+and single-byte 0/1 bits is read again through the csv parser row by row,
+which gives the same result or reports the error.  Worker and tally files
+are read through the csv parser in blocks of rows, each checked a column at
+a time; a block that fails is parsed again row by row for that error.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
     ys = rng.random(zs.size) < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
     order = rng.permutation(zs.size)
     width = max(5, len(str(max(zs.size - 1, 0))))
-    ids = tuple(f"t{pos:0{width}d}" for pos in range(zs.size))
+    ids = tuple(map(f"t%0{width}d".__mod__, range(zs.size)))  # the format is parsed once, not per id
     return TaskPool(ids=ids, z=zs[order], y=ys[order])
 
 
@@ -262,11 +266,12 @@ _TALLY_COLUMNS = ["id"] + [
 _RESPONSE_COLUMNS = ["worker_id", "task_id", "answer", "z", "y"]
 
 
-# Loaders read a file this many rows at a time: each block is checked a
-# column at a time, and no loader holds a whole file of rows.  A block stays
-# under the garbage collector's generation-0 threshold (700 by default), so
-# its row lists are usually freed before a collection would scan them; at
-# 1,024 rows, loading 64,000 responses ran 122 collections, one a full one.
+# The csv parser's path (the worker and tally loaders, and the fallback of
+# the task and response loaders) reads a file this many rows at a time, so
+# no loader holds a whole file of rows.  A block stays under the garbage
+# collector's generation-0 threshold (700 by default), so its row lists are
+# usually freed before a collection would scan them; at 1,024 rows, loading
+# 64,000 responses ran 122 collections, one a full one.
 _BLOCK_ROWS = 512
 
 
@@ -314,11 +319,10 @@ def _blocks(path, reader):
         first += _BLOCK_ROWS
 
 
-def _is_text(*columns) -> bool:
+def _is_text(fields) -> bool:
     """Whether no field holds a lone surrogate, the escape of a byte that is not UTF-8."""
     try:
-        for column in columns:
-            "".join(column).encode("utf-8")
+        "".join(fields).encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
@@ -373,39 +377,128 @@ def _parse_bit(path, lineno: int, field: str, raw: str) -> int:
     return value
 
 
-def _bits(column: tuple[str, ...]) -> np.ndarray | None:
-    """A column of one-character 0 or 1 fields as uint8, or None if any field is otherwise.
+# The byte reader reads task and response files this many bytes at a time,
+# each read extended to the end of the line it stops in: enough rows that
+# numpy's per-call cost is spread thin, while every array a block needs
+# stays a small multiple of its size.
+_BLOCK_BYTES = 1 << 16
 
-    Joined with commas, n such fields make 2n - 1 characters with a bit at
-    every even index.  An empty field would put two commas side by side, one
-    at an even index, so a join of that length and pattern has no empty
-    field, and with it no field longer than one character.
+
+class _Unusual(Exception):
+    """A file the byte reader does not take; the csv parser reads it instead."""
+
+
+def _read_bit_file(path, columns: list[str], n_text: int, load):
+    """load(blocks) over a file of n_text text columns followed by bit columns.
+
+    The blocks are (ids, repeats, bits): the first field of the block's rows
+    is ids[j] repeated repeats[j] times, and bits[k] holds bit column k as
+    uint8.  They come from the byte reader; if any of its checks fails
+    anywhere in the file, what load made of them is dropped and the whole
+    file is read through the csv parser, row by row.
     """
-    text = ",".join(column)
-    if len(text) != 2 * len(column) - 1 or not text.isascii():
-        return None
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[::2] - ord("0")
-    return None if (bits > 1).any() else bits
+    try:
+        return load(_byte_blocks(path, columns, n_text))
+    except _Unusual:
+        pass
+    return load(_csv_blocks(path, columns, n_text))
 
 
-def _text_and_bits(path, first: int, rows: list[list[str]], columns: list[str], n_text: int):
-    """A block's first n_text columns as tuples of str, and the rest as uint8
-    arrays of bits.
-
-    The block is checked a column at a time; if any field fails that check
-    (it may still be a bit to _parse_bit, such as " 1" or "+1"), the rows are
-    parsed one by one, so the first bad row in file order raises its error.
+def _byte_blocks(path, columns: list[str], n_text: int):
+    """The byte reader's blocks; raises _Unusual unless the file holds the
+    header line, then lines of exactly len(columns) - 1 commas, each ending
+    in one-byte 0/1 bit fields, with no quote, carriage return or NUL byte
+    (Python 3.10's csv parser rejects NUL), all strict UTF-8 and none longer
+    than the csv parser's field limit.  On such a file the csv parser splits
+    the same rows at the same commas.
     """
-    text = _columns(rows, len(columns))
-    if text is not None:
-        bits = [_bits(column) for column in text[n_text:]]
-        if all(b is not None for b in bits) and _is_text(*text[:n_text]):
-            return text[:n_text], bits
-    parsed = []
-    for lineno, row in enumerate(rows, first):
-        _check_row(path, lineno, row, len(columns))
-        parsed.append([_parse_bit(path, lineno, f, raw) for f, raw in zip(columns[n_text:], row[n_text:])])
-    return list(zip(*rows))[:n_text], [np.array(b, dtype=np.uint8) for b in zip(*parsed)]
+    header = ",".join(columns).encode()
+    limit = csv.field_size_limit()
+    with open(path, "rb") as handle:
+        if handle.readline(len(header) + 1) not in (header, header + b"\n"):
+            raise _Unusual
+        for block in _line_blocks(handle, limit):
+            yield _parse_block(block, len(columns) - 1, n_text, limit)
+
+
+def _line_blocks(handle, limit: int):
+    """The rest of a binary file in blocks of whole lines of about
+    _BLOCK_BYTES, each ending in a newline, one added where a line lacks it:
+    at the end of the file, or after the first `limit` bytes of a line's
+    tail, which leaves a line too long or an empty one for _parse_block to
+    reject."""
+    while block := handle.read(_BLOCK_BYTES):
+        block += handle.readline(limit)
+        yield block if block.endswith(b"\n") else block + b"\n"
+
+
+def _parse_block(block: bytes, n_commas: int, n_text: int, limit: int):
+    """One block of _byte_blocks, or _Unusual."""
+    if b'"' in block or b"\r" in block or b"\0" in block:
+        raise _Unusual
+    try:
+        block.isascii() or block.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Unusual from None
+    data = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(data == ord(","))
+    if commas.size != ends.size * n_commas or (ends - starts).max() > limit:
+        raise _Unusual
+    # Taken n_commas at a time in order, the commas all lie on their own rows
+    # if each row's last ones sit one before each bit, the last bit just
+    # before the newline, and every bit is 0 or 1: a row's first comma then
+    # comes after the row before's last comma, last bit and newline.
+    commas = commas.reshape(ends.size, n_commas)
+    bit_commas = ends[:, None] - np.arange(2 * (n_commas - n_text + 1), 0, -2)
+    if not (commas[:, n_text - 1:] == bit_commas).all():
+        raise _Unusual
+    bits = data[bit_commas + 1] - ord("0")
+    if (bits > 1).any():
+        raise _Unusual
+    firsts = _run_starts(data, starts, commas[:, 0])
+    # the first field of each run, each with the comma after it, decoded as one and split
+    fields = data[_spans(starts[firsts], commas[firsts, 0] - starts[firsts] + 1)].tobytes().decode("utf-8")
+    return fields.split(",")[:-1], np.diff(np.append(firsts, ends.size)), bits.T
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions of the bytes of the spans [starts, starts + lengths),
+    concatenated, as one running sum of steps; no span may be empty."""
+    steps = np.ones(lengths.sum(), dtype=np.intp)
+    if steps.size:
+        steps[0] = starts[0]
+        steps[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
+        np.cumsum(steps, out=steps)
+    return steps
+
+
+def _run_starts(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The rows whose first field, data[starts:stops], differs from the row
+    before's: each row with a field of the same non-zero length as the row
+    before's is compared with it byte by byte."""
+    lengths = stops - starts
+    same = np.zeros(starts.size, dtype=bool)
+    same[1:] = lengths[1:] == lengths[:-1]
+    rows = np.flatnonzero(same & (lengths > 0))
+    if rows.size:
+        differ = data[_spans(starts[rows], lengths[rows])] != data[_spans(starts[rows - 1], lengths[rows])]
+        same[rows] = ~np.logical_or.reduceat(differ, np.cumsum(lengths[rows]) - lengths[rows])
+    return np.flatnonzero(~same)
+
+
+def _csv_blocks(path, columns: list[str], n_text: int):
+    """The byte reader's blocks from the csv parser: each row is checked and
+    its bits parsed in turn, so the first bad row in file order raises its
+    error."""
+    with _data_rows(path, columns) as blocks:
+        for first, rows in blocks:
+            bits = []
+            for lineno, row in enumerate(rows, first):
+                _check_row(path, lineno, row, len(columns))
+                bits.append([_parse_bit(path, lineno, f, raw) for f, raw in zip(columns[n_text:], row[n_text:])])
+            yield [row[0] for row in rows], np.ones(len(rows), dtype=np.intp), np.array(bits, dtype=np.uint8).T
 
 
 def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
@@ -486,15 +579,17 @@ def save_tasks(tasks: TaskPool, path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> TaskPool:
+    return _read_bit_file(path, _TASK_COLUMNS, 1, _task_pool)
+
+
+def _task_pool(blocks) -> TaskPool:
     ids: list[str] = []
-    zs, ys = [np.zeros(0, dtype=np.uint8)], [np.zeros(0, dtype=np.uint8)]
-    with _data_rows(path, _TASK_COLUMNS) as blocks:
-        for first, rows in blocks:
-            (block_ids,), (z, y) = _text_and_bits(path, first, rows, _TASK_COLUMNS, 1)
-            ids.extend(block_ids)
-            zs.append(z)
-            ys.append(y)
-    return TaskPool(ids=tuple(ids), z=np.concatenate(zs), y=np.concatenate(ys))
+    bits = [np.zeros((2, 0), dtype=np.uint8)]
+    for run_ids, repeats, block_bits in blocks:
+        ids.extend(np.repeat(np.array(run_ids, dtype=object), repeats).tolist())
+        bits.append(block_bits)
+    z, y = np.concatenate(bits, axis=1)
+    return TaskPool(ids=tuple(ids), z=z, y=y)
 
 
 def save_gold_tallies(
@@ -541,18 +636,18 @@ def load_responses(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
     (z, y) type tally, correct when answer == y.  Workers are returned in
     order of first appearance.
     """
+    return _read_bit_file(path, _RESPONSE_COLUMNS, 2, _tally_responses)
+
+
+def _tally_responses(blocks) -> list[tuple[str, GoldResponseTally]]:
     codes: dict[str, int] = {}  # worker id -> order of first appearance
     # counts[4 * code + 2 * z + y]: a worker's four types in TYPE_ORDER, z-major
     attempted = correct = np.zeros(0, dtype=np.intp)
-    with _data_rows(path, _RESPONSE_COLUMNS) as blocks:
-        for first, rows in blocks:
-            (worker_ids, _), (answer, z, y) = _text_and_bits(path, first, rows, _RESPONSE_COLUMNS, 2)
-            for worker_id in dict.fromkeys(worker_ids):
-                codes.setdefault(worker_id, len(codes))
-            worker = np.fromiter(map(codes.__getitem__, worker_ids), dtype=np.intp, count=len(worker_ids))
-            kind = 4 * worker + 2 * z + y
-            attempted = _add_counts(attempted, kind, 4 * len(codes))
-            correct = _add_counts(correct, kind[answer == y], 4 * len(codes))
+    for run_ids, repeats, (answer, z, y) in blocks:
+        run_codes = np.array([codes.setdefault(i, len(codes)) for i in run_ids], dtype=np.intp)
+        kind = 4 * np.repeat(run_codes, repeats) + 2 * z + y
+        attempted = _add_counts(attempted, kind, 4 * len(codes))
+        correct = _add_counts(correct, kind[answer == y], 4 * len(codes))
     return [
         (wid, GoldResponseTally(attempted=tuple(a), correct=tuple(c)))
         for wid, a, c in zip(codes, attempted.reshape(-1, 4).tolist(), correct.reshape(-1, 4).tolist())

@@ -344,3 +344,15 @@ def reference_load_responses(path):
         (wid, GoldResponseTally(attempted=tuple(attempted[wid]), correct=tuple(correct[wid])))
         for wid in attempted
     ]
+
+
+def reference_load_tasks(path):
+    """load_tasks as a per-row loop: both bits of each row parsed in turn."""
+    from crowdfdb.datagen import _TASK_COLUMNS, TaskPool, _parse_bit
+
+    ids, zs, ys = [], [], []
+    for lineno, row in _reference_rows(path, _TASK_COLUMNS):
+        zs.append(_parse_bit(path, lineno, "z", row[1]))
+        ys.append(_parse_bit(path, lineno, "y", row[2]))
+        ids.append(row[0])
+    return TaskPool(ids=tuple(ids), z=np.array(zs, dtype=int), y=np.array(ys, dtype=int))

@@ -254,6 +254,19 @@ class TestPolicy:
         assert code == 2
         assert f"{tallies} line 6: repeated id 'w0001', first on line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["--workers-file", "--responses"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, missing):
+        workers, responses, _ = write_gold_files(tmp_path, n_workers=4)
+        files = {"--workers-file": workers, "--responses": responses}
+        files[missing] = tmp_path / "missing.csv"
+        out = tmp_path / "p.csv"
+        args = ["policy", "--workers-file", files["--workers-file"], "--responses", files["--responses"]]
+        assert run_cli(args + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(tmp_path / "missing.csv") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_tallies_and_responses_together_exit_2_before_any_file_is_read(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         args = ["policy", "--workers-file", missing, "--tallies", missing, "--responses", missing,
@@ -380,6 +393,18 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "task pool has no tasks" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_missing_task_file_exits_2(self, tmp_path, capsys):
+        tasks = tmp_path / "missing.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tasks.file = {tasks}\npopulation.n_workers = 20\nexperiment.repetitions = 1\n",
+                       encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(tasks) in err
         assert "Traceback" not in err
         assert not out.exists()
 

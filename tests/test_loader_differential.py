@@ -1,10 +1,11 @@
 """The block loaders against the per-row reference loaders, and all four
 loaders fuzzed over raw bytes.
 
-Blocks are _BLOCK_ROWS rows long; the hypothesis tests also run with a
-block of a few rows, so that drawn files cross many block boundaries, and
-with the real block after a prefix of valid rows that ends near the first
-boundary.
+Blocks are _BLOCK_ROWS rows long, or _BLOCK_BYTES bytes for the byte reader
+of task and response files; the hypothesis tests also run with blocks of a
+few rows and a few dozen bytes, so that drawn files cross many block
+boundaries, and with the real blocks after a prefix of valid rows that ends
+near the first row-block boundary.
 """
 
 import re
@@ -13,11 +14,12 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crowdfdb import FileFormatError, datagen, load_gold_tallies, load_responses, load_tasks, load_workers
+from crowdfdb import FileFormatError, TaskPool, datagen, load_gold_tallies, load_responses, load_tasks, load_workers
 
-from oracles import reference_load_responses, reference_load_workers
+from oracles import reference_load_responses, reference_load_tasks, reference_load_workers
 
 BLOCK = datagen._BLOCK_ROWS
+BLOCK_BYTES = datagen._BLOCK_BYTES
 
 RESPONSE_HEADER = "worker_id,task_id,answer,z,y"
 WORKER_HEADER = "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11"
@@ -72,6 +74,10 @@ def response_row():
     return field_row([worker, st.sampled_from(["t0", "t1", ""]), bit(), bit(), bit()])
 
 
+def task_row():
+    return field_row([st.sampled_from(["t0", "t1", "", "t,2", 't"3', "é"]), bit(), bit()])
+
+
 def worker_row():
     """A worker row that is valid but for at most one drawn fault."""
     identity = st.sampled_from([f"w{i}" for i in range(12)])
@@ -105,24 +111,34 @@ def write(path, text):
 
 
 def outcome(loader, path):
-    """What a loader returns, or the message of the FileFormatError it raises."""
+    """What a loader returns (a task pool as its ids and bits), or the message
+    of the FileFormatError it raises."""
     try:
-        return loader(path)
+        result = loader(path)
     except FileFormatError as err:
         return ("error", str(err))
+    return (result.ids, result.z.tolist(), result.y.tolist()) if isinstance(result, TaskPool) else result
 
 
 @st.composite
 def block_and_prefix(draw, valid_row):
-    """A block size, and valid rows to put first: with the real block, enough
-    that the drawn rows begin a few rows before or after its first boundary."""
+    """Block sizes in rows and in bytes, and valid rows to put first: with the
+    real row block, enough that the drawn rows begin a few rows before or
+    after its first boundary."""
     block = draw(st.sampled_from([1, 2, 3, BLOCK]))
+    block_bytes = draw(st.sampled_from([1, 7, 24, 40, BLOCK_BYTES]))
     count = draw(st.integers(BLOCK - 3, BLOCK + 1)) if block == BLOCK else draw(st.integers(0, 3))
-    return block, [valid_row.format(i=f"p{i}") for i in range(count)]
+    return block, block_bytes, [valid_row.format(i=f"p{i}") for i in range(count)]
+
+
+def blocks_of(block, block_bytes):
+    """Both block sizes patched for the duration of a with block."""
+    return mock.patch.multiple(datagen, _BLOCK_ROWS=block, _BLOCK_BYTES=block_bytes)
 
 
 DIFFERENTIAL = {
     "responses": (load_responses, reference_load_responses, response_row),
+    "tasks": (load_tasks, reference_load_tasks, task_row),
     "workers": (load_workers, reference_load_workers, worker_row),
 }
 
@@ -133,13 +149,13 @@ DIFFERENTIAL = {
 def test_block_loader_matches_the_per_row_reference(tmp_path, kind, data):
     loader, reference, row = DIFFERENTIAL[kind]
     header, valid = VALID_ROWS[loader]
-    block, prefix = data.draw(block_and_prefix(valid))
+    block, block_bytes, prefix = data.draw(block_and_prefix(valid))
     rows = prefix + data.draw(st.lists(row(), max_size=8))
     if data.draw(st.integers(0, 9)) == 0:
         header = data.draw(st.sampled_from(["", header + ",extra", header.upper(), header + "\udcff"]))
     text = data.draw(st.sampled_from([file_text(header, rows, crlf=False), file_text(header, rows, crlf=True), ""]))
     path = write(tmp_path / f"{kind}.csv", text)
-    with mock.patch.object(datagen, "_BLOCK_ROWS", block):
+    with blocks_of(block, block_bytes):
         got = outcome(loader, path)
         want = outcome(reference, path)
     assert got == want
@@ -153,7 +169,7 @@ LINE = re.compile(r" line [0-9]+: ")
 @given(data=st.data())
 def test_malformed_bytes_raise_a_format_error_naming_the_line(tmp_path, loader, data):
     header, valid = VALID_ROWS[loader]
-    block, prefix = data.draw(block_and_prefix(valid))
+    block, block_bytes, prefix = data.draw(block_and_prefix(valid))
     pieces = st.one_of(
         st.binary(max_size=12),
         st.sampled_from([valid.format(i="q").encode(), b'"', b",", b"\r", b"\n", b"\xff", b"\xc3", b"\x00"]),
@@ -163,7 +179,7 @@ def test_malformed_bytes_raise_a_format_error_naming_the_line(tmp_path, loader, 
     body = "".join(row + "\n" for row in prefix).encode()
     path = tmp_path / "fuzz.csv"
     path.write_bytes((header.encode() + b"\n" if with_header else b"") + body + tail)
-    with mock.patch.object(datagen, "_BLOCK_ROWS", block):
+    with blocks_of(block, block_bytes):
         try:
             loader(path)
         except FileFormatError as err:
@@ -205,3 +221,84 @@ def test_each_worker_fault_is_reported_as_the_reference_reports_it(tmp_path, fau
     got = outcome(load_workers, path)
     assert got == outcome(reference_load_workers, path)
     assert got[0] == "error" and f"{path} line 7: " in got[1]
+
+
+BYTE_READ = {load_responses: reference_load_responses, load_tasks: reference_load_tasks}
+
+# text the byte reader takes: no comma, quote, carriage return, newline, NUL or lone surrogate
+PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n\x00', exclude_categories=("Cs",)), max_size=4)
+
+
+@pytest.mark.parametrize("loader", list(BYTE_READ), ids=lambda f: f.__name__)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_plain_files_are_read_without_the_csv_parser(tmp_path, loader, data):
+    """LF line endings, unquoted fields and one-byte bits, with ids in runs of
+    any length, repeated later or not: the byte reader alone matches the
+    reference, whatever the block size."""
+    header, _ = VALID_ROWS[loader]
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(["w0", "w1", "", "é"]) | PLAIN_TEXT, st.integers(1, 5)),
+                              max_size=12))
+    bits = 3 if loader is load_responses else 2
+    rows = [[first] + ([data.draw(PLAIN_TEXT)] if loader is load_responses else [])
+            + data.draw(st.lists(st.sampled_from(CANONICAL_BITS), min_size=bits, max_size=bits))
+            for first, count in runs for _ in range(count)]
+    text = file_text(header, [",".join(row) for row in rows], crlf=False)
+    if rows and data.draw(st.booleans()):
+        text = text[:-1]  # no newline after the last row
+    path = write(tmp_path / "plain.csv", text)
+    want = outcome(BYTE_READ[loader], path)
+    with blocks_of(BLOCK, data.draw(st.sampled_from([1, 7, 24, 40, BLOCK_BYTES]))), \
+            mock.patch.object(datagen, "_data_rows", side_effect=AssertionError("csv parser used")):
+        assert outcome(loader, path) == want
+
+
+def explicit_case(loader, case):
+    """The bytes of one named case for a task or response file."""
+    header, valid = VALID_ROWS[loader]
+    rows = [valid.format(i=i) for i in range(6)]
+    if case == "no trailing newline":
+        return file_text(header, rows, crlf=False)[:-1]
+    if case == "crlf":
+        return file_text(header, rows, crlf=True)
+    if case == "quoted ids":
+        rows[2] = quoted(rows[2].split(",")[0]) + rows[2][rows[2].index(","):]
+    elif case == "nul byte":
+        rows[3] = "w\x00" + rows[3]
+    elif case == "carriage return in an id":
+        rows[3] = "w\r" + rows[3]
+    elif case in ("bit 2", "bit /"):
+        rows[2] = rows[2][:-1] + case[-1]
+    elif case == "comma for a last bit, then a row a comma short":
+        rows[2] = rows[2][:-1] + ","
+        rows[3] = rows[3].replace(",", "", 1)
+    elif case == "bad utf-8 in a later block":
+        rows = [valid.format(i=i % 7) for i in range(2 * BLOCK_BYTES // len(valid))] + ["\udcff" + valid.format(i=0)]
+    elif case == "header only":
+        rows = []
+    elif case == "oversized field":
+        rows[4] = OVERSIZED + rows[4]
+    elif case == "field at the limit":  # on a line longer than the limit
+        rows[4] = "x" * (len(OVERSIZED) - 1) + rows[4][rows[4].index(","):]
+    elif case == "loose bit":
+        rows[1] = rows[1][:-1] + " 1"
+    elif case == "non-contiguous ids":
+        rows = [valid.format(i=i) for i in (0, 1, 0, 2, 2, 1, 0, 3)]
+    return file_text(header, rows, crlf=False)
+
+
+EXPLICIT = [
+    "no trailing newline", "crlf", "quoted ids", "nul byte", "carriage return in an id", "bit 2", "bit /",
+    "comma for a last bit, then a row a comma short", "bad utf-8 in a later block", "header only",
+    "oversized field", "field at the limit", "loose bit", "non-contiguous ids",
+]
+
+
+@pytest.mark.parametrize("loader", list(BYTE_READ), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", EXPLICIT)
+@pytest.mark.parametrize("block_bytes", [7, BLOCK_BYTES])
+def test_explicit_cases_match_the_reference(tmp_path, loader, case, block_bytes):
+    """A block of 7 bytes splits nearly every row across a block boundary."""
+    path = write(tmp_path / "case.csv", explicit_case(loader, case))
+    with blocks_of(BLOCK, block_bytes):
+        assert outcome(loader, path) == outcome(BYTE_READ[loader], path)
