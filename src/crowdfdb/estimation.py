@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AccuracyMatrix, WorkerProfile, label_one_probabilities
-from .rng import random_rows
+from .rng import random_words
 
 # fixed type order used for simulation draws and file columns
 TYPE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -37,8 +37,11 @@ class GoldPhaseConfig:
     smoothing: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_gold_per_type < 1:
-            raise ValueError(f"n_gold_per_type must be >= 1, got {self.n_gold_per_type}")
+        n = self.n_gold_per_type
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n_gold_per_type must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"n_gold_per_type must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -109,18 +112,36 @@ def estimate_tallies(tallies: list[GoldResponseTally], smoothing: bool = False) 
     return (correct + smoothing) / (attempted + 2 * smoothing)  # smoothing: one success, one failure
 
 
+def word_limits(p: np.ndarray) -> np.ndarray:
+    """ceil(p * 2**53) as uint64, for probabilities p in [0, 1].
+
+    A draw u = (w >> 11) * 2**-53 of a Philox word w is below p exactly
+    when the integer w >> 11 is below this limit: scaling by 2**53 is
+    exact, and w >> 11 is an integer.
+    """
+    return np.ceil(p * 2.0**53).astype(np.uint64)
+
+
 def run_gold_phase(workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
     """Simulate the gold phase and return the (n, z, y) estimate array.
 
     Worker i's draws are those of the derived stream (seed, "gold", i),
-    consumed in TYPE_ORDER exactly as simulate_gold_tally does; random_rows
-    computes all n streams' draws in one vectorised pass, and each worker's
-    estimate depends on its own stream only.
+    consumed in TYPE_ORDER exactly as simulate_gold_tally does, and each
+    worker's estimate depends on its own stream only.  A response is
+    label 1 when its draw is below the true P(label 1 | z, y); the phase
+    counts those from random_words' integer words, chunk by chunk, against
+    word_limits, and never builds the n x 4 * n_gold_per_type draws.  For
+    y = 0 the correct count is n_gold_per_type minus the count of ones.
     """
     if not workers:
         raise ValueError("worker list must be nonempty")
     n_gold = cfg.n_gold_per_type
-    draws = random_rows(seed, "gold", len(workers), 4 * n_gold)
-    labels = draws.reshape(-1, 2, 2, n_gold) < label_one_probabilities(workers)[..., None]
-    correct = (labels == np.array([[False], [True]])).sum(axis=-1)  # label == y
+    limits = word_limits(label_one_probabilities(workers)).reshape(-1, 4, 1)
+    ones = np.empty((len(workers), 4), dtype=np.intp)
+    for start, words in random_words(seed, "gold", len(workers), 4 * n_gold):
+        stop = start + words.shape[0]
+        below = words.reshape(-1, 4, n_gold) < limits[start:stop]
+        below.sum(axis=-1, out=ones[start:stop])
+    ones = ones.reshape(-1, 2, 2)
+    correct = np.where(np.array([False, True]), ones, n_gold - ones)  # label == y
     return (correct + cfg.smoothing) / (n_gold + 2 * cfg.smoothing)

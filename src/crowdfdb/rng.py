@@ -11,13 +11,19 @@ gold phase, and simulated label, and sub-streams such as
 in any order (sequentially or in parallel) with identical results.
 
 Philox output is a pure function of key and counter (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so random_rows
-computes the leading draws of a whole family of streams (seed, tag, i),
-i = 0..n-1, at once with numpy: the same keys, counters and outputs as n
-separate ``stream`` generators, without building one.
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so random_words
+computes the leading output words of a whole family of streams
+(seed, tag, i), i = 0..n-1, at once with numpy: the same keys, counters
+and outputs as n separate ``stream`` generators, without building one.
+It works over chunks of whole rows on eight uint64 buffers allocated once
+per call, and runs every round of Philox-4x64-10 in place in them.
+random_rows scales those words to doubles; the gold phase compares them as
+integers and never builds the doubles.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -31,9 +37,12 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
-# random_rows works over row chunks of at most this many Philox blocks, which
-# bounds every uint64 temporary at 16 KiB; larger chunks raised a recipe's peak RSS
-_CHUNK_BLOCKS = 2048
+# random_words works over chunks of whole rows of about this many output words.
+# Its buffers take 16 bytes per word, 256 KiB here, no more than the n x k draws
+# of a recipe's gold phase took: 2-rep figure1 and figure4 commands peak at
+# 38.4 MB RSS.  On 2 vCPUs, 1 << 15 ran the gold phase at N_g = 20 and 40 about
+# 17% faster, but its 512 KiB raised figure4's peak RSS by 0.27 MB.
+_CHUNK_WORDS = 1 << 14
 
 
 def _to_bytes(part: int | str) -> bytes:
@@ -84,32 +93,86 @@ def _keys(master_seed: int, tag: str, indices: np.ndarray) -> np.ndarray:
     return h
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit product m * x."""
+def _mul_hi(x: np.ndarray, m: int, hi: np.ndarray, scratch: tuple) -> None:
+    """x *= m in place, keeping the low 64 bits of the 128-bit product, and
+    hi = its high 64 bits; scratch is three uint64 arrays of x's shape."""
+    lo_lo, mid, carry = scratch
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _U32
-    lo_lo, hi_lo, lo_hi = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    cross = (lo_lo >> _U32) + (hi_lo & _LOW32) + lo_hi  # < 2**64: no carry is lost
-    hi = x_hi * m_hi + (hi_lo >> _U32) + (cross >> _U32)
-    return x * np.uint64(m), hi
+    np.bitwise_and(x, _LOW32, out=mid)
+    np.right_shift(x, _U32, out=hi)
+    x *= np.uint64(m)
+    np.multiply(mid, m_lo, out=lo_lo)
+    lo_lo >>= _U32
+    mid *= m_hi
+    mid += lo_lo  # x_lo*m_hi + (x_lo*m_lo >> 32) < 2**64
+    np.multiply(hi, m_lo, out=lo_lo)
+    hi *= m_hi
+    np.right_shift(mid, _U32, out=carry)
+    hi += carry
+    mid &= _LOW32
+    lo_lo += mid  # x_hi*m_lo + (mid & 0xFFFFFFFF) < 2**64
+    lo_lo >>= _U32
+    hi += lo_lo
 
 
-def _philox_blocks(key: np.ndarray, blocks: int) -> np.ndarray:
-    """Philox-4x64-10 output words, shape (len(key), 4 * blocks), of counters
-    (j, 0, 0, 0) for j = 1..blocks under keys (key[r], 0): numpy's Philox
-    increments its counter before it generates a block."""
-    shape = (key.size, blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = key[:, None], 0
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = k0 + np.uint64(_PHILOX_W[0])
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(key.size, _WORDS_PER_BLOCK * blocks)
+def _mul_hi_alloc(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of m * x for a small array x, into new arrays."""
+    lo, hi = x.copy(), np.empty_like(x)
+    _mul_hi(lo, m, hi, tuple(np.empty_like(x) for _ in range(3)))
+    return lo, hi
+
+
+def random_words(master_seed: int, tag: str, n: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, words) over row chunks: words[r, t] is the top 53 bits
+    (word >> 11) of output word t < k of stream(master_seed, tag, start + r).
+
+    A chunk holds whole rows, about _CHUNK_WORDS words of them, and at
+    least one row; words has 4 * ceil(k / 4) columns and is a view of a
+    buffer that the next chunk overwrites.  Stream i runs Philox-4x64-10
+    under key (mix(master_seed, tag, i), 0) on counters (j, 0, 0, 0),
+    j = 1, 2, ...: numpy's Philox increments its counter before it
+    generates a block.
+    """
+    blocks = -(-k // _WORDS_PER_BLOCK)
+    if n <= 0 or blocks == 0:
+        return
+    step = min(n, max(1, _CHUNK_WORDS // (_WORDS_PER_BLOCK * blocks)))
+    w0, w1 = (np.uint64(w) for w in _PHILOX_W)
+    # Rounds 0 and 1 in closed form.  Round 0 maps (j, 0, 0, 0) under key
+    # (k0, 0) to (k0, 0, hi(M0 j), lo(M0 j)); round 1, under key (k0 + W0, W1),
+    # maps that to (hi(M1 hi(M0 j)) ^ (k0 + W0), lo(M1 hi(M0 j)),
+    # hi(M0 k0) ^ lo(M0 j) ^ W1, lo(M0 k0)).  Each product is of a counter
+    # alone or a key alone: O(rows + blocks) work instead of O(rows * blocks).
+    lo_j, hi_j = _mul_hi_alloc(np.arange(1, blocks + 1, dtype=np.uint64), _PHILOX_M[0])
+    lo_b, hi_b = _mul_hi_alloc(hi_j, _PHILOX_M[1])
+    keys = _keys(master_seed, tag, np.arange(n, dtype=np.uint64))[:, None]
+    lo_k, hi_k = _mul_hi_alloc(keys, _PHILOX_M[0])
+    hi_k ^= w1
+    slab = np.empty(8 * step * blocks, dtype=np.uint64)  # four state words, four scratch
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        bufs = slab[: 8 * rows * blocks].reshape(8, rows, blocks)
+        state, (hi, *scratch) = list(bufs[:4]), bufs[4:]
+        key = keys[start:start + rows]
+        np.bitwise_xor(hi_b, key + w0, out=state[0])
+        state[1][...] = lo_b
+        np.bitwise_xor(lo_j, hi_k[start:start + rows], out=state[2])
+        state[3][...] = lo_k[start:start + rows]
+        # a round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        # for (lo0, hi0) = M0 * c0 and (lo1, hi1) = M1 * c2, so it rotates the buffers
+        for r in range(2, _PHILOX_ROUNDS):
+            c0, c1, c2, c3 = state
+            _mul_hi(c0, _PHILOX_M[0], hi, scratch)  # c0 becomes lo0
+            c3 ^= hi
+            c3 ^= np.uint64(r * _PHILOX_W[1] & _MASK64)
+            _mul_hi(c2, _PHILOX_M[1], hi, scratch)  # c2 becomes lo1
+            c1 ^= hi
+            c1 ^= key + np.uint64(r * _PHILOX_W[0] & _MASK64)
+            state = [c1, c2, c3, c0]
+        words = bufs[4:].reshape(rows, _WORDS_PER_BLOCK * blocks)  # the scratch is free now
+        for w, c in enumerate(state):
+            np.right_shift(c, np.uint64(11), out=words[:, w::_WORDS_PER_BLOCK])
+        yield start, words
 
 
 def random_rows(master_seed: int, tag: str, n: int, k: int) -> np.ndarray:
@@ -120,11 +183,7 @@ def random_rows(master_seed: int, tag: str, n: int, k: int) -> np.ndarray:
     """
     if n < 0 or k < 0:
         raise ValueError(f"random_rows needs n >= 0 and k >= 0, got n={n} k={k}")
-    blocks = -(-k // _WORDS_PER_BLOCK)
     out = np.empty((n, k))
-    step = max(1, _CHUNK_BLOCKS // max(blocks, 1))
-    for start in range(0, n, step):
-        indices = np.arange(start, min(start + step, n), dtype=np.uint64)
-        words = _philox_blocks(_keys(master_seed, tag, indices), blocks)[:, :k]
-        np.multiply(words >> np.uint64(11), 2.0**-53, out=out[start:start + indices.size])
+    for start, words in random_words(master_seed, tag, n, k):
+        np.multiply(words[:, :k], 2.0**-53, out=out[start:start + words.shape[0]])
     return out

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +11,17 @@ from crowdfdb import (
     GoldPhaseConfig,
     GoldResponseTally,
     WorkerProfile,
+    default_population_spec,
     estimate_matrices,
     estimate_tallies,
+    generate_population,
     mix,
     run_gold_phase,
     simulate_gold_tally,
     stream,
 )
+from crowdfdb.estimation import word_limits
+from crowdfdb.rng import _CHUNK_WORDS
 
 
 def make_worker(d00, d01, d10, d11, wid="w0"):
@@ -25,6 +32,14 @@ class TestGoldPhaseConfig:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             GoldPhaseConfig(n_gold_per_type=0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, False, np.True_, "3", None])
+    def test_rejects_non_integers(self, count):
+        with pytest.raises(ValueError, match="n_gold_per_type must be an integer"):
+            GoldPhaseConfig(count)
+
+    def test_accepts_numpy_integers(self):
+        assert GoldPhaseConfig(np.int64(3)).n_gold_per_type == 3
 
 
 class TestGoldResponseTally:
@@ -188,3 +203,115 @@ class TestRunGoldPhase:
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= prev + 0.005  # non-increasing up to statistical noise
         assert values[-1] < values[0]
+
+
+def reference_gold_phase(workers, n_gold, seed, rows, smoothing=False):
+    """Per-worker reference estimates of the given rows (indices into workers)."""
+    return stack_diagonals(
+        [
+            estimate_matrices(simulate_gold_tally(workers[i], n_gold, stream(seed, "gold", i)), smoothing)
+            for i in rows
+        ]
+    )
+
+
+def chunk_rows(n_gold):
+    """Rows in a full chunk of the gold phase's draws."""
+    return max(1, _CHUNK_WORDS // (4 * n_gold))
+
+
+class TestGoldPhaseChunks:
+    """Sizes follow _CHUNK_WORDS, so the chunk edges move with it."""
+
+    @pytest.mark.parametrize("n_gold", [1, 5, 7])
+    def test_workers_on_either_side_of_a_chunk_edge(self, n_gold):
+        step = chunk_rows(n_gold)
+        workers = mixed_workers(count=step + 1)
+        reference = reference_gold_phase(workers, n_gold, 41, range(step + 1))
+        for n in (step - 1, step, step + 1):
+            got = run_gold_phase(workers[:n], GoldPhaseConfig(n_gold), seed=41)
+            assert got.tobytes() == reference[:n].tobytes(), n
+
+    def test_worker_longer_than_a_chunk(self):
+        n_gold = _CHUNK_WORDS // 4 + 3  # each worker's draws overrun a whole chunk
+        workers = mixed_workers()[:3]
+        got = run_gold_phase(workers, GoldPhaseConfig(n_gold, smoothing=True), seed=8)
+        assert got.tobytes() == reference_gold_phase(workers, n_gold, 8, range(3), True).tobytes()
+
+    def test_hundred_thousand_workers_on_sampled_rows(self):
+        n, n_gold = 100_000, 20
+        workers = generate_population(default_population_spec(n_workers=n))
+        got = run_gold_phase(workers, GoldPhaseConfig(n_gold), seed=606)
+        step = chunk_rows(n_gold)
+        edges = [i for start in range(step, n, step) for i in (start - 1, start)]
+        rows = [0, *edges, n - 1]
+        assert got[rows].tobytes() == reference_gold_phase(workers, n_gold, 606, rows).tobytes()
+
+    def test_memory_stays_below_the_draws(self):
+        n, n_gold = 50, 20_000
+        workers = mixed_workers(count=n)
+        tracemalloc.start()
+        try:
+            run_gold_phase(workers, GoldPhaseConfig(n_gold), seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 4 * n_gold * 8 / 4  # a quarter of the n x 4 * n_gold doubles
+
+
+def ulp_neighbours(p):
+    return [p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)]
+
+
+class TestWordLimits:
+    SPECIAL = [0.0, 1.0, 2.0**-53, 5e-324, 2.0**-1060, 0.5, np.nextafter(1.0, 0.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        word=st.integers(0, 2**64 - 1),
+        p=st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1.0)),
+    )
+    def test_integer_comparison_matches_float(self, word, p):
+        top = word >> 11
+        at_the_word = top * 2.0**-53  # the draw itself, so u < p flips here
+        candidates = ulp_neighbours(p) + ulp_neighbours(at_the_word) + ulp_neighbours((top + 1) * 2.0**-53)
+        ps = np.clip(np.array(candidates), 0.0, 1.0)
+        words = np.full(ps.shape, top, dtype=np.uint64)
+        assert np.array_equal(words < word_limits(ps), words * 2.0**-53 < ps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n_gold=st.integers(1, 9),
+        pick=st.integers(0, 10**6),
+        step=st.sampled_from([-1, 0, 1]),
+    )
+    def test_probability_on_a_draw(self, seed, n_gold, pick, step):
+        # worker i's P(label 1 | z, 1) sits on (or one ulp beside) one of its own draws
+        workers = []
+        for i in range(3):
+            u = stream(seed, "gold", i).random(4 * n_gold)
+            p = [u[(1 + 2 * z) * n_gold + pick % n_gold] for z in (0, 1)]
+            p = [float(np.nextafter(q, step)) if step else float(q) for q in p]
+            workers.append(make_worker(0.5, p[0], 0.25, p[1], wid=f"w{i}"))
+        got = run_gold_phase(workers, GoldPhaseConfig(n_gold), seed)
+        assert got.tobytes() == reference_gold_phase(workers, n_gold, seed, range(3)).tobytes()
+
+
+# sha256 of run_gold_phase(...).tobytes() on the default 400-worker population
+# at seed 20181, captured from the draw-array implementation; the estimates
+# come from elementwise IEEE operations only, so they hold on every platform.
+GOLD_DIGESTS = {
+    (5, False): "ed3229560962888268464147494c6ef1adba47479476a946d92c605eabc33255",
+    (10, False): "456507b7d97ad90e88455f074bfe1c19b4a5865e5012ea24e2bff7a6a2c6400d",
+    (20, False): "b0391d1dd1ae942780aec99c93272a0453e86a99e0e6a225dfb864d40c7d5f14",
+    (40, False): "992cb5c6db3e976b99cb66c190c5decaa99eeb51d4ceb81eb5f0a7834129a526",
+    (20, True): "f8cf5beb195152c1c0ac91e0a0529abef1cc5f5c2a46327e6eeaa8e6d4324e92",
+}
+
+
+@pytest.mark.parametrize(("n_gold", "smoothing"), list(GOLD_DIGESTS))
+def test_recipe_sized_estimates_digest(n_gold, smoothing):
+    workers = generate_population(default_population_spec())
+    estimates = run_gold_phase(workers, GoldPhaseConfig(n_gold, smoothing=smoothing), seed=20181)
+    assert hashlib.sha256(estimates.tobytes()).hexdigest() == GOLD_DIGESTS[(n_gold, smoothing)]
