@@ -27,7 +27,6 @@ from .datagen import (
     load_responses,
     load_tasks,
     load_workers,
-    make_binding_fairness_instance,
     save_gold_tallies,
     save_tasks,
     save_workers,
@@ -58,7 +57,7 @@ from .model import (
     DimensionMismatchError,
     FairnessKind,
     Policy,
-    PolicyAccuracy,
+    Population,
     Priors,
     TOL,
     Tolerances,

@@ -86,9 +86,9 @@ def cmd_generate(args) -> int:
     if args.workers is not None:
         overrides["population.n_workers"] = str(args.workers)
     cfg = _resolved_config(args, overrides)
-    workers = cfgmod.resolve_workers(cfg)
+    population = cfgmod.resolve_workers(cfg)
     tasks = generate_task_pool(cfgmod.task_pool_spec(cfg))
-    save_workers(workers, args.workers_out)
+    save_workers(population, args.workers_out)
     save_tasks(tasks, args.tasks_out)
     manifest_path = str(args.workers_out) + ".manifest"
     cfgmod.write_manifest(
@@ -97,7 +97,7 @@ def cmd_generate(args) -> int:
         cfg,
         outputs={"workers": str(args.workers_out), "tasks": str(args.tasks_out)},
     )
-    print(f"wrote {len(workers)} workers to {args.workers_out}")
+    print(f"wrote {len(population)} workers to {args.workers_out}")
     print(f"wrote {len(tasks)} tasks to {args.tasks_out}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
@@ -114,7 +114,7 @@ def cmd_policy(args) -> int:
     cfg = _resolved_config(args, overrides)
 
     gamma, seed = cfgmod.policy_settings(cfg)
-    workers = cfgmod.resolve_workers(cfg)
+    population = cfgmod.resolve_workers(cfg)
     priors = cfgmod.resolve_priors(cfg)
     constraints = cfgmod.constraint_set(cfg)
     gold = cfgmod.gold_config(cfg)
@@ -125,7 +125,7 @@ def cmd_policy(args) -> int:
         tallies = load_responses(args.responses)
 
     result = build_policy(
-        workers, gold, priors, constraints, seed=seed, tallies=tallies, confidence=gamma
+        population, gold, priors, constraints, seed=seed, tallies=tallies, confidence=gamma
     )
     diag = result.diagnostics
     print(f"status: {result.solution.status}")
@@ -144,8 +144,7 @@ def cmd_policy(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "weight"])
-        for worker, weight in zip(workers, result.policy.weights):
-            writer.writerow([worker.id, repr(float(weight))])
+        writer.writerows(zip(population.ids, map(repr, result.policy.weights.tolist())))
     manifest_path = str(args.out) + ".manifest"
     cfgmod.write_manifest(manifest_path, "policy", cfg, outputs={"policy": str(args.out)})
     print(f"policy written to {args.out}")

@@ -28,7 +28,7 @@ from .datagen import (
 )
 from .estimation import GoldPhaseConfig
 from .lp import ConstraintSet
-from .model import FairnessKind, Priors, WorkerProfile
+from .model import FairnessKind, Population, Priors
 from .simulator import METHODS, ExperimentConfig, SweepSpec, task_priors
 
 
@@ -308,7 +308,7 @@ def resolve_priors(cfg: dict[str, str]) -> Priors:
         raise ConfigError(str(err))
 
 
-def resolve_workers(cfg: dict[str, str]) -> list[WorkerProfile]:
+def resolve_workers(cfg: dict[str, str]) -> Population:
     if "workers.file" in cfg:
         return load_workers(cfg["workers.file"])
     return generate_population(population_spec(cfg))

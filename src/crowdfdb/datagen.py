@@ -6,6 +6,8 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
            where a{z}_{y}{yhat} is the matrix entry [y, yhat] for group z;
            floats are written with shortest round-trip precision.  Each
            matrix must be row-stochastic; a worker keeps its diagonal.
+           Held as a Population of (n, z, y) correctness and (n,) fees,
+           validated once when it is generated or loaded.
   tasks:   id,z,y with z, y in {0, 1}; held as a TaskPool of int8 arrays,
            validated once when the pool is generated or loaded.
   gold tallies: id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,
@@ -25,7 +27,8 @@ counted with numpy; a file in any form but LF line endings, unquoted fields
 and single-byte 0/1 bits is read again through the csv parser row by row,
 which gives the same result or reports the error.  Worker and tally files
 are read through the csv parser in blocks of rows, each checked a column at
-a time; a block that fails is parsed again row by row for that error.
+a time into arrays; a block that fails is parsed again row by row for that
+error.  A worker file must hold at least one worker.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import GoldResponseTally
-from .model import TOL, AccuracyMatrix, WorkerProfile
+from .model import TOL, AccuracyMatrix, Population
 from .rng import random_rows, stream
 
 
@@ -169,11 +172,6 @@ class TaskPoolSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def _worker_id(index: int, n_workers: int) -> str:
-    width = max(4, len(str(n_workers - 1)))
-    return f"w{index:0{width}d}"
-
-
 def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, u: np.ndarray) -> np.ndarray:
     """(n, z, y) correctness from each worker's leading draws, row u[i].
 
@@ -196,8 +194,8 @@ def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, u: np.ndarray
     return 1.0 - np.minimum(np.maximum(errors[:, None, :] + signs * halves[:, None, :], 0.0), 1.0)
 
 
-def generate_population(spec: PopulationSpec) -> list[WorkerProfile]:
-    """Draw n_workers profiles; deterministic given the spec (incl. seed).
+def generate_population(spec: PopulationSpec) -> Population:
+    """Draw n_workers workers; deterministic given the spec (incl. seed).
 
     Worker i reads the leading draws of the stream (seed, "population", i):
     its correctness (4 draws for intervals, 3 for clusters), then one fee
@@ -212,14 +210,12 @@ def generate_population(spec: PopulationSpec) -> list[WorkerProfile]:
         c = correct.reshape(-1, 4)
         # summed left to right, as the per-worker reference in tests/oracles.py sums it
         mean = (((c[:, 0] + c[:, 1]) + c[:, 2]) + c[:, 3]) / 4.0
-        fees = (spec.cost_model.low_fee, spec.cost_model.high_fee)
-        costs = [fees[high] for high in (u[:, n_correct] < mean).tolist()]
+        cost = np.where(u[:, n_correct] < mean, spec.cost_model.high_fee, spec.cost_model.low_fee)
     else:
-        costs = [spec.cost_model.fee] * spec.n_workers
-    return [
-        WorkerProfile(id=_worker_id(i, spec.n_workers), correct=c, cost=cost)
-        for i, (c, cost) in enumerate(zip(correct, costs))
-    ]
+        cost = np.full(spec.n_workers, spec.cost_model.fee, dtype=float)
+    width = max(4, len(str(spec.n_workers - 1)))
+    ids = tuple(map(f"w%0{width}d".__mod__, range(spec.n_workers)))  # the format is parsed once, not per id
+    return Population(ids=ids, correct=correct, cost=cost)
 
 
 def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
@@ -231,31 +227,6 @@ def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
     width = max(5, len(str(max(zs.size - 1, 0))))
     ids = tuple(map(f"t%0{width}d".__mod__, range(zs.size)))  # the format is parsed once, not per id
     return TaskPool(ids=ids, z=zs[order], y=ys[order])
-
-
-def make_binding_fairness_instance(gap: float, n_pairs: int, seed: int) -> list[WorkerProfile]:
-    """Mirrored worker pairs that force fairness rows to bind.
-
-    Each pair shares a base false-positive rate f and a common
-    false-negative rate; one member's z=0 FPR is f + gap, the other's
-    z=1 FPR is f + gap.  The two members have equal diagonal sums, any
-    symmetric policy over a pair has zero FPR gap, and a policy putting
-    all mass on one member has exactly `gap`.
-    """
-    if not 0.0 < gap <= 1.0:
-        raise ValueError(f"gap must lie in (0, 1], got {gap}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = stream(seed, "mirrored-pairs")
-    workers = []
-    for p in range(n_pairs):
-        f = float(rng.uniform(0.05 * (1.0 - gap), 0.95 * (1.0 - gap)))
-        fnr = float(rng.uniform(0.05, 0.35))
-        high = (1.0 - (f + gap), 1.0 - fnr)
-        low = (1.0 - f, 1.0 - fnr)
-        workers.append(WorkerProfile(id=f"p{p:03d}a", correct=(high, low), cost=1.0))
-        workers.append(WorkerProfile(id=f"p{p:03d}b", correct=(low, high), cost=1.0))
-    return workers
 
 
 _WORKER_COLUMNS = ["id", "cost"] + [f"a{z}_{y}{yhat}" for z in (0, 1) for y in (0, 1) for yhat in (0, 1)]
@@ -501,34 +472,43 @@ def _csv_blocks(path, columns: list[str], n_text: int):
             yield [row[0] for row in rows], np.ones(len(rows), dtype=np.intp), np.array(bits, dtype=np.uint8).T
 
 
-def save_workers(workers: list[WorkerProfile], path: str | Path) -> None:
+def save_workers(population: Population, path: str | Path) -> None:
+    c = population.correct[..., None]
+    entries = np.where(np.eye(2, dtype=bool), c, 1.0 - c).reshape(-1, 8)  # [i, (z, y, yhat)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_WORKER_COLUMNS)
-        for w in workers:
-            c = w.correct.tolist()
-            entries = [c[z][y] if y == yhat else 1.0 - c[z][y] for z in (0, 1) for y in (0, 1) for yhat in (0, 1)]
-            writer.writerow([w.id, repr(float(w.cost))] + [repr(e) for e in entries])
+        writer.writerows(
+            [worker_id, repr(cost), *map(repr, row)]
+            for worker_id, cost, row in zip(population.ids, population.cost.tolist(), entries.tolist())
+        )
 
 
-def load_workers(path: str | Path) -> list[WorkerProfile]:
+def load_workers(path: str | Path) -> Population:
     """Workers from a file; each a{z} matrix must be row-stochastic, and only
     its diagonal is kept (the off-diagonal entries are its complements).  An
-    id may appear once."""
-    workers: list[WorkerProfile] = []
+    id may appear once, and the file must hold at least one worker."""
+    ids: list[str] = []
+    numbers = [np.zeros((len(_WORKER_COLUMNS) - 1, 0))]  # [field, row]: cost, then the a{z} entries
     seen: dict[str, int] = {}
     with _data_rows(path, _WORKER_COLUMNS) as blocks:
         for first, rows in blocks:
             block = _checked_workers(path, rows, first, seen)
             if block is None:  # some row fails: check them one by one for its error
-                block = [_worker_row(path, lineno, row, seen) for lineno, row in enumerate(rows, first)]
-            workers.extend(block)
-    return workers
+                block = np.array([_worker_row(path, lineno, row, seen) for lineno, row in enumerate(rows, first)]).T
+            ids.extend(row[0] for row in rows)
+            numbers.append(block)
+    numbers = np.concatenate(numbers, axis=1)
+    correct = numbers[1:].T.reshape(-1, 2, 2, 2).diagonal(axis1=2, axis2=3)  # [row, z, y, yhat] -> [row, z, y]
+    try:
+        return Population(ids=tuple(ids), correct=correct, cost=numbers[0])
+    except ValueError as err:  # every row was checked as it was read, so the file holds none
+        raise FileFormatError(f"{path} line 1: {err}") from None
 
 
-def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, int]) -> list[WorkerProfile] | None:
-    """A block's workers, checked all at once as _worker_row checks each; None
-    if any row fails a check that comes before its id's."""
+def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, int]) -> np.ndarray | None:
+    """A block's numbers[field, row], checked all at once as _worker_row checks
+    each row; None if any row fails a check that comes before its id's."""
     columns = _columns(rows, len(_WORKER_COLUMNS))
     if columns is None:
         return None
@@ -537,7 +517,7 @@ def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, in
         numbers = np.array([np.fromiter(map(float, field), dtype=float, count=len(ids)) for field in fields])
     except ValueError:
         return None
-    cost, grids = numbers[0], numbers[1:].T.reshape(-1, 2, 2, 2)  # numbers[field, row]; grids[row, z, y, yhat]
+    grids = numbers[1:].T.reshape(-1, 2, 2, 2)  # grids[row, z, y, yhat]
     valid = (
         np.isfinite(numbers).all()
         and (numbers >= 0.0).all()
@@ -548,27 +528,25 @@ def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, in
         return None
     for lineno, worker_id in enumerate(ids, first):
         _check_new_id(path, lineno, worker_id, seen)
-    correct = grids.diagonal(axis1=2, axis2=3)
-    return [WorkerProfile(id=i, correct=c, cost=f) for i, c, f in zip(ids, correct, cost.tolist())]
+    return numbers
 
 
-def _worker_row(path, lineno: int, row: list[str], seen: dict[str, int]) -> WorkerProfile:
+def _worker_row(path, lineno: int, row: list[str], seen: dict[str, int]) -> list[float]:
+    """One row's numbers, cost first, each checked in turn."""
     _check_row(path, lineno, row, len(_WORKER_COLUMNS))
-    cost, *entries = (
-        _parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])
-    )
-    grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
+    numbers = [_parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])]
+    grids = np.array(numbers[1:]).reshape(2, 2, 2)  # [z, y, yhat]
     for z in (0, 1):
         try:
             AccuracyMatrix(grids[z])  # rejects a row that does not sum to 1
         except ValueError as err:
             raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
     try:
-        worker = WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost)
-    except ValueError as err:
+        Population(ids=(row[0],), correct=grids.diagonal(axis1=1, axis2=2)[None], cost=numbers[:1])
+    except ValueError as err:  # the cost check
         raise FileFormatError(f"{path} line {lineno}: {err}")
     _check_new_id(path, lineno, row[0], seen)
-    return worker
+    return numbers
 
 
 def save_tasks(tasks: TaskPool, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccuracyMatrix, WorkerProfile, label_one_probabilities
+from .model import AccuracyMatrix, Population, WorkerProfile, label_one_probabilities
 from .rng import random_words
 
 # fixed type order used for simulation draws and file columns
@@ -122,7 +122,7 @@ def word_limits(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
-def run_gold_phase(workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
+def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
     """Simulate the gold phase and return the (n, z, y) estimate array.
 
     Worker i's draws are those of the derived stream (seed, "gold", i),
@@ -133,12 +133,10 @@ def run_gold_phase(workers: list[WorkerProfile], cfg: GoldPhaseConfig, seed: int
     word_limits, and never builds the n x 4 * n_gold_per_type draws.  For
     y = 0 the correct count is n_gold_per_type minus the count of ones.
     """
-    if not workers:
-        raise ValueError("worker list must be nonempty")
     n_gold = cfg.n_gold_per_type
-    limits = word_limits(label_one_probabilities(workers)).reshape(-1, 4, 1)
-    ones = np.empty((len(workers), 4), dtype=np.intp)
-    for start, words in random_words(seed, "gold", len(workers), 4 * n_gold):
+    limits = word_limits(label_one_probabilities(population)).reshape(-1, 4, 1)
+    ones = np.empty((len(population), 4), dtype=np.intp)
+    for start, words in random_words(seed, "gold", len(population), 4 * n_gold):
         stop = start + words.shape[0]
         below = words.reshape(-1, 4, n_gold) < limits[start:stop]
         below.sum(axis=-1, out=ones[start:stop])

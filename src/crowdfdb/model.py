@@ -4,13 +4,14 @@ A worker is four correctness probabilities and a fee: correct[z, y] is the
 probability that the worker labels a task of group z and true label y
 correctly.  With binary labels this fixes the worker's 2x2 row-stochastic
 accuracy matrix for each group, entry [y, yhat] = P(label yhat | truth y),
-which matrix(z) derives.  A policy is a probability vector over workers,
-and its group-level accuracy matrices are the policy-weighted mixtures of
-the workers'.
+which WorkerProfile.matrix(z) derives.  A population carries its workers as
+arrays, Population(ids, correct (n, z, y), cost (n,)), validated once when
+it is built; indexing it gives one worker's WorkerProfile view.  A policy is
+a probability vector over workers, and its group-level correctness is the
+policy-weighted mixture of the workers', one (z, y) array.
 
 Estimates travel the same way, as one (n, z, y) correctness array
-diag[i, z, y] = P(correct | z, y).  A worker is validated once, when it is
-built; the worker file loader also checks each matrix it reads.
+diag[i, z, y] = P(correct | z, y).
 """
 
 from __future__ import annotations
@@ -155,6 +156,46 @@ class WorkerProfile:
 
 
 @dataclass(frozen=True, eq=False)
+class Population:
+    """Workers in order: their ids, read-only correct[i, z, y] = P(correct | z, y)
+    and read-only cost[i], the per-label fee; validated once, when it is built.
+
+    population[i] is worker i as a WorkerProfile, built on demand; the
+    package itself reads only the arrays.
+    """
+
+    ids: tuple[str, ...]
+    correct: np.ndarray
+    cost: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        correct, cost = np.array(self.correct, dtype=float), np.array(self.cost, dtype=float)
+        if n == 0:
+            raise ValueError("population needs at least one worker")
+        if correct.shape != (n, 2, 2) or cost.shape != (n,):
+            raise ValueError(
+                f"{n} workers need correct of shape ({n}, 2, 2) [i, z, y] and cost of shape ({n},), "
+                f"got {correct.shape} and {cost.shape}"
+            )
+        inside = ((correct >= 0.0) & (correct <= 1.0)).all(axis=(1, 2))  # NaN fails every comparison
+        if not inside.all():
+            raise ValueError(f"worker correctness entries must lie in [0, 1]: {correct[inside.argmin()].tolist()}")
+        valid = (cost >= 0.0) & np.isfinite(cost)
+        if not valid.all():
+            raise ValueError(f"worker cost must be finite and >= 0, got {float(cost[valid.argmin()])}")
+        correct.flags.writeable = cost.flags.writeable = False
+        for name, value in (("ids", tuple(self.ids)), ("correct", correct), ("cost", cost)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> WorkerProfile:
+        return WorkerProfile(id=self.ids[i], correct=self.correct[i], cost=float(self.cost[i]))
+
+
+@dataclass(frozen=True, eq=False)
 class Policy:
     """Stochastic selection vector: weights[i] = P(task goes to worker i)."""
 
@@ -215,33 +256,21 @@ class Priors:
         return self.p_z(z) * self.p_y(z, y)
 
 
-@dataclass(frozen=True)
-class PolicyAccuracy:
-    """Group-level accuracy matrices induced by a policy."""
-
-    matrix_z0: AccuracyMatrix
-    matrix_z1: AccuracyMatrix
-
-    def matrix(self, z: int) -> AccuracyMatrix:
-        return self.matrix_z1 if z == 1 else self.matrix_z0
-
-
-def _check_dimensions(policy: Policy, workers: list[WorkerProfile]) -> None:
-    if len(policy) != len(workers):
+def _check_dimensions(policy: Policy, population: Population) -> None:
+    if len(policy) != len(population):
         raise DimensionMismatchError(
-            f"policy has {len(policy)} weights but there are {len(workers)} workers"
+            f"policy has {len(policy)} weights but there are {len(population)} workers"
         )
 
 
-def compose_policy_accuracy(policy: Policy, workers: list[WorkerProfile]) -> PolicyAccuracy:
-    """Group accuracy matrices of the policy-weighted mixture of the workers'
-    correctness, divided by the exact weight total (policy sums are only
-    required to be 1 within the policy_sum tolerance)."""
-    _check_dimensions(policy, workers)
+def compose_policy_accuracy(policy: Policy, population: Population) -> np.ndarray:
+    """The policy's group-level correctness, mixed[z, y]: the policy-weighted
+    mixture of the workers' correctness, divided by the exact weight total
+    (policy sums are only required to be 1 within the policy_sum tolerance)."""
+    _check_dimensions(policy, population)
     w = policy.weights
-    mixed = np.tensordot(w, np.stack([wk.correct for wk in workers]), axes=1) / float(w.sum())
-    mixed = np.clip(mixed, 0.0, 1.0)
-    return PolicyAccuracy(*(AccuracyMatrix.from_diagonals(*mixed[z]) for z in (0, 1)))
+    mixed = np.tensordot(w, population.correct, axes=1) / float(w.sum())
+    return np.clip(mixed, 0.0, 1.0)
 
 
 def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]]) -> np.ndarray:
@@ -255,9 +284,9 @@ def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMa
     return np.array([[m.entries.diagonal() for m in pair] for pair in estimates]).reshape(-1, 2, 2)
 
 
-def label_one_probabilities(workers: list[WorkerProfile]) -> np.ndarray:
+def label_one_probabilities(population: Population) -> np.ndarray:
     """True P(label 1 | z, y) of every worker, as an (n, z, y) array."""
-    correct = np.stack([w.correct for w in workers])
+    correct = population.correct
     return np.where(np.array([False, True]), correct, 1.0 - correct)  # label 1 is correct iff y == 1
 
 
@@ -274,21 +303,20 @@ def diagonal_accuracies(
     return np.tensordot(diag, weight, axes=([1, 2], [0, 1]))
 
 
-def expected_accuracy(policy: Policy, workers: list[WorkerProfile], priors: Priors) -> float:
+def expected_accuracy(policy: Policy, population: Population, priors: Priors) -> float:
     """Probability that a label collected under the policy is correct."""
-    _check_dimensions(policy, workers)
-    per_worker = diagonal_accuracies(np.stack([w.correct for w in workers]), priors)
-    return float(np.dot(policy.weights, per_worker))
+    _check_dimensions(policy, population)
+    return float(np.dot(policy.weights, diagonal_accuracies(population.correct, priors)))
 
 
-def fairness_gap(pa: PolicyAccuracy, kind: FairnessKind) -> float:
-    """Absolute between-group error-rate difference of a policy.
+def fairness_gap(mixed: np.ndarray, kind: FairnessKind) -> float:
+    """Absolute between-group error-rate difference of a policy's mixed[z, y].
 
-    FPR parity compares entries [0, 1], FNR parity entries [1, 0], and
-    error-rate parity takes the larger of the two gaps.
+    FPR parity compares the error rates on truth y = 0, FNR parity those on
+    y = 1, and error-rate parity takes the larger of the two gaps.
     """
-    fpr_gap = abs(pa.matrix_z0.fpr - pa.matrix_z1.fpr)
-    fnr_gap = abs(pa.matrix_z0.fnr - pa.matrix_z1.fnr)
+    errors = 1.0 - np.asarray(mixed)  # [z, y]: the FPR at y = 0, the FNR at y = 1
+    fpr_gap, fnr_gap = np.abs(errors[0] - errors[1]).tolist()
     if kind is FairnessKind.FPR_PARITY:
         return fpr_gap
     if kind is FairnessKind.FNR_PARITY:
@@ -296,4 +324,3 @@ def fairness_gap(pa: PolicyAccuracy, kind: FairnessKind) -> float:
     if kind is FairnessKind.ERROR_RATE_PARITY:
         return max(fpr_gap, fnr_gap)
     raise ValueError(f"fairness_gap is undefined for kind {kind}")
-

@@ -16,7 +16,7 @@ from .estimation import (
     run_gold_phase,
 )
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
-from .model import Policy, Priors, WorkerProfile
+from .model import Policy, Population, Priors
 
 BINDING_TOL = 1e-6
 DEFAULT_CONFIDENCE = 0.9
@@ -43,7 +43,7 @@ class PipelineResult:
 
 
 def build_policy(
-    workers: list[WorkerProfile],
+    population: Population,
     gold_cfg: GoldPhaseConfig,
     priors: Priors,
     constraints: ConstraintSet,
@@ -59,27 +59,27 @@ def build_policy(
     (seed, "gold", i).
     """
     if tallies is None:
-        estimates = run_gold_phase(workers, gold_cfg, seed)
+        estimates = run_gold_phase(population, gold_cfg, seed)
     else:
         by_id = dict(tallies)
         if len(by_id) != len(tallies):
             repeated = next(i for i, count in Counter(i for i, _ in tallies).items() if count > 1)
             raise ValueError(f"gold tallies repeat worker id {repeated!r}")
-        missing = [w.id for w in workers if w.id not in by_id]
+        missing = [i for i in population.ids if i not in by_id]
         if missing:
             raise ValueError(f"gold tallies missing for workers: {', '.join(missing)}")
-        ordered = [by_id[w.id] for w in workers]
+        ordered = [by_id[i] for i in population.ids]
         try:
             estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
         except EstimationError as err:
-            worker = next(w.id for w, tally in zip(workers, ordered) if 0 in tally.attempted)
+            worker = next(i for i, tally in zip(population.ids, ordered) if 0 in tally.attempted)
             raise EstimationError(f"worker {worker}: {err}") from None
 
-    lp = build_lp(estimates, [w.cost for w in workers], priors, constraints)
+    lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)
     delta = fairness_violation_bound(
         BoundQuery(
-            n_workers=len(workers),
+            n_workers=len(population),
             n_gold_per_type=gold_cfg.n_gold_per_type,
             confidence=confidence,
         )

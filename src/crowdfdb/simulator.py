@@ -35,7 +35,7 @@ from .datagen import (
 )
 from .estimation import GoldPhaseConfig, run_gold_phase
 from .lp import ConstraintSet, LpStatus
-from .model import Policy, Priors, WorkerProfile, label_one_probabilities
+from .model import Policy, Population, Priors, label_one_probabilities
 from .pipeline import build_policy
 from .rng import mix, stream
 
@@ -166,17 +166,17 @@ def task_priors(pool: TaskPoolSpec | TaskPool) -> Priors:
     )
 
 
-def resolve_inputs(cfg: ExperimentConfig) -> tuple[list[WorkerProfile], TaskPool, Priors]:
-    """Materialize workers, tasks, and priors from specs or files."""
-    workers = (
+def resolve_inputs(cfg: ExperimentConfig) -> tuple[Population, TaskPool, Priors]:
+    """Materialize the population, tasks, and priors from specs or files."""
+    population = (
         generate_population(cfg.population) if cfg.population is not None else load_workers(cfg.worker_file)
     )
     tasks = generate_task_pool(cfg.task_pool) if cfg.task_pool is not None else load_tasks(cfg.task_file)
     if not tasks:
         raise ValueError("task pool has no tasks to assign")
     if cfg.priors is not None:
-        return workers, tasks, cfg.priors
-    return workers, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
+        return population, tasks, cfg.priors
+    return population, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
 
 
 def score_labels(records: list[tuple[int, int, int]]) -> MetricsReport:
@@ -224,23 +224,20 @@ def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsR
 @dataclass(frozen=True, eq=False)
 class RunInputs:
     """What every repetition of one command reads, built once: the
-    workers and priors, the task pool, the worker fees, and P(label 1 | z, y)
-    per worker."""
+    population and priors, the task pool, and P(label 1 | z, y) per worker."""
 
-    workers: list[WorkerProfile]
+    population: Population
     priors: Priors
     tasks: TaskPool
-    costs: np.ndarray
     p_label_one: np.ndarray
 
     @classmethod
-    def build(cls, workers: list[WorkerProfile], tasks: TaskPool, priors: Priors) -> RunInputs:
+    def build(cls, population: Population, tasks: TaskPool, priors: Priors) -> RunInputs:
         return cls(
-            workers=workers,
+            population=population,
             priors=priors,
             tasks=tasks,
-            costs=np.array([w.cost for w in workers]),
-            p_label_one=label_one_probabilities(workers),
+            p_label_one=label_one_probabilities(population),
         )
 
 
@@ -252,9 +249,9 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
     while sweeping the gold count re-draws them.
     """
     inputs = _resolved if _resolved is not None else RunInputs.build(*resolve_inputs(cfg))
-    workers, priors, costs = inputs.workers, inputs.priors, inputs.costs
+    population, priors, costs = inputs.population, inputs.priors, inputs.population.cost
     zs, ys = inputs.tasks.z, inputs.tasks.y
-    n = len(workers)
+    n = len(population)
     n_tasks = zs.size
     gold_seed = mix(cfg.seed, "goldphase", cfg.gold.n_gold_per_type, rep_index)
 
@@ -262,7 +259,7 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
     assignment: np.ndarray | None = None
     lp_status = "-"
     if cfg.method == "CrowdFDB":
-        result = build_policy(workers, cfg.gold, priors, cfg.constraints, seed=gold_seed)
+        result = build_policy(population, cfg.gold, priors, cfg.constraints, seed=gold_seed)
         if result.solution.status != LpStatus.OPTIMAL:
             return MetricsReport(lp_status=result.solution.status)
         weights = result.policy.weights
@@ -273,7 +270,7 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
         weights = policy.weights
         entropy = policy.entropy()
     else:  # Greedy
-        estimates = run_gold_phase(workers, cfg.gold, gold_seed)
+        estimates = run_gold_phase(population, cfg.gold, gold_seed)
         try:
             plan = greedy_plan(estimates, costs, priors, cfg.constraints.beta, n_tasks)
         except CapacityError:

@@ -235,11 +235,12 @@ def random_lp_instance(rng, n, alpha, beta, budget_kind, fairness_kind):
 def reference_population(spec):
     """generate_population as a per-worker loop: one stream(seed, "population", i)
     per worker, drawn with scalar Generator.uniform/random calls."""
-    from crowdfdb.datagen import IntervalBiasModel, UniformCost, _worker_id
+    from crowdfdb.datagen import IntervalBiasModel, UniformCost
     from crowdfdb.model import WorkerProfile
     from crowdfdb.rng import stream
 
     model = spec.bias_model
+    width = max(4, len(str(spec.n_workers - 1)))
     workers = []
     for i in range(spec.n_workers):
         rng = stream(spec.seed, "population", i)
@@ -260,7 +261,7 @@ def reference_population(spec):
         else:
             high = bool(rng.random() < sum(correct.flat) / 4.0)
             cost = spec.cost_model.high_fee if high else spec.cost_model.low_fee
-        workers.append(WorkerProfile(id=_worker_id(i, spec.n_workers), correct=correct, cost=cost))
+        workers.append(WorkerProfile(id=f"w{i:0{width}d}", correct=correct, cost=cost))
     return workers
 
 
@@ -296,7 +297,8 @@ def _reference_rows(path, columns):
 
 def reference_load_workers(path):
     """load_workers as the per-row loop it replaced: each row's fields parsed
-    in turn, then both of its matrices and the worker validated as objects."""
+    in turn, then both of its matrices and the worker validated as objects;
+    a list of WorkerProfiles, which must not be empty."""
     from crowdfdb.datagen import _WORKER_COLUMNS, FileFormatError, _parse_float
     from crowdfdb.model import AccuracyMatrix, WorkerProfile
 
@@ -318,6 +320,8 @@ def reference_load_workers(path):
         if row[0] in seen:
             raise FileFormatError(f"{path} line {lineno}: repeated id {row[0]!r}, first on line {seen[row[0]]}")
         seen[row[0]] = lineno
+    if not workers:
+        raise FileFormatError(f"{path} line 1: population needs at least one worker")
     return workers
 
 

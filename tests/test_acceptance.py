@@ -36,7 +36,6 @@ from crowdfdb import (
     fairness_gap,
     fairness_violation_bound,
     generate_population,
-    make_binding_fairness_instance,
     mix,
     run_experiment,
     run_gold_phase,
@@ -46,6 +45,7 @@ from crowdfdb import (
     verify_solution,
 )
 from crowdfdb import cli
+from fixtures import make_binding_fairness_instance
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
 
 
@@ -133,10 +133,9 @@ TRIAL_CONSTRAINTS = ConstraintSet(
 def estimate_then_solve_trials():
     start = time.monotonic()
     workers = make_binding_fairness_instance(0.3, 10, seed=301)  # n = 20
-    costs = [w.cost for w in workers]
+    costs = workers.cost
     gold = GoldPhaseConfig(20)
-    true_pairs = [(w.matrix(0), w.matrix(1)) for w in workers]
-    true_solution = solve_lp(build_lp(true_pairs, costs, TRIAL_PRIORS, TRIAL_CONSTRAINTS))
+    true_solution = solve_lp(build_lp(workers.correct, costs, TRIAL_PRIORS, TRIAL_CONSTRAINTS))
     assert true_solution.status == LpStatus.OPTIMAL
     trials = []
     for t in range(500):
@@ -391,7 +390,7 @@ def test_10_performance_large_lp_and_full_recipe(tmp_path):
     estimates = run_gold_phase(workers, GoldPhaseConfig(20), seed=1002)
     cs = ConstraintSet(alpha=0.01, beta=0.01, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
     start = time.monotonic()
-    lp = build_lp(estimates, [w.cost for w in workers], priors, cs)
+    lp = build_lp(estimates, workers.cost, priors, cs)
     sol = solve_lp(lp)
     lp_elapsed = time.monotonic() - start
     assert sol.status == LpStatus.OPTIMAL

@@ -7,8 +7,8 @@ from crowdfdb import (
     AccuracyMatrix,
     CapacityError,
     Policy,
+    Population,
     Priors,
-    WorkerProfile,
     compose_policy_accuracy,
     diagonal_accuracies,
     greedy_plan,
@@ -40,14 +40,11 @@ class TestRandomPolicy:
 
     def test_composed_accuracy_is_unweighted_mean(self):
         rng = np.random.default_rng(8)
-        workers = [
-            WorkerProfile(id=f"w{i}", correct=rng.uniform(0.2, 0.95, (2, 2)), cost=1.0)
-            for i in range(6)
-        ]
-        pa = compose_policy_accuracy(random_policy(6), workers)
-        for z in (0, 1):
-            mean = np.mean([w.matrix(z).entries for w in workers], axis=0)
-            assert np.allclose(pa.matrix(z).entries, mean, atol=1e-12)
+        workers = Population(
+            ids=tuple(f"w{i}" for i in range(6)), correct=rng.uniform(0.2, 0.95, (6, 2, 2)), cost=np.ones(6)
+        )
+        mixed = compose_policy_accuracy(random_policy(6), workers)
+        assert np.allclose(mixed, workers.correct.mean(axis=0), atol=1e-12)
 
 
 class TestGreedyPlan:

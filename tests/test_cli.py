@@ -25,6 +25,28 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", [
+    ["policy", "--workers-file", "{workers}", "--out", "{out}/p.csv"],
+    ["policy", "--workers-file", "{workers}", "--tallies", "{tallies}", "--out", "{out}/p.csv"],
+    ["experiment", "--config", "{cfg}", "--methods", "CrowdFDB", "--out", "{out}/r.csv"],
+    ["experiment", "--config", "{cfg}", "--methods", "Random", "--out", "{out}/r.csv"],
+    ["experiment", "--config", "{cfg}", "--methods", "Greedy", "--out", "{out}/r.csv"],
+    ["generate", "--config", "{cfg}", "--workers-out", "{out}/w.csv", "--tasks-out", "{out}/t.csv"],
+], ids=["policy", "policy-tallies", "CrowdFDB", "Random", "Greedy", "generate"])
+def test_header_only_worker_file_exits_2_naming_line_1(tmp_path, capsys, command):
+    paths = {name: tmp_path / name for name in ("workers", "tallies", "cfg", "out")}
+    paths["workers"].write_text("id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11\n", encoding="utf-8")
+    paths["tallies"].write_text(
+        "id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1\n", encoding="utf-8"
+    )
+    paths["cfg"].write_text(f"workers.file = {paths['workers']}\nexperiment.repetitions = 2\n", encoding="utf-8")
+    paths["out"].mkdir()
+    assert run_cli([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {paths['workers']} line 1: population needs at least one worker\n"
+    assert list(paths["out"].iterdir()) == []
+
+
 class TestGenerate:
     def test_default_spec_counts(self, tmp_path, capsys):
         w, t = tmp_path / "w.csv", tmp_path / "t.csv"
@@ -127,12 +149,12 @@ class TestPolicy:
             "constraints.budget": "1.5", "constraints.fairness": "error-rate",
             "gold.n_per_type": "20", "experiment.seed": "6",
         })
-        workers = resolve_workers(resolved)
+        population = resolve_workers(resolved)
         priors = resolve_priors(resolved)
-        estimates = run_gold_phase(workers, GoldPhaseConfig(20), seed=6)
+        estimates = run_gold_phase(population, GoldPhaseConfig(20), seed=6)
         lp = build_lp(
             estimates,
-            [w.cost for w in workers],
+            population.cost,
             priors,
             ConstraintSet(0.01, 0.01, 1.5, FairnessKind.ERROR_RATE_PARITY),
         )
@@ -429,6 +451,7 @@ class TestExperiment:
         from_file = tmp_path / "from-file.cfg"
         from_file.write_text(cfgmod.format_config({
             **cli._load_recipe("figure1"),
+            "workers.file": str(workers),
             "tasks.file": str(tasks),
             # the default spec's priors; a task file alone implies its empirical frequencies
             "priors.p_z1": "0.6009756097560975",

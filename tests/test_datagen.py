@@ -15,6 +15,11 @@ from crowdfdb import (
     TaskPool,
     TaskPoolSpec,
     UniformCost,
+    ConstraintSet,
+    ExperimentConfig,
+    GoldPhaseConfig,
+    WorkerProfile,
+    build_policy,
     compose_policy_accuracy,
     default_population_spec,
     default_task_pool_spec,
@@ -26,14 +31,16 @@ from crowdfdb import (
     load_responses,
     load_tasks,
     load_workers,
-    make_binding_fairness_instance,
     random_policy,
+    run_experiment,
+    run_gold_phase,
     save_gold_tallies,
     save_tasks,
     save_workers,
 )
 from crowdfdb.model import label_one_probabilities
 
+from fixtures import as_population, make_binding_fairness_instance
 from oracles import reference_population, reference_task_pool
 
 
@@ -99,16 +106,42 @@ class TestGeneratePopulation:
             raise AssertionError("an AccuracyMatrix was constructed")
 
         monkeypatch.setattr(AccuracyMatrix, "__post_init__", forbidden)
-        workers = (
-            generate_population(default_population_spec(n_workers=20))
-            + generate_population(interval_spec(20, 0.3, 0.9, AccuracyLinkedCost(1.0, 3.0)))
-            + make_binding_fairness_instance(0.3, 3, seed=1)
-        )
-        assert label_one_probabilities(workers).shape == (len(workers), 2, 2)
-        expected_accuracy(random_policy(len(workers)), workers, Priors(0.5, 0.4, 0.6))
+        for population in (
+            generate_population(default_population_spec(n_workers=20)),
+            generate_population(interval_spec(20, 0.3, 0.9, AccuracyLinkedCost(1.0, 3.0))),
+            make_binding_fairness_instance(0.3, 3, seed=1),
+        ):
+            policy = random_policy(len(population))
+            assert label_one_probabilities(population).shape == (len(population), 2, 2)
+            expected_accuracy(policy, population, Priors(0.5, 0.4, 0.6))
+            assert fairness_gap(compose_policy_accuracy(policy, population), FairnessKind.FPR_PARITY) >= 0.0
+
+    def test_no_runtime_path_builds_a_worker_profile(self, monkeypatch, tmp_path):
+        def forbidden(self):
+            raise AssertionError("a WorkerProfile was constructed")
+
+        monkeypatch.setattr(WorkerProfile, "__post_init__", forbidden)
+        path = tmp_path / "workers.csv"
+        save_workers(generate_population(default_population_spec(n_workers=30)), path)
+        population = load_workers(path)
+        save_workers(population, tmp_path / "again.csv")
+        gold = GoldPhaseConfig(5)
+        priors = Priors(0.5, 0.4, 0.6)
+        constraints = ConstraintSet(alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
+        assert run_gold_phase(population, gold, seed=3).shape == (30, 2, 2)
+        build_policy(population, gold, priors, constraints, seed=3)
+        tallies = [(i, GoldResponseTally((5,) * 4, (4, 3, 2, 1))) for i in population.ids]
+        build_policy(population, gold, priors, constraints, seed=3, tallies=tallies)
+        for method in ("CrowdFDB", "Random", "Greedy"):
+            cfg = ExperimentConfig(
+                method=method, gold=gold, constraints=constraints, repetitions=2, seed=5,
+                worker_file=str(path), task_pool=TaskPoolSpec(100, 100, 0.4, 0.6, seed=6),
+            )
+            assert len(run_experiment(cfg)[0].reports) == 2
+
 
     def test_generated_profiles_always_valid(self):
-        # validity is enforced by the WorkerProfile constructor;
+        # validity is enforced by the Population constructor;
         # just exercise a spread of specs
         for seed in range(5):
             generate_population(interval_spec(40, 0.0, 1.0, UniformCost(0.0), seed=seed))
@@ -149,15 +182,14 @@ class TestVectorisedMatchesPerWorkerReference:
         spec = PopulationSpec(n_workers=n, bias_model=bias, cost_model=cost_model, seed=4482)
         got, reference = generate_population(spec), reference_population(spec)
         assert [(w.id, w.cost) for w in got] == [(w.id, w.cost) for w in reference]
-        stacked = [np.stack([w.correct for w in pool]).tobytes() for pool in (got, reference)]
-        assert stacked[0] == stacked[1]
+        assert got.correct.tobytes() == np.stack([w.correct for w in reference]).tobytes()
         save_workers(got, tmp_path / "got.csv")
-        save_workers(reference, tmp_path / "reference.csv")
+        save_workers(as_population(reference), tmp_path / "reference.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_clipping_reaches_both_ends(self):
         spec = PopulationSpec(300, BIAS_MODELS["clusters-clipping"], UniformCost(1.0), seed=4482)
-        correct = np.stack([w.correct for w in generate_population(spec)])
+        correct = generate_population(spec).correct
         assert (correct == 0.0).any() and (correct == 1.0).any()
 
 
@@ -263,9 +295,9 @@ class TestFileRoundTrips:
         path = tmp_path / "workers.csv"
         header = "id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11"
         path.write_text(header + "\nw0,1.0,0.9,0.1000000000005,0.2,0.8,0.7,0.3,0.4,0.6\n", encoding="utf-8")
-        (w,) = load_workers(path)
-        assert w.correct.tolist() == [[0.9, 0.8], [0.7, 0.6]]
-        assert label_one_probabilities([w])[0, 0, 0] == 1.0 - 0.9
+        population = load_workers(path)
+        assert population.correct.tolist() == [[[0.9, 0.8], [0.7, 0.6]]]
+        assert label_one_probabilities(population)[0, 0, 0] == 1.0 - 0.9
 
     def test_tasks_round_trip(self, tmp_path):
         spec = TaskPoolSpec(n_z0=2454, n_z1=3696, base_rate_z0=0.3936, base_rate_z1=0.5143, seed=5)
@@ -285,6 +317,13 @@ class TestFileRoundTrips:
         path = tmp_path / "gold.csv"
         save_gold_tallies(tallies, path)
         assert load_gold_tallies(path) == tallies
+
+    def test_header_only_worker_file_rejected_on_line_1(self, tmp_path):
+        path = tmp_path / "workers.csv"
+        path.write_text("id,cost,a0_00,a0_01,a0_10,a0_11,a1_00,a1_01,a1_10,a1_11\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_workers(path)
+        assert str(err.value) == f"{path} line 1: population needs at least one worker"
 
     def test_bad_row_sum_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "workers.csv"

@@ -22,6 +22,7 @@ from crowdfdb import (
 )
 from crowdfdb.estimation import word_limits
 from crowdfdb.rng import _CHUNK_WORDS
+from fixtures import as_population
 
 
 def make_worker(d00, d01, d10, d11, wid="w0"):
@@ -118,7 +119,7 @@ class TestArrayMatchesPerWorkerReference:
     def test_gold_phase_bitwise(self, n_gold, smoothing):
         workers = mixed_workers()
         cfg = GoldPhaseConfig(n_gold, smoothing=smoothing)
-        got = run_gold_phase(workers, cfg, seed=2024)
+        got = run_gold_phase(as_population(workers), cfg, seed=2024)
         reference = stack_diagonals(
             [
                 estimate_matrices(simulate_gold_tally(w, n_gold, stream(2024, "gold", i)), smoothing)
@@ -157,32 +158,32 @@ class TestRunGoldPhase:
         w = make_worker(1.0, 1.0, 1.0, 1.0)
         for n_gold in (1, 5, 50):
             for seed in (0, 9):
-                est = run_gold_phase([w], GoldPhaseConfig(n_gold), seed)
+                est = run_gold_phase(as_population([w]), GoldPhaseConfig(n_gold), seed)
                 assert est.shape == (1, 2, 2)
                 assert np.all(est == 1.0)
 
     def test_concentrates_at_large_gold_count(self):
         w = make_worker(0.7, 0.7, 0.7, 0.7)
-        est = run_gold_phase([w], GoldPhaseConfig(10_000), seed=3)[0]
+        est = run_gold_phase(as_population([w]), GoldPhaseConfig(10_000), seed=3)[0]
         assert np.all(np.abs(est - 0.7) < 0.02)
 
     def test_same_seed_bitwise_identical(self):
         workers = [make_worker(0.8, 0.6, 0.75, 0.9, wid=f"w{i}") for i in range(4)]
-        a = run_gold_phase(workers, GoldPhaseConfig(13), seed=77)
-        b = run_gold_phase(workers, GoldPhaseConfig(13), seed=77)
+        a = run_gold_phase(as_population(workers), GoldPhaseConfig(13), seed=77)
+        b = run_gold_phase(as_population(workers), GoldPhaseConfig(13), seed=77)
         assert a.tobytes() == b.tobytes()
 
     def test_per_worker_streams_are_order_independent(self):
         # recomputing one worker's phase in isolation matches the batch run
         workers = [make_worker(0.8, 0.6, 0.75, 0.9, wid=f"w{i}") for i in range(5)]
-        batch = run_gold_phase(workers, GoldPhaseConfig(21), seed=5)
+        batch = run_gold_phase(as_population(workers), GoldPhaseConfig(21), seed=5)
         solo_tally = simulate_gold_tally(workers[3], 21, stream(5, "gold", 3))
         solo = stack_diagonals([estimate_matrices(solo_tally)])[0]
         assert batch[3].tobytes() == solo.tobytes()
 
     def test_empty_worker_list_rejected(self):
-        with pytest.raises(ValueError):
-            run_gold_phase([], GoldPhaseConfig(5), seed=1)
+        with pytest.raises(ValueError, match="at least one worker"):
+            run_gold_phase(as_population([]), GoldPhaseConfig(5), seed=1)
 
     def test_monotone_concentration_in_gold_count(self):
         w = make_worker(0.72, 0.64, 0.81, 0.7)
@@ -229,13 +230,13 @@ class TestGoldPhaseChunks:
         workers = mixed_workers(count=step + 1)
         reference = reference_gold_phase(workers, n_gold, 41, range(step + 1))
         for n in (step - 1, step, step + 1):
-            got = run_gold_phase(workers[:n], GoldPhaseConfig(n_gold), seed=41)
+            got = run_gold_phase(as_population(workers[:n]), GoldPhaseConfig(n_gold), seed=41)
             assert got.tobytes() == reference[:n].tobytes(), n
 
     def test_worker_longer_than_a_chunk(self):
         n_gold = _CHUNK_WORDS // 4 + 3  # each worker's draws overrun a whole chunk
         workers = mixed_workers()[:3]
-        got = run_gold_phase(workers, GoldPhaseConfig(n_gold, smoothing=True), seed=8)
+        got = run_gold_phase(as_population(workers), GoldPhaseConfig(n_gold, smoothing=True), seed=8)
         assert got.tobytes() == reference_gold_phase(workers, n_gold, 8, range(3), True).tobytes()
 
     def test_hundred_thousand_workers_on_sampled_rows(self):
@@ -249,7 +250,7 @@ class TestGoldPhaseChunks:
 
     def test_memory_stays_below_the_draws(self):
         n, n_gold = 50, 20_000
-        workers = mixed_workers(count=n)
+        workers = as_population(mixed_workers(count=n))
         tracemalloc.start()
         try:
             run_gold_phase(workers, GoldPhaseConfig(n_gold), seed=3)
@@ -294,7 +295,7 @@ class TestWordLimits:
             p = [u[(1 + 2 * z) * n_gold + pick % n_gold] for z in (0, 1)]
             p = [float(np.nextafter(q, step)) if step else float(q) for q in p]
             workers.append(make_worker(0.5, p[0], 0.25, p[1], wid=f"w{i}"))
-        got = run_gold_phase(workers, GoldPhaseConfig(n_gold), seed)
+        got = run_gold_phase(as_population(workers), GoldPhaseConfig(n_gold), seed)
         assert got.tobytes() == reference_gold_phase(workers, n_gold, seed, range(3)).tobytes()
 
 

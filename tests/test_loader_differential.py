@@ -111,13 +111,13 @@ def write(path, text):
 
 
 def outcome(loader, path):
-    """What a loader returns (a task pool as its ids and bits), or the message
-    of the FileFormatError it raises."""
+    """What a loader returns (a task pool as its ids and bits, a population as
+    its workers), or the message of the FileFormatError it raises."""
     try:
         result = loader(path)
     except FileFormatError as err:
         return ("error", str(err))
-    return (result.ids, result.z.tolist(), result.y.tolist()) if isinstance(result, TaskPool) else result
+    return (result.ids, result.z.tolist(), result.y.tolist()) if isinstance(result, TaskPool) else list(result)
 
 
 @st.composite

@@ -13,12 +13,12 @@ from crowdfdb import (
     Priors,
     build_lp,
     dump,
-    make_binding_fairness_instance,
     solve_lp,
     verify_solution,
 )
 from crowdfdb import lp as lp_module
 from crowdfdb.lp import LpProblem, SolverError, _crash, _lowest, _solve_bounded, _without_family, binding_rows
+from fixtures import make_binding_fairness_instance
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
 from test_lp_differential import SEEDED_CASES, check_against, draw_lp, highs
 

@@ -10,7 +10,7 @@ from crowdfdb import (
     DimensionMismatchError,
     FairnessKind,
     Policy,
-    PolicyAccuracy,
+    Population,
     Priors,
     WorkerProfile,
     compose_policy_accuracy,
@@ -18,6 +18,7 @@ from crowdfdb import (
     fairness_gap,
     stream,
 )
+from fixtures import as_population
 from oracles import loop_expected_accuracy
 
 
@@ -38,15 +39,15 @@ def policies(draw, n):
 
 
 @st.composite
-def worker_lists(draw, n):
-    return [
+def populations(draw, n):
+    return as_population([
         worker(
             (draw(unit), draw(unit)),
             (draw(unit), draw(unit)),
             wid=f"w{i}",
         )
         for i in range(n)
-    ]
+    ])
 
 
 class TestAccuracyMatrix:
@@ -108,51 +109,49 @@ class TestPriors:
 class TestCompose:
     def test_single_worker_identity_case(self):
         w = worker((0.9, 0.7), (0.8, 0.6))
-        pa = compose_policy_accuracy(Policy(np.array([1.0])), [w])
-        assert pa.matrix_z0 == w.matrix(0)
-        assert pa.matrix_z1 == w.matrix(1)
+        mixed = compose_policy_accuracy(Policy(np.array([1.0])), as_population([w]))
+        assert np.array_equal(mixed, w.correct)
 
-    def test_identical_matrices_fixed_point(self):
+    def test_identical_workers_fixed_point(self):
         w1 = worker((0.8, 0.75), (0.7, 0.9), wid="a")
         w2 = worker((0.8, 0.75), (0.7, 0.9), wid="b")
-        pa = compose_policy_accuracy(Policy(np.array([0.3, 0.7])), [w1, w2])
-        assert np.allclose(pa.matrix_z0.entries, w1.matrix(0).entries)
-        assert np.allclose(pa.matrix_z1.entries, w1.matrix(1).entries)
+        mixed = compose_policy_accuracy(Policy(np.array([0.3, 0.7])), as_population([w1, w2]))
+        assert np.allclose(mixed, w1.correct)
 
     def test_half_half_average(self):
-        # frozen hand arithmetic: entrywise average of the two matrices
+        # frozen hand arithmetic: entrywise average of the two workers' correctness
         a = worker((0.8, 0.7), (0.75, 0.85), wid="a")  # a: z0 fpr 0.2
         b = worker((0.6, 0.9), (0.65, 0.8), wid="b")  # b: z0 fpr 0.4
-        pa = compose_policy_accuracy(Policy(np.array([0.5, 0.5])), [a, b])
-        assert pa.matrix_z0[0, 1] == pytest.approx(0.3, abs=1e-15)
-        assert np.allclose(pa.matrix_z0.entries, [[0.7, 0.3], [0.2, 0.8]])
-        assert np.allclose(pa.matrix_z1.entries, [[0.7, 0.3], [0.175, 0.825]])
+        mixed = compose_policy_accuracy(Policy(np.array([0.5, 0.5])), as_population([a, b]))
+        assert 1.0 - mixed[0, 0] == pytest.approx(0.3, abs=1e-15)
+        assert np.allclose(mixed, [[0.7, 0.8], [0.7, 0.825]])
 
     def test_dimension_mismatch(self):
+        workers = as_population([worker((0.8, 0.8), (0.8, 0.8), wid=f"w{i}") for i in range(2)])
         with pytest.raises(DimensionMismatchError):
-            compose_policy_accuracy(Policy(np.array([1.0])), [])
+            compose_policy_accuracy(Policy(np.array([1.0])), workers)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_rows_sum_to_one(self, data):
+    def test_mixture_is_a_correctness_array(self, data):
         n = data.draw(st.integers(min_value=1, max_value=6))
-        workers = data.draw(worker_lists(n))
+        workers = data.draw(populations(n))
         policy = data.draw(policies(n))
-        pa = compose_policy_accuracy(policy, workers)
-        for m in (pa.matrix_z0, pa.matrix_z1):
-            assert np.all(np.abs(m.entries.sum(axis=1) - 1.0) <= 1e-9)
+        mixed = compose_policy_accuracy(policy, workers)
+        assert mixed.shape == (2, 2)
+        assert np.all((mixed >= 0.0) & (mixed <= 1.0))
 
 
 class TestExpectedAccuracy:
     def test_perfect_workers(self):
-        ws = [worker((1.0, 1.0), (1.0, 1.0), wid=f"w{i}") for i in range(3)]
+        ws = as_population([worker((1.0, 1.0), (1.0, 1.0), wid=f"w{i}") for i in range(3)])
         p = Policy(np.array([0.2, 0.3, 0.5]))
         assert expected_accuracy(p, ws, Priors(0.4, 0.1, 0.9)) == pytest.approx(1.0)
 
     def test_uniform_diagonal_prior_independent(self):
         w = worker((0.8, 0.8), (0.8, 0.8))
         for priors in (Priors(0.1, 0.2, 0.3), Priors(0.9, 0.8, 0.7)):
-            got = expected_accuracy(Policy(np.array([1.0])), [w], priors)
+            got = expected_accuracy(Policy(np.array([1.0])), as_population([w]), priors)
             assert got == pytest.approx(0.8)
 
     def test_frozen_four_term_sum(self):
@@ -161,7 +160,7 @@ class TestExpectedAccuracy:
         w2 = worker((0.6, 0.95), (0.75, 0.85), wid="b")
         priors = Priors(p_z1=0.4, p_y1_given_z0=0.3, p_y1_given_z1=0.55)
         policy = Policy(np.array([0.3, 0.7]))
-        assert expected_accuracy(policy, [w1, w2], priors) == pytest.approx(0.7555, abs=1e-12)
+        assert expected_accuracy(policy, as_population([w1, w2]), priors) == pytest.approx(0.7555, abs=1e-12)
         assert loop_expected_accuracy([0.3, 0.7], [w1, w2], priors) == pytest.approx(
             0.7555, abs=1e-12
         )
@@ -170,7 +169,7 @@ class TestExpectedAccuracy:
     @given(st.data())
     def test_linear_in_policy(self, data):
         n = data.draw(st.integers(min_value=2, max_value=5))
-        workers = data.draw(worker_lists(n))
+        workers = data.draw(populations(n))
         p1 = data.draw(policies(n))
         p2 = data.draw(policies(n))
         lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
@@ -186,7 +185,7 @@ class TestExpectedAccuracy:
     @given(st.data())
     def test_matches_loop_oracle(self, data):
         n = data.draw(st.integers(min_value=1, max_value=5))
-        workers = data.draw(worker_lists(n))
+        workers = data.draw(populations(n))
         policy = data.draw(policies(n))
         priors = Priors(0.25, 0.7, 0.4)
         assert expected_accuracy(policy, workers, priors) == pytest.approx(
@@ -195,38 +194,36 @@ class TestExpectedAccuracy:
 
 
 class TestFairnessGap:
-    def test_equal_matrices_zero_for_every_kind(self):
-        m = AccuracyMatrix.from_diagonals(0.8, 0.7)
-        pa = PolicyAccuracy(matrix_z0=m, matrix_z1=m)
+    def test_equal_groups_zero_for_every_kind(self):
+        mixed = np.array([[0.8, 0.7], [0.8, 0.7]])
         for kind in (FairnessKind.FPR_PARITY, FairnessKind.FNR_PARITY, FairnessKind.ERROR_RATE_PARITY):
-            assert fairness_gap(pa, kind) == 0.0
+            assert fairness_gap(mixed, kind) == 0.0
 
     def test_fpr_absolute_difference(self):
-        pa = PolicyAccuracy(
-            matrix_z0=AccuracyMatrix.from_diagonals(0.75, 0.8),  # fpr 0.25
-            matrix_z1=AccuracyMatrix.from_diagonals(0.90, 0.8),  # fpr 0.10
-        )
-        assert fairness_gap(pa, FairnessKind.FPR_PARITY) == pytest.approx(0.15)
+        mixed = np.array([[0.75, 0.8], [0.90, 0.8]])  # fpr 0.25 against 0.10
+        assert fairness_gap(mixed, FairnessKind.FPR_PARITY) == pytest.approx(0.15)
 
     def test_error_rate_takes_max(self):
-        pa = PolicyAccuracy(
-            matrix_z0=AccuracyMatrix.from_diagonals(0.75, 0.80),  # fpr 0.25, fnr 0.20
-            matrix_z1=AccuracyMatrix.from_diagonals(0.90, 0.85),  # fpr 0.10, fnr 0.15
-        )
-        assert fairness_gap(pa, FairnessKind.FPR_PARITY) == pytest.approx(0.15)
-        assert fairness_gap(pa, FairnessKind.FNR_PARITY) == pytest.approx(0.05)
-        assert fairness_gap(pa, FairnessKind.ERROR_RATE_PARITY) == pytest.approx(0.15)
+        mixed = np.array([[0.75, 0.80], [0.90, 0.85]])  # fpr 0.25, fnr 0.20 against fpr 0.10, fnr 0.15
+        assert fairness_gap(mixed, FairnessKind.FPR_PARITY) == pytest.approx(0.15)
+        assert fairness_gap(mixed, FairnessKind.FNR_PARITY) == pytest.approx(0.05)
+        assert fairness_gap(mixed, FairnessKind.ERROR_RATE_PARITY) == pytest.approx(0.15)
+
+    def test_matches_the_accuracy_matrices_bit_for_bit(self):
+        mixed = np.array([[0.7531, 0.6], [0.9117, 0.8125]])
+        z0, z1 = (AccuracyMatrix.from_diagonals(*mixed[z]) for z in (0, 1))
+        assert fairness_gap(mixed, FairnessKind.FPR_PARITY) == abs(z0.fpr - z1.fpr)
+        assert fairness_gap(mixed, FairnessKind.FNR_PARITY) == abs(z0.fnr - z1.fnr)
 
     def test_none_kind_rejected(self):
-        m = AccuracyMatrix.from_diagonals(0.8, 0.7)
         with pytest.raises(ValueError):
-            fairness_gap(PolicyAccuracy(m, m), FairnessKind.NONE)
+            fairness_gap(np.array([[0.8, 0.7], [0.8, 0.7]]), FairnessKind.NONE)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_convexity_and_worker_bound(self, data):
         n = data.draw(st.integers(min_value=2, max_value=5))
-        workers = data.draw(worker_lists(n))
+        workers = data.draw(populations(n))
         p1 = data.draw(policies(n))
         p2 = data.draw(policies(n))
         lam = data.draw(st.floats(min_value=0.0, max_value=1.0))
@@ -240,9 +237,7 @@ class TestFairnessGap:
         g1 = fairness_gap(compose_policy_accuracy(p1, workers), kind)
         g2 = fairness_gap(compose_policy_accuracy(p2, workers), kind)
         assert g_blend <= lam * g1 + (1.0 - lam) * g2 + 1e-9
-        single = [
-            fairness_gap(PolicyAccuracy(w.matrix(0), w.matrix(1)), kind) for w in workers
-        ]
+        single = [fairness_gap(c, kind) for c in workers.correct]
         assert g_blend <= max(single) + 1e-9
 
 
@@ -300,3 +295,59 @@ class TestWorkerProfile:
         assert w.matrix(1) == AccuracyMatrix.from_diagonals(0.6, 0.9)
         with pytest.raises(ValueError):
             w.matrix(2)
+
+
+class TestPopulation:
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="population needs at least one worker"):
+            Population(ids=(), correct=np.zeros((0, 2, 2)), cost=np.zeros(0))
+
+    @pytest.mark.parametrize("correct, cost", [
+        (np.full((2, 2, 2), 0.8), np.ones(3)),
+        (np.full((3, 2, 3), 0.8), np.ones(3)),
+        (np.full((3, 4), 0.8), np.ones(3)),
+        (np.full((3, 2, 2), 0.8), np.ones(2)),
+        (np.full((3, 2, 2), 0.8), np.ones((3, 1))),
+    ])
+    def test_rejects_mismatched_shapes(self, correct, cost):
+        with pytest.raises(ValueError) as err:
+            Population(ids=("a", "b", "c"), correct=correct, cost=cost)
+        assert str(err.value) == (
+            f"3 workers need correct of shape (3, 2, 2) [i, z, y] and cost of shape (3,), "
+            f"got {correct.shape} and {cost.shape}"
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, 1.0 + 1e-12])
+    def test_entry_checks_keep_the_worker_message(self, bad):
+        correct = ((0.8, bad), (0.8, 0.8))
+        with pytest.raises(ValueError) as want:
+            worker(*correct)
+        with pytest.raises(ValueError) as got:
+            Population(ids=("a", "b"), correct=[((0.8, 0.8), (0.8, 0.8)), correct], cost=[1.0, 1.0])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cost", [-1.0, math.inf, math.nan])
+    def test_cost_checks_keep_the_worker_message(self, cost):
+        with pytest.raises(ValueError) as want:
+            worker((0.8, 0.8), (0.8, 0.8), cost=cost)
+        with pytest.raises(ValueError) as got:
+            Population(ids=("a", "b"), correct=np.full((2, 2, 2), 0.8), cost=[2.0, cost])
+        assert str(got.value) == str(want.value)
+
+    def test_arrays_are_read_only_copies(self):
+        correct, cost = np.full((2, 2, 2), 0.8), np.array([1.0, 2.0])
+        population = Population(ids=["a", "b"], correct=correct, cost=cost)
+        correct[0, 0, 0], cost[0] = 0.1, 5.0
+        assert population.correct[0, 0, 0] == 0.8 and population.cost[0] == 1.0
+        assert population.ids == ("a", "b")
+        for array in (population.correct, population.cost):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_rows_are_worker_profiles(self):
+        population = Population(ids=("w0", "w1", "w2"), correct=[((0.8, 0.7), (0.6, 0.9))] * 3, cost=[2.5] * 3)
+        assert len(population) == 3
+        assert population[1] == worker((0.8, 0.7), (0.6, 0.9), cost=2.5, wid="w1")
+        assert [w.id for w in population] == ["w0", "w1", "w2"]
+        with pytest.raises(IndexError):
+            population[3]

@@ -9,22 +9,19 @@ from crowdfdb import (
     GoldPhaseConfig,
     GoldResponseTally,
     LpStatus,
+    Population,
     Priors,
-    WorkerProfile,
     build_policy,
     compose_policy_accuracy,
     fairness_gap,
-    make_binding_fairness_instance,
 )
+from fixtures import make_binding_fairness_instance
 
 PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
 
 def perfect_workers(n):
-    return [
-        WorkerProfile(id=f"w{i}", correct=np.ones((2, 2)), cost=1.0)
-        for i in range(n)
-    ]
+    return Population(ids=tuple(f"w{i}" for i in range(n)), correct=np.ones((n, 2, 2)), cost=np.ones(n))
 
 
 class TestBuildPolicy:
@@ -83,6 +80,16 @@ class TestBuildPolicy:
         # the optimum leans on the worker whose recorded tallies are perfect
         assert result.policy.weights[1] == pytest.approx(0.9, abs=1e-9)
 
+    def test_tallies_follow_the_population_order_not_the_file_order(self):
+        workers = Population(ids=("b", "a"), correct=np.ones((2, 2, 2)), cost=np.ones(2))
+        tallies = [
+            ("a", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(10, 10, 10, 10))),
+            ("b", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(5, 5, 5, 5))),
+        ]
+        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
+        result = build_policy(workers, GoldPhaseConfig(10), PRIORS, cs, seed=0, tallies=tallies)
+        assert result.estimates[:, 0, 0].tolist() == [0.5, 1.0]
+
     def test_tallies_missing_worker_rejected(self):
         workers = perfect_workers(2)
         tallies = [("w0", GoldResponseTally(attempted=(5, 5, 5, 5), correct=(5, 5, 5, 5)))]
@@ -105,10 +112,7 @@ class TestBuildPolicy:
         alpha = 0.02
         for trial in range(3):
             diag = rng.uniform(0.55, 0.95, size=(8, 4))
-            workers = [
-                WorkerProfile(id=f"w{i}", correct=d.reshape(2, 2), cost=1.0)
-                for i, d in enumerate(diag)
-            ]
+            workers = Population(ids=tuple(f"w{i}" for i in range(8)), correct=diag.reshape(8, 2, 2), cost=np.ones(8))
             cs = ConstraintSet(
                 alpha=alpha, beta=0.3, budget=math.inf, fairness_kind=FairnessKind.FPR_PARITY
             )

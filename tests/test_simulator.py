@@ -26,6 +26,7 @@ from crowdfdb import (
 )
 from crowdfdb import simulator
 from crowdfdb.simulator import RESULTS_COLUMNS, RunInputs
+from fixtures import make_binding_fairness_instance
 from oracles import recount_scores
 
 
@@ -138,8 +139,6 @@ class TestRunOnce:
         assert report.lp_status == "infeasible"
 
     def test_random_on_mirrored_pairs_is_nearly_fair(self):
-        from crowdfdb import make_binding_fairness_instance
-
         workers = make_binding_fairness_instance(0.3, 3, seed=21)
         cfg = base_config(
             method="Random",
@@ -188,7 +187,7 @@ class TestRunOnce:
 
         workers, tasks, priors = resolve_inputs(cfg)
         estimates = run_gold_phase(workers, cfg.gold, mix(cfg.seed, "goldphase", 10, 0))
-        plan = greedy_plan(estimates, [w.cost for w in workers], priors, 0.04, len(tasks))
+        plan = greedy_plan(estimates, workers.cost, priors, 0.04, len(tasks))
         cap = math.floor(0.04 * len(tasks))
         assert max(plan.counts) <= cap
         assert sum(plan.counts) == len(tasks)
