@@ -35,6 +35,7 @@ from .estimation import (
     EstimationError,
     GoldPhaseConfig,
     GoldResponseTally,
+    GoldTallies,
     estimate_matrices,
     estimate_tallies,
     run_gold_phase,

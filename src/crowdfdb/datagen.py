@@ -17,6 +17,8 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
            label for a task with known group and truth; load_responses
            aggregates these into per-worker gold tallies, so externally
            collected answer sets can drive estimation directly.
+           Both tally sources are held as one GoldTallies of (n, z, y)
+           count arrays.
 
 Worker and gold-tally ids must not repeat.  Loaders reject unknown or
 missing columns and report the first malformed row in file order by line
@@ -25,10 +27,12 @@ csv parser rejects, a wrong field count, a bad value or a repeated id.
 Task and response files are read as byte blocks of whole lines, checked and
 counted with numpy; a file in any form but LF line endings, unquoted fields
 and single-byte 0/1 bits is read again through the csv parser row by row,
-which gives the same result or reports the error.  Worker and tally files
-are read through the csv parser in blocks of rows, each checked a column at
-a time into arrays; a block that fails is parsed again row by row for that
-error.  A worker file must hold at least one worker.
+which gives the same result or reports the error.  Worker files are read
+through the csv parser in blocks of rows, each checked a column at a time
+into arrays; a block that fails is parsed again row by row for that error.
+Tally files are read through the csv parser and checked one row at a time,
+their counts collected into arrays.  A worker, tally or response file must
+hold at least one data row.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import GoldResponseTally
+from .estimation import GoldTallies, check_counts
 from .model import TOL, AccuracyMatrix, Population
 from .rng import random_rows, stream
 
@@ -570,54 +574,53 @@ def _task_pool(blocks) -> TaskPool:
     return TaskPool(ids=tuple(ids), z=z, y=y)
 
 
-def save_gold_tallies(
-    tallies: list[tuple[str, GoldResponseTally]], path: str | Path
-) -> None:
+def save_gold_tallies(tallies: GoldTallies, path: str | Path) -> None:
+    counts = np.stack([tallies.attempted, tallies.correct], axis=-1).reshape(-1, 8)  # [i, (type, kind)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(_TALLY_COLUMNS)
-        for worker_id, tally in tallies:
-            row = [worker_id]
-            for attempted, correct in zip(tally.attempted, tally.correct):
-                row.extend([attempted, correct])
-            writer.writerow(row)
+        writer.writerows([worker_id, *row] for worker_id, row in zip(tallies.ids, counts.tolist()))
 
 
-def load_gold_tallies(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
-    """Recorded tallies in file order; an id may appear once."""
-    out = []
+def load_gold_tallies(path: str | Path) -> GoldTallies:
+    """Recorded tallies in file order, checked row by row; an id may appear
+    once, and the file must hold at least one tally."""
+    counts = []  # [row, (z, y, kind)], in column order
     seen: dict[str, int] = {}
     with _data_rows(path, _TALLY_COLUMNS) as blocks:
         for first, rows in blocks:
             for lineno, row in enumerate(rows, first):
                 _check_row(path, lineno, row, len(_TALLY_COLUMNS))
-                numbers = [
-                    _parse_int(path, lineno, field, raw)
-                    for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])
-                ]
+                numbers = [_parse_count(path, lineno, field, raw) for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])]
                 try:
-                    tally = GoldResponseTally(
-                        attempted=tuple(numbers[0::2]), correct=tuple(numbers[1::2])
-                    )
+                    check_counts(numbers[0::2], numbers[1::2])
                 except ValueError as err:
                     raise FileFormatError(f"{path} line {lineno}: {err}")
                 _check_new_id(path, lineno, row[0], seen)
-                out.append((row[0], tally))
-    return out
+                counts.append(numbers)
+    counts = np.array(counts, dtype=np.int64).reshape(-1, 8)
+    return _file_tallies(path, list(seen), counts[:, 0::2], counts[:, 1::2])
 
 
-def load_responses(path: str | Path) -> list[tuple[str, GoldResponseTally]]:
+def _parse_count(path, lineno: int, field: str, raw: str) -> int:
+    value = _parse_int(path, lineno, field, raw)
+    if value >= 2**63:  # beyond int64; a count below 0 is left to check_counts
+        raise FileFormatError(f"{path} line {lineno}: field {field} exceeds the largest count, {2**63 - 1}")
+    return value
+
+
+def load_responses(path: str | Path) -> GoldTallies:
     """Aggregate raw labeled responses into per-worker gold tallies.
 
     Every row records one collected label on a task whose group and true
     label are known, so each row contributes one attempt to the worker's
-    (z, y) type tally, correct when answer == y.  Workers are returned in
-    order of first appearance.
+    (z, y) type tally, correct when answer == y.  Workers are held in order
+    of first appearance, and the file must hold at least one response.
     """
-    return _read_bit_file(path, _RESPONSE_COLUMNS, 2, _tally_responses)
+    return _file_tallies(path, *_read_bit_file(path, _RESPONSE_COLUMNS, 2, _tally_responses))
 
 
-def _tally_responses(blocks) -> list[tuple[str, GoldResponseTally]]:
+def _tally_responses(blocks) -> tuple[list[str], np.ndarray, np.ndarray]:
     codes: dict[str, int] = {}  # worker id -> order of first appearance
     # counts[4 * code + 2 * z + y]: a worker's four types in TYPE_ORDER, z-major
     attempted = correct = np.zeros(0, dtype=np.intp)
@@ -626,10 +629,14 @@ def _tally_responses(blocks) -> list[tuple[str, GoldResponseTally]]:
         kind = 4 * np.repeat(run_codes, repeats) + 2 * z + y
         attempted = _add_counts(attempted, kind, 4 * len(codes))
         correct = _add_counts(correct, kind[answer == y], 4 * len(codes))
-    return [
-        (wid, GoldResponseTally(attempted=tuple(a), correct=tuple(c)))
-        for wid, a, c in zip(codes, attempted.reshape(-1, 4).tolist(), correct.reshape(-1, 4).tolist())
-    ]
+    return list(codes), attempted, correct
+
+
+def _file_tallies(path, ids: list[str], attempted: np.ndarray, correct: np.ndarray) -> GoldTallies:
+    try:
+        return GoldTallies(ids=tuple(ids), attempted=attempted.reshape(-1, 2, 2), correct=correct.reshape(-1, 2, 2))
+    except ValueError as err:  # every row was checked as it was read, so the file holds none
+        raise FileFormatError(f"{path} line 1: {err}") from None
 
 
 def _add_counts(total: np.ndarray, kind: np.ndarray, size: int) -> np.ndarray:

@@ -3,12 +3,14 @@
 Each worker answers n_gold_per_type tasks of every (z, y) type; the
 fraction answered correctly is the estimated P(correct | z, y), entry
 [i, z, y] of the (n, z, y) array that run_gold_phase and estimate_tallies
-return; simulate_gold_tally and estimate_matrices are the per-worker
-reference they match bit for bit.
+return.  Recorded counts are held as one GoldTallies of (n, z, y) arrays;
+GoldResponseTally, simulate_gold_tally and estimate_matrices are the
+per-worker reference they match bit for bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +46,82 @@ class GoldPhaseConfig:
             raise ValueError(f"n_gold_per_type must be >= 1, got {n}")
 
 
+def check_counts(attempted, correct) -> None:
+    """Reject the first type, in TYPE_ORDER, of four attempted/correct counts
+    that does not have 0 <= correct <= attempted."""
+    for (z, y), a, c in zip(TYPE_ORDER, attempted, correct, strict=True):
+        if not 0 <= c <= a:
+            raise ValueError(
+                f"tally for type (z={z}, y={y}) needs 0 <= correct <= attempted, "
+                f"got correct={c} attempted={a}"
+            )
+
+
 @dataclass(frozen=True)
 class GoldResponseTally:
-    """Attempted/correct counts per (z, y) task type for one worker."""
+    """Attempted/correct counts per (z, y) task type for one worker: four
+    integers each."""
 
     attempted: tuple[int, int, int, int]  # ordered as TYPE_ORDER
     correct: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        for (z, y), a, c in zip(TYPE_ORDER, self.attempted, self.correct):
-            if a < 0 or c < 0 or c > a:
-                raise ValueError(
-                    f"tally for type (z={z}, y={y}) needs 0 <= correct <= attempted, "
-                    f"got correct={c} attempted={a}"
-                )
+        for name in ("attempted", "correct"):
+            counts = getattr(self, name)
+            integers = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts)
+            if len(counts) != 4 or not integers:
+                raise ValueError(f"tally {name} needs 4 integer counts, one per type, got {counts!r}")
+        check_counts(self.attempted, self.correct)
 
     def get(self, z: int, y: int) -> tuple[int, int]:
         idx = TYPE_ORDER.index((z, y))
         return self.attempted[idx], self.correct[idx]
+
+
+@dataclass(frozen=True, eq=False)
+class GoldTallies:
+    """Gold tallies in order: worker ids, and read-only int64 counts
+    attempted[i, z, y] and correct[i, z, y]; validated once, when they are
+    built.
+
+    Iterating yields (id, GoldResponseTally) pairs, built on demand; the
+    package itself reads only the arrays.
+    """
+
+    ids: tuple[str, ...]
+    attempted: np.ndarray
+    correct: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids, n = tuple(self.ids), len(self.ids)
+        if n == 0:
+            raise ValueError("gold tallies need at least one worker")
+        for name in ("attempted", "correct"):
+            counts = np.asarray(getattr(self, name))
+            if counts.shape != (n, 2, 2) or counts.dtype.kind not in "iu":
+                raise ValueError(
+                    f"{n} gold tallies need integer {name} of shape ({n}, 2, 2) [i, z, y], "
+                    f"got {counts.dtype} of shape {counts.shape}"
+                )
+            counts = counts.astype(np.int64)  # a copy, so the caller's array stays theirs
+            counts.flags.writeable = False
+            object.__setattr__(self, name, counts)
+        valid = ((self.correct >= 0) & (self.correct <= self.attempted)).all(axis=(1, 2))
+        if not valid.all():
+            i = valid.argmin()
+            check_counts(self.attempted[i].ravel().tolist(), self.correct[i].ravel().tolist())
+        if len(set(ids)) != n:
+            repeated = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ValueError(f"gold tallies repeat worker id {repeated!r}")
+        object.__setattr__(self, "ids", ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        attempted, correct = self.attempted.reshape(-1, 4).tolist(), self.correct.reshape(-1, 4).tolist()
+        for worker_id, a, c in zip(self.ids, attempted, correct):
+            yield worker_id, GoldResponseTally(attempted=tuple(a), correct=tuple(c))
 
 
 def estimate_matrices(
@@ -101,15 +161,14 @@ def simulate_gold_tally(
     return GoldResponseTally(attempted=tuple(attempted), correct=tuple(correct))
 
 
-def estimate_tallies(tallies: list[GoldResponseTally], smoothing: bool = False) -> np.ndarray:
-    """Estimated (n, z, y) correctness array: estimate_matrices for every tally."""
-    attempted = np.array([t.attempted for t in tallies]).reshape(-1, 2, 2)
-    correct = np.array([t.correct for t in tallies]).reshape(-1, 2, 2)
-    empty = np.argwhere(attempted == 0)
+def estimate_tallies(tallies: GoldTallies, smoothing: bool = False) -> np.ndarray:
+    """Estimated (n, z, y) correctness array: estimate_matrices for every
+    worker's tally; the first worker with a type it never attempted is named."""
+    empty = np.argwhere(tallies.attempted == 0)
     if empty.size:
-        _, z, y = empty[0]
-        raise EstimationError(f"no gold tasks attempted for type (z={z}, y={y})")
-    return (correct + smoothing) / (attempted + 2 * smoothing)  # smoothing: one success, one failure
+        i, z, y = empty[0]
+        raise EstimationError(f"worker {tallies.ids[i]}: no gold tasks attempted for type (z={z}, y={y})")
+    return (tallies.correct + smoothing) / (tallies.attempted + 2 * smoothing)  # one success, one failure
 
 
 def word_limits(p: np.ndarray) -> np.ndarray:

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundQuery, fairness_violation_bound
-from .estimation import (
-    EstimationError,
-    GoldPhaseConfig,
-    GoldResponseTally,
-    estimate_tallies,
-    run_gold_phase,
-)
+from .estimation import GoldPhaseConfig, GoldTallies, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
 from .model import Policy, Population, Priors
 
@@ -48,32 +41,29 @@ def build_policy(
     priors: Priors,
     constraints: ConstraintSet,
     seed: int,
-    tallies: list[tuple[str, GoldResponseTally]] | None = None,
+    tallies: GoldTallies | None = None,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> PipelineResult:
     """Estimate every worker, build the LP, and solve it.
 
     When recorded gold tallies are supplied they are matched to workers by
-    id, which must not repeat, and used instead of simulated gold
-    responses; otherwise worker i's responses are drawn from the stream
-    (seed, "gold", i).
+    id and used instead of simulated gold responses; tallies of other
+    workers are ignored.  Otherwise worker i's responses are drawn from the
+    stream (seed, "gold", i).
     """
     if tallies is None:
         estimates = run_gold_phase(population, gold_cfg, seed)
     else:
-        by_id = dict(tallies)
-        if len(by_id) != len(tallies):
-            repeated = next(i for i, count in Counter(i for i, _ in tallies).items() if count > 1)
-            raise ValueError(f"gold tallies repeat worker id {repeated!r}")
-        missing = [i for i in population.ids if i not in by_id]
-        if missing:
-            raise ValueError(f"gold tallies missing for workers: {', '.join(missing)}")
-        ordered = [by_id[i] for i in population.ids]
-        try:
-            estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
-        except EstimationError as err:
-            worker = next(i for i, tally in zip(population.ids, ordered) if 0 in tally.attempted)
-            raise EstimationError(f"worker {worker}: {err}") from None
+        row = dict(zip(tallies.ids, range(len(tallies))))
+        order = np.fromiter((row.get(i, -1) for i in population.ids), dtype=np.intp, count=len(population))
+        missing = np.flatnonzero(order < 0)
+        if missing.size:
+            raise ValueError(
+                f"gold tallies missing for {missing.size} of {len(population)} workers, "
+                f"first {population.ids[missing[0]]!r}"
+            )
+        ordered = GoldTallies(population.ids, tallies.attempted[order], tallies.correct[order])
+        estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
 
     lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)

@@ -325,10 +325,37 @@ def reference_load_workers(path):
     return workers
 
 
+def reference_load_gold_tallies(path):
+    """load_gold_tallies as the per-row loop it replaced: each row's counts
+    parsed in turn and validated as a GoldResponseTally; a list of (id,
+    tally) pairs, which must not be empty and whose counts must fit int64."""
+    from crowdfdb.datagen import _TALLY_COLUMNS, FileFormatError, _parse_int
+    from crowdfdb.estimation import GoldResponseTally
+
+    out, seen = [], {}
+    for lineno, row in _reference_rows(path, _TALLY_COLUMNS):
+        numbers = []
+        for field, raw in zip(_TALLY_COLUMNS[1:], row[1:]):
+            numbers.append(_parse_int(path, lineno, field, raw))
+            if numbers[-1] >= 2**63:
+                raise FileFormatError(f"{path} line {lineno}: field {field} exceeds the largest count, {2**63 - 1}")
+        try:
+            tally = GoldResponseTally(attempted=tuple(numbers[0::2]), correct=tuple(numbers[1::2]))
+        except ValueError as err:
+            raise FileFormatError(f"{path} line {lineno}: {err}")
+        if row[0] in seen:
+            raise FileFormatError(f"{path} line {lineno}: repeated id {row[0]!r}, first on line {seen[row[0]]}")
+        seen[row[0]] = lineno
+        out.append((row[0], tally))
+    if not out:
+        raise FileFormatError(f"{path} line 1: gold tallies need at least one worker")
+    return out
+
+
 def reference_load_responses(path):
     """load_responses as the per-row loop it replaced: three bits parsed per
-    row, and per-worker count lists in dicts."""
-    from crowdfdb.datagen import _RESPONSE_COLUMNS, _parse_bit
+    row, and per-worker count lists in dicts; the file must hold a response."""
+    from crowdfdb.datagen import _RESPONSE_COLUMNS, FileFormatError, _parse_bit
     from crowdfdb.estimation import TYPE_ORDER, GoldResponseTally
 
     attempted, correct = {}, {}
@@ -344,6 +371,8 @@ def reference_load_responses(path):
         attempted[worker_id][idx] += 1
         if answer == y:
             correct[worker_id][idx] += 1
+    if not attempted:
+        raise FileFormatError(f"{path} line 1: gold tallies need at least one worker")
     return [
         (wid, GoldResponseTally(attempted=tuple(attempted[wid]), correct=tuple(correct[wid])))
         for wid in attempted

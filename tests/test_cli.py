@@ -276,6 +276,21 @@ class TestPolicy:
         assert code == 2
         assert f"{tallies} line 6: repeated id 'w0001', first on line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, header", [
+        ("--tallies", "id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1"),
+        ("--responses", "worker_id,task_id,answer,z,y"),
+    ])
+    def test_header_only_gold_file_exits_2_naming_line_1(self, tmp_path, capsys, flag, header):
+        source = tmp_path / "gold.csv"
+        source.write_text(header + "\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", flag, source, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {source} line 1: gold tallies need at least one worker\n"
+        assert len(err.encode()) < 200
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["--workers-file", "--responses"])
     def test_missing_input_file_exits_2(self, tmp_path, capsys, missing):
         workers, responses, _ = write_gold_files(tmp_path, n_workers=4)
@@ -306,7 +321,7 @@ def write_gold_files(tmp_path, n_workers, per_type=6, skip=None):
     (id, z, y) in `skip` gets no responses."""
     import numpy as np
 
-    from crowdfdb import GoldResponseTally, load_workers, save_gold_tallies
+    from crowdfdb import GoldTallies, load_workers, save_gold_tallies
 
     workers = tmp_path / "workers.csv"
     cfg = tmp_path / "linked.cfg"
@@ -315,23 +330,22 @@ def write_gold_files(tmp_path, n_workers, per_type=6, skip=None):
                     "--workers-out", workers, "--tasks-out", tmp_path / "tasks.csv"]) == 0
     rng = np.random.default_rng(8)
     responses = tmp_path / "responses.csv"
-    tallies = []
+    population = load_workers(workers)
+    attempted = np.zeros((len(population), 2, 2), dtype=int)
+    correct = np.zeros_like(attempted)
     with open(responses, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["worker_id", "task_id", "answer", "z", "y"])
-        for worker in load_workers(workers):
-            attempted, correct = [], []
+        for i, worker_id in enumerate(population.ids):
             for z, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                count = 0 if (worker.id, z, y) == skip else per_type
-                right = rng.random(count) < worker.correct[z, y]
+                count = 0 if (worker_id, z, y) == skip else per_type
+                right = rng.random(count) < population.correct[i, z, y]
                 writer.writerows(
-                    (worker.id, f"g{z}{y}-{j}", y if ok else 1 - y, z, y) for j, ok in enumerate(right)
+                    (worker_id, f"g{z}{y}-{j}", y if ok else 1 - y, z, y) for j, ok in enumerate(right)
                 )
-                attempted.append(count)
-                correct.append(int(right.sum()))
-            tallies.append((worker.id, GoldResponseTally(tuple(attempted), tuple(correct))))
+                attempted[i, z, y], correct[i, z, y] = count, right.sum()
     tally_file = tmp_path / "tallies.csv"
-    save_gold_tallies(tallies, tally_file)
+    save_gold_tallies(GoldTallies(population.ids, attempted, correct), tally_file)
     return workers, responses, tally_file
 
 

@@ -8,6 +8,7 @@ from crowdfdb import (
     FairnessKind,
     FileFormatError,
     GoldResponseTally,
+    GoldTallies,
     IntervalBiasModel,
     Policy,
     PopulationSpec,
@@ -38,6 +39,7 @@ from crowdfdb import (
     save_tasks,
     save_workers,
 )
+from crowdfdb import cli
 from crowdfdb.model import label_one_probabilities
 
 from fixtures import as_population, make_binding_fairness_instance
@@ -130,7 +132,7 @@ class TestGeneratePopulation:
         constraints = ConstraintSet(alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
         assert run_gold_phase(population, gold, seed=3).shape == (30, 2, 2)
         build_policy(population, gold, priors, constraints, seed=3)
-        tallies = [(i, GoldResponseTally((5,) * 4, (4, 3, 2, 1))) for i in population.ids]
+        tallies = GoldTallies(population.ids, np.full((30, 2, 2), 5), np.tile([[4, 3], [2, 1]], (30, 1, 1)))
         build_policy(population, gold, priors, constraints, seed=3, tallies=tallies)
         for method in ("CrowdFDB", "Random", "Greedy"):
             cfg = ExperimentConfig(
@@ -139,6 +141,30 @@ class TestGeneratePopulation:
             )
             assert len(run_experiment(cfg)[0].reports) == 2
 
+
+    def test_no_runtime_path_builds_a_gold_response_tally(self, monkeypatch, tmp_path):
+        def forbidden(self):
+            raise AssertionError("a GoldResponseTally was constructed")
+
+        monkeypatch.setattr(GoldResponseTally, "__post_init__", forbidden)
+        workers, responses, tallies = (tmp_path / name for name in ("workers.csv", "responses.csv", "tallies.csv"))
+        population = generate_population(default_population_spec(n_workers=12))
+        save_workers(population, workers)
+        with open(responses, "w", encoding="utf-8") as handle:
+            handle.write("worker_id,task_id,answer,z,y\n")
+            handle.writelines(f"{i},g{z}{y}-{j},{(j + k) % 2},{z},{y}\n" for k, i in enumerate(population.ids)
+                              for z in (0, 1) for y in (0, 1) for j in range(3))
+        save_gold_tallies(load_responses(responses), tallies)
+        loaded = load_gold_tallies(tallies)
+        assert loaded.ids == population.ids
+        gold, priors = GoldPhaseConfig(3), Priors(0.5, 0.4, 0.6)
+        constraints = ConstraintSet(alpha=0.05, beta=0.2, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
+        assert build_policy(population, gold, priors, constraints, seed=3, tallies=loaded).estimates.shape == (12, 2, 2)
+        for flag, source in (("--responses", responses), ("--tallies", tallies)):
+            out = tmp_path / f"policy{flag}.csv"
+            args = ["policy", "--workers-file", workers, flag, source, "--gold", 3, "--beta", 0.2, "--out", out]
+            assert cli.main([str(a) for a in args]) == 0
+            assert out.exists()
 
     def test_generated_profiles_always_valid(self):
         # validity is enforced by the Population constructor;
@@ -310,13 +336,36 @@ class TestFileRoundTrips:
         assert loaded.z.dtype == loaded.y.dtype == np.int8
 
     def test_tallies_round_trip(self, tmp_path):
-        tallies = [
+        attempted = np.array([[[5, 5], [5, 5]], [[9, 9], [9, 9]]])
+        correct = np.array([[[5, 3], [0, 4]], [[1, 2], [3, 4]]])
+        path = tmp_path / "gold.csv"
+        save_gold_tallies(GoldTallies(("w0", "w1"), attempted, correct), path)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == ["w0,5,5,5,3,5,0,5,4", "w1,9,1,9,2,9,3,9,4"]
+        loaded = load_gold_tallies(path)
+        assert loaded.ids == ("w0", "w1")
+        assert loaded.attempted.tolist() == attempted.tolist() and loaded.correct.tolist() == correct.tolist()
+        assert loaded.attempted.dtype == loaded.correct.dtype == np.int64
+        assert list(loaded) == [
             ("w0", GoldResponseTally(attempted=(5, 5, 5, 5), correct=(5, 3, 0, 4))),
             ("w1", GoldResponseTally(attempted=(9, 9, 9, 9), correct=(1, 2, 3, 4))),
         ]
-        path = tmp_path / "gold.csv"
-        save_gold_tallies(tallies, path)
-        assert load_gold_tallies(path) == tallies
+
+    @pytest.mark.parametrize("kind", ["tallies", "responses"])
+    def test_header_only_tally_source_rejected_on_line_1(self, tmp_path, kind):
+        loader, header, _ = LOADERS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            loader(path)
+        assert str(err.value) == f"{path} line 1: gold tallies need at least one worker"
+
+    def test_tally_count_beyond_int64_names_its_line_and_field(self, tmp_path):
+        _, header, row = LOADERS["tallies"]
+        path = tmp_path / "tallies.csv"
+        path.write_text(f"{header}\n{row}\nw1,5,5,{2**63},3,5,0,5,4\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            load_gold_tallies(path)
+        assert str(err.value) == f"{path} line 3: field att_z0_y1 exceeds the largest count, {2**63 - 1}"
 
     def test_header_only_worker_file_rejected_on_line_1(self, tmp_path):
         path = tmp_path / "workers.csv"
@@ -490,7 +539,7 @@ class TestLoadResponses:
     def test_bits_that_int_accepts_are_read_as_bits(self, tmp_path):
         responses = tmp_path / "responses.csv"
         responses.write_text("worker_id,task_id,answer,z,y\nw0,t0, 1,+1,01\nw0,t1,0,0,0\n", encoding="utf-8")
-        assert load_responses(responses) == [
+        assert list(load_responses(responses)) == [
             ("w0", GoldResponseTally(attempted=(1, 0, 0, 1), correct=(1, 0, 0, 1)))
         ]
         tasks = tmp_path / "tasks.csv"

@@ -10,6 +10,7 @@ from crowdfdb import (
     EstimationError,
     GoldPhaseConfig,
     GoldResponseTally,
+    GoldTallies,
     WorkerProfile,
     default_population_spec,
     estimate_matrices,
@@ -43,10 +44,87 @@ class TestGoldPhaseConfig:
         assert GoldPhaseConfig(np.int64(3)).n_gold_per_type == 3
 
 
+# (attempted, correct) pairs that are not four integer counts per type
+MALFORMED_TALLIES = {
+    "five entries": ((5, 5, 5, 5, 5), (5, 5, 5, 5, 9)),
+    "three entries": ((5, 5, 5), (5, 5, 5)),
+    "float count": ((5.5, 5, 5, 5), (1, 1, 1, 1)),
+    "bool count": ((5, 5, 5, 5), (True, 1, 1, 1)),
+}
+
+
 class TestGoldResponseTally:
     def test_rejects_correct_above_attempted(self):
         with pytest.raises(ValueError, match="correct"):
             GoldResponseTally(attempted=(5, 5, 5, 5), correct=(6, 0, 0, 0))
+
+    @pytest.mark.parametrize("attempted, correct", MALFORMED_TALLIES.values(), ids=MALFORMED_TALLIES)
+    def test_rejects_anything_but_four_integer_counts(self, attempted, correct):
+        with pytest.raises(ValueError, match="needs 4 integer counts"):
+            GoldResponseTally(attempted=attempted, correct=correct)
+
+    def test_accepts_numpy_integers(self):
+        tally = GoldResponseTally(attempted=tuple(np.full(4, 5)), correct=(np.int32(1), 2, 3, 4))
+        assert tally.get(0, 0) == (5, 1)
+
+
+def one_tally(attempted, correct, worker_id="w0"):
+    return GoldTallies((worker_id,), np.reshape(attempted, (1, 2, 2)), np.reshape(correct, (1, 2, 2)))
+
+
+class TestGoldTallies:
+    def test_holds_read_only_int64_copies(self):
+        attempted, correct = np.full((2, 2, 2), 5, dtype=np.int32), np.arange(8).reshape(2, 2, 2) % 6
+        tallies = GoldTallies(["a", "b"], attempted, correct)
+        attempted[0, 0, 0] = 0
+        assert tallies.ids == ("a", "b") and len(tallies) == 2
+        assert tallies.attempted.dtype == tallies.correct.dtype == np.int64
+        assert tallies.attempted[0, 0, 0] == 5
+        assert not tallies.attempted.flags.writeable and not tallies.correct.flags.writeable
+
+    def test_iterates_as_per_worker_tallies(self):
+        tallies = GoldTallies(("a", "b"), np.full((2, 2, 2), 9), np.arange(8).reshape(2, 2, 2))
+        assert dict(tallies) == {
+            "a": GoldResponseTally(attempted=(9, 9, 9, 9), correct=(0, 1, 2, 3)),
+            "b": GoldResponseTally(attempted=(9, 9, 9, 9), correct=(4, 5, 6, 7)),
+        }
+
+    @pytest.mark.parametrize("attempted, correct, got", [
+        (np.full((1, 5), 5), np.full((1, 5), 5), "attempted of shape (1, 2, 2) [i, z, y], got int64 of shape (1, 5)"),
+        (np.full((1, 3), 5), np.full((1, 3), 5), "attempted of shape (1, 2, 2) [i, z, y], got int64 of shape (1, 3)"),
+        (np.full((1, 2, 2), 5.5), np.ones((1, 2, 2), dtype=int), "attempted of shape (1, 2, 2) [i, z, y], got float64"),
+        (np.full((1, 2, 2), 5), np.ones((1, 2, 2), dtype=bool), "correct of shape (1, 2, 2) [i, z, y], got bool"),
+    ], ids=MALFORMED_TALLIES)
+    def test_rejects_anything_but_four_integer_counts(self, attempted, correct, got):
+        with pytest.raises(ValueError) as err:
+            GoldTallies(("w0",), attempted, correct)
+        assert str(err.value).startswith(f"1 gold tallies need integer {got}")
+
+    def test_rejects_no_workers(self):
+        with pytest.raises(ValueError, match="gold tallies need at least one worker"):
+            GoldTallies((), np.zeros((0, 2, 2), dtype=int), np.zeros((0, 2, 2), dtype=int))
+
+    def test_rejects_counts_of_another_length(self):
+        with pytest.raises(ValueError, match=r"2 gold tallies need integer attempted of shape \(2, 2, 2\)"):
+            GoldTallies(("a", "b"), np.full((3, 2, 2), 5), np.full((3, 2, 2), 5))
+
+    @pytest.mark.parametrize("attempted, correct, message", [
+        ((5, 5, 5, 5), (5, 5, 6, 5), "tally for type (z=1, y=0) needs 0 <= correct <= attempted, got correct=6 attempted=5"),
+        ((5, -1, 5, 5), (5, 0, 5, 5), "tally for type (z=0, y=1) needs 0 <= correct <= attempted, got correct=0 attempted=-1"),
+        ((5, 5, 5, 5), (5, 5, 5, -2), "tally for type (z=1, y=1) needs 0 <= correct <= attempted, got correct=-2 attempted=5"),
+    ])
+    def test_rejects_counts_as_the_per_worker_tally_does(self, attempted, correct, message):
+        with pytest.raises(ValueError) as reference:
+            GoldResponseTally(attempted=attempted, correct=correct)
+        with pytest.raises(ValueError) as got:
+            GoldTallies(("ok", "bad"), np.array([[5, 5, 5, 5], attempted]).reshape(2, 2, 2),
+                        np.array([[0, 0, 0, 0], correct]).reshape(2, 2, 2))
+        assert str(got.value) == str(reference.value) == message
+
+    def test_rejects_a_repeated_id(self):
+        with pytest.raises(ValueError) as err:
+            GoldTallies(("w0", "w1", "w0"), np.full((3, 2, 2), 5), np.full((3, 2, 2), 5))
+        assert str(err.value) == "gold tallies repeat worker id 'w0'"
 
 
 class TestEstimateMatrices:
@@ -132,24 +210,22 @@ class TestArrayMatchesPerWorkerReference:
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_tallies_bitwise(self, smoothing):
         rng = np.random.default_rng(5)
-        tallies = []
-        for _ in range(25):
-            attempted = tuple(int(a) for a in rng.integers(1, 60, 4))
-            correct = tuple(int(rng.integers(0, a + 1)) for a in attempted)
-            tallies.append(GoldResponseTally(attempted=attempted, correct=correct))
+        attempted = rng.integers(1, 60, (25, 2, 2))
+        tallies = GoldTallies(tuple(f"w{i}" for i in range(25)), attempted, rng.integers(0, attempted + 1))
         got = estimate_tallies(tallies, smoothing=smoothing)
-        reference = stack_diagonals([estimate_matrices(t, smoothing) for t in tallies])
+        reference = stack_diagonals([estimate_matrices(t, smoothing) for _, t in tallies])
         assert got.tobytes() == reference.tobytes()
 
     def test_tallies_zero_attempts_raise_like_reference(self):
-        good = GoldResponseTally(attempted=(3, 3, 3, 3), correct=(1, 2, 3, 0))
-        bad = GoldResponseTally(attempted=(4, 4, 0, 4), correct=(1, 1, 0, 1))
+        attempted = np.array([[3, 3, 3, 3], [4, 4, 0, 4], [0, 0, 0, 0]]).reshape(3, 2, 2)
+        correct = np.array([[1, 2, 3, 0], [1, 1, 0, 1], [0, 0, 0, 0]]).reshape(3, 2, 2)
+        tallies = GoldTallies(("good", "bad", "worse"), attempted, correct)
         with pytest.raises(EstimationError) as reference:
-            estimate_matrices(bad)
+            estimate_matrices(dict(tallies)["bad"])
         with pytest.raises(EstimationError) as got:
-            estimate_tallies([good, bad])
-        assert str(got.value) == str(reference.value) == (
-            "no gold tasks attempted for type (z=1, y=0)"
+            estimate_tallies(tallies)
+        assert str(got.value) == f"worker bad: {reference.value}" == (
+            "worker bad: no gold tasks attempted for type (z=1, y=0)"
         )
 
 

@@ -1,5 +1,5 @@
-"""The block loaders against the per-row reference loaders, and all four
-loaders fuzzed over raw bytes.
+"""The block loaders, and the tally loader's arrays, against the per-row
+reference loaders, and all four loaders fuzzed over raw bytes.
 
 Blocks are _BLOCK_ROWS rows long, or _BLOCK_BYTES bytes for the byte reader
 of task and response files; the hypothesis tests also run with blocks of a
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crowdfdb import FileFormatError, TaskPool, datagen, load_gold_tallies, load_responses, load_tasks, load_workers
 
-from oracles import reference_load_responses, reference_load_tasks, reference_load_workers
+from oracles import reference_load_gold_tallies, reference_load_responses, reference_load_tasks, reference_load_workers
 
 BLOCK = datagen._BLOCK_ROWS
 BLOCK_BYTES = datagen._BLOCK_BYTES
@@ -100,6 +100,25 @@ def worker_row():
     return values().flatmap(field_row)
 
 
+def tally_row():
+    """A tally row that is valid but for at most one drawn fault: a count that
+    is not an integer, negative, above its attempted count or beyond int64."""
+    identity = st.sampled_from([f"w{i}" for i in range(6)] + ["", "w,7", "é"])
+    count = st.sampled_from(["0", "3", "5", "9", " 4", "+2", str(2**63 - 1)])
+    bad_count = st.sampled_from(["-1", "x", "", "2.0", "10", str(2**63), str(-2**63 - 1)])
+
+    @st.composite
+    def values(draw):
+        counts = []
+        for _ in range(4):
+            counts.extend(sorted([draw(count), draw(count)], key=int, reverse=True))  # attempted, correct
+        if draw(st.integers(0, 3)) == 0:
+            counts[draw(st.integers(0, 7))] = draw(bad_count)
+        return [st.just(v) for v in [draw(identity)] + counts]
+
+    return values().flatmap(field_row)
+
+
 def file_text(header, rows, crlf):
     newline = "\r\n" if crlf else "\n"
     return header + newline + newline.join(rows) + (newline if rows else "")
@@ -138,6 +157,7 @@ def blocks_of(block, block_bytes):
 
 DIFFERENTIAL = {
     "responses": (load_responses, reference_load_responses, response_row),
+    "tallies": (load_gold_tallies, reference_load_gold_tallies, tally_row),
     "tasks": (load_tasks, reference_load_tasks, task_row),
     "workers": (load_workers, reference_load_workers, worker_row),
 }
@@ -220,6 +240,26 @@ def test_each_worker_fault_is_reported_as_the_reference_reports_it(tmp_path, fau
     path = write(tmp_path / "workers.csv", file_text(header, rows, crlf=False))
     got = outcome(load_workers, path)
     assert got == outcome(reference_load_workers, path)
+    assert got[0] == "error" and f"{path} line 7: " in got[1]
+
+
+@pytest.mark.parametrize("fault", [
+    "w9,5,6,5,5,5,5,5,5",
+    "w9,5,5,5,5,-1,0,5,5",
+    "w9,5,5,5,5,5,5,5,x",
+    f"w9,5,5,{2**63},5,5,5,5,5",
+    f"w9,5,5,5,5,5,5,{-2**63 - 1},0",
+    "w3,5,5,5,5,5,5,5,5",
+    "w3,5,5,5,5,5,5,4,5",  # a repeated id and a count above its attempted count
+    f"w3,5,5,5,5,5,5,5,{2**63}",
+])
+def test_each_tally_fault_is_reported_as_the_reference_reports_it(tmp_path, fault):
+    header, valid = VALID_ROWS[load_gold_tallies]
+    rows = [valid.format(i=i) for i in range(8)]
+    rows[5] = fault
+    path = write(tmp_path / "tallies.csv", file_text(header, rows, crlf=False))
+    got = outcome(load_gold_tallies, path)
+    assert got == outcome(reference_load_gold_tallies, path)
     assert got[0] == "error" and f"{path} line 7: " in got[1]
 
 

@@ -7,7 +7,7 @@ from crowdfdb import (
     ConstraintSet,
     FairnessKind,
     GoldPhaseConfig,
-    GoldResponseTally,
+    GoldTallies,
     LpStatus,
     Population,
     Priors,
@@ -22,6 +22,13 @@ PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
 def perfect_workers(n):
     return Population(ids=tuple(f"w{i}" for i in range(n)), correct=np.ones((n, 2, 2)), cost=np.ones(n))
+
+
+def tallies_of(*rows):
+    """GoldTallies from (id, attempted, correct) rows, the same counts for all four types."""
+    ids, attempted, correct = zip(*rows)
+    return GoldTallies(ids, np.broadcast_to(np.array(attempted)[:, None, None], (len(ids), 2, 2)),
+                       np.broadcast_to(np.array(correct)[:, None, None], (len(ids), 2, 2)))
 
 
 class TestBuildPolicy:
@@ -69,10 +76,7 @@ class TestBuildPolicy:
 
     def test_tallies_input_used_instead_of_simulation(self):
         workers = perfect_workers(2)
-        tallies = [
-            ("w0", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(5, 5, 5, 5))),
-            ("w1", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(10, 10, 10, 10))),
-        ]
+        tallies = tallies_of(("w0", 10, 5), ("w1", 10, 10))
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(workers, GoldPhaseConfig(10), PRIORS, cs, seed=0, tallies=tallies)
         assert result.estimates[0, 0, 0] == pytest.approx(0.5)
@@ -82,29 +86,37 @@ class TestBuildPolicy:
 
     def test_tallies_follow_the_population_order_not_the_file_order(self):
         workers = Population(ids=("b", "a"), correct=np.ones((2, 2, 2)), cost=np.ones(2))
-        tallies = [
-            ("a", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(10, 10, 10, 10))),
-            ("b", GoldResponseTally(attempted=(10, 10, 10, 10), correct=(5, 5, 5, 5))),
-        ]
+        tallies = tallies_of(("a", 10, 10), ("b", 10, 5))
+        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
+        result = build_policy(workers, GoldPhaseConfig(10), PRIORS, cs, seed=0, tallies=tallies)
+        assert result.estimates[:, 0, 0].tolist() == [0.5, 1.0]
+
+    def test_tallies_of_other_workers_are_ignored(self):
+        workers = perfect_workers(2)
+        tallies = tallies_of(("x", 0, 0), ("w1", 10, 10), ("w0", 10, 5))
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(workers, GoldPhaseConfig(10), PRIORS, cs, seed=0, tallies=tallies)
         assert result.estimates[:, 0, 0].tolist() == [0.5, 1.0]
 
     def test_tallies_missing_worker_rejected(self):
         workers = perfect_workers(2)
-        tallies = [("w0", GoldResponseTally(attempted=(5, 5, 5, 5), correct=(5, 5, 5, 5)))]
+        tallies = tallies_of(("w0", 5, 5))
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
-        with pytest.raises(ValueError, match="w1"):
+        with pytest.raises(ValueError) as err:
             build_policy(workers, GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies)
+        assert str(err.value) == "gold tallies missing for 1 of 2 workers, first 'w1'"
+
+    def test_missing_tallies_are_counted_not_listed(self):
+        workers = perfect_workers(400)
+        tallies = tallies_of(("w0", 5, 5), ("w7", 5, 5))
+        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
+        with pytest.raises(ValueError) as err:
+            build_policy(workers, GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies)
+        assert str(err.value) == "gold tallies missing for 398 of 400 workers, first 'w1'"
 
     def test_tallies_repeating_a_worker_rejected(self):
-        workers = perfect_workers(2)
-        right = GoldResponseTally(attempted=(5, 5, 5, 5), correct=(5, 5, 5, 5))
-        wrong = GoldResponseTally(attempted=(5, 5, 5, 5), correct=(0, 0, 0, 0))
-        tallies = [("w0", right), ("w1", right), ("w0", wrong)]
-        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         with pytest.raises(ValueError, match="repeat worker id 'w0'"):
-            build_policy(workers, GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies)
+            tallies_of(("w0", 5, 5), ("w1", 5, 5), ("w0", 5, 0))
 
     def test_large_gold_count_keeps_true_gap_near_alpha(self):
         # estimated-vs-true consistency at n_gold = 10^4
