@@ -82,7 +82,6 @@ from .simulator import (
     resolve_inputs,
     run_experiment,
     run_once,
-    score_labels,
     write_results_csv,
 )
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .estimation import GoldTallies, check_counts
 from .model import TOL, AccuracyMatrix, Population
-from .rng import random_rows, stream
+from .rng import mix, permutation, random_rows, stream_keys
 
 
 class FileFormatError(ValueError):
@@ -208,7 +208,7 @@ def generate_population(spec: PopulationSpec) -> Population:
     """
     n_correct = 4 if isinstance(spec.bias_model, IntervalBiasModel) else 3
     linked = isinstance(spec.cost_model, AccuracyLinkedCost)
-    u = random_rows(spec.seed, "population", spec.n_workers, n_correct + linked)
+    u = random_rows(stream_keys(spec.seed, "population", np.arange(spec.n_workers)), n_correct + linked)
     correct = _draw_correctness(spec.bias_model, u)
     if linked:
         c = correct.reshape(-1, 4)
@@ -223,11 +223,17 @@ def generate_population(spec: PopulationSpec) -> Population:
 
 
 def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
-    """Labeled tasks for both groups, i.i.d. per base rate, shuffled order."""
-    rng = stream(spec.seed, "tasks")
+    """Labeled tasks for both groups, i.i.d. per base rate, shuffled order.
+
+    The stream (seed, "tasks") gives task i of the group-sorted list its
+    label from draw i, then shuffles the list as Generator.permutation
+    would from there on; rng.permutation replays that shuffle bit for bit,
+    and no Generator is built.
+    """
     zs = np.repeat(np.array([0, 1], dtype=np.int8), [spec.n_z0, spec.n_z1])
-    ys = rng.random(zs.size) < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
-    order = rng.permutation(zs.size)
+    key = np.array([mix(spec.seed, "tasks")], dtype=np.uint64)
+    ys = random_rows(key, zs.size)[0] < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
+    order = permutation(key, zs.size, start=zs.size)
     width = max(5, len(str(max(zs.size - 1, 0))))
     ids = tuple(map(f"t%0{width}d".__mod__, range(zs.size)))  # the format is parsed once, not per id
     return TaskPool(ids=ids, z=zs[order], y=ys[order])

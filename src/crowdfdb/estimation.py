@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AccuracyMatrix, Population, WorkerProfile, label_one_probabilities
-from .rng import random_words
+from .rng import random_words, stream_keys
 
 # fixed type order used for simulation draws and file columns
 TYPE_ORDER: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -188,15 +188,18 @@ def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> n
     consumed in TYPE_ORDER exactly as simulate_gold_tally does, and each
     worker's estimate depends on its own stream only.  A response is
     label 1 when its draw is below the true P(label 1 | z, y); the phase
-    counts those from random_words' integer words, chunk by chunk, against
-    word_limits, and never builds the n x 4 * n_gold_per_type draws.  For
-    y = 0 the correct count is n_gold_per_type minus the count of ones.
+    counts those from the top 53 bits of random_words' integer words, chunk
+    by chunk, against word_limits, and never builds the n x 4 * n_gold_per_type
+    draws.  For y = 0 the correct count is n_gold_per_type minus the count of
+    ones.
     """
     n_gold = cfg.n_gold_per_type
     limits = word_limits(label_one_probabilities(population)).reshape(-1, 4, 1)
     ones = np.empty((len(population), 4), dtype=np.intp)
-    for start, words in random_words(seed, "gold", len(population), 4 * n_gold):
+    keys = stream_keys(seed, "gold", np.arange(len(population)))
+    for start, words in random_words(keys, 4 * n_gold):
         stop = start + words.shape[0]
+        words >>= np.uint64(11)  # compared shifted, p = 1's limit 2**53 would not fit in 64 bits
         below = words.reshape(-1, 4, n_gold) < limits[start:stop]
         below.sum(axis=-1, out=ones[start:stop])
     ones = ones.reshape(-1, 2, 2)

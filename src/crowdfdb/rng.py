@@ -12,18 +12,23 @@ in any order (sequentially or in parallel) with identical results.
 
 Philox output is a pure function of key and counter (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so random_words
-computes the leading output words of a whole family of streams
-(seed, tag, i), i = 0..n-1, at once with numpy: the same keys, counters
-and outputs as n separate ``stream`` generators, without building one.
-It works over chunks of whole rows on eight uint64 buffers allocated once
-per call, and runs every round of Philox-4x64-10 in place in them.
-random_rows scales those words to doubles; the gold phase compares them as
-integers and never builds the doubles.
+computes any run of output words of many streams at once with numpy: the
+same keys, counters and outputs as separate ``stream`` generators, without
+building one.  It takes the streams' keys (stream_keys gives a family
+(seed, tag, i) of them) and a start word, works over chunks of whole rows on
+eight uint64 buffers allocated once per call, and runs every round of
+Philox-4x64-10 in place in them.  Every runtime draw comes from it:
+random_rows scales its words to doubles, the gold phase compares their top
+53 bits as integers, and permutation replays Generator.permutation from
+their 32-bit halves.  ``stream`` builds the numpy generator itself; only
+the tests and the benchmark inputs use it, as the reference, so running the
+package never imports numpy.random.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain, count
 
 import numpy as np
 
@@ -39,9 +44,9 @@ _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
 # random_words works over chunks of whole rows of about this many output words.
 # Its buffers take 16 bytes per word, 256 KiB here, no more than the n x k draws
-# of a recipe's gold phase took: 2-rep figure1 and figure4 commands peak at
-# 38.4 MB RSS.  On 2 vCPUs, 1 << 15 ran the gold phase at N_g = 20 and 40 about
-# 17% faster, but its 512 KiB raised figure4's peak RSS by 0.27 MB.
+# of a recipe's gold phase took.  On 2 vCPUs, 1 << 15 ran the gold phase at
+# N_g = 20 and 40 about 17% faster, but its 512 KiB raised figure4's peak RSS
+# by 0.27 MB.
 _CHUNK_WORDS = 1 << 14
 
 
@@ -78,10 +83,12 @@ def stream(master_seed: int, *parts: int | str) -> np.random.Generator:
 # wraps modulo 2**64 silently and keeps its dtype under numpy 1.x and 2.x alike.
 _U32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT53 = np.uint64(11)  # a double takes a word's top 53 bits
 
 
-def _keys(master_seed: int, tag: str, indices: np.ndarray) -> np.ndarray:
-    """mix(master_seed, tag, i) for every i of a uint64 index array."""
+def stream_keys(master_seed: int, tag: str, indices) -> np.ndarray:
+    """mix(master_seed, tag, i) as uint64 for every i of an integer index array."""
+    indices = np.asarray(indices, dtype=np.uint64)
     h = np.full(indices.shape, _fnv1a(_FNV_OFFSET, (master_seed, tag)), dtype=np.uint64)
     prime = np.uint64(_FNV_PRIME)
     for shift in range(0, 64, 8):  # the index's 8 little-endian bytes
@@ -122,19 +129,23 @@ def _mul_hi_alloc(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def random_words(master_seed: int, tag: str, n: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, words) over row chunks: words[r, t] is the top 53 bits
-    (word >> 11) of output word t < k of stream(master_seed, tag, start + r).
+def random_words(keys: np.ndarray, k: int, start: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row, words) over row chunks: words[r, t] is the full 64-bit
+    output word start + t, t < k, of the stream keyed keys[row + r].
 
-    A chunk holds whole rows, about _CHUNK_WORDS words of them, and at
-    least one row; words has 4 * ceil(k / 4) columns and is a view of a
-    buffer that the next chunk overwrites.  Stream i runs Philox-4x64-10
-    under key (mix(master_seed, tag, i), 0) on counters (j, 0, 0, 0),
+    keys is a uint64 array, from stream_keys or mix.  The stream keyed c
+    runs Philox-4x64-10 under key (c, 0) on counters (j, 0, 0, 0),
     j = 1, 2, ...: numpy's Philox increments its counter before it
-    generates a block.
+    generates a block, so np.random.Philox(key=c).random_raw() gives the
+    same words.  start is any word offset, so a caller can go on drawing
+    one stream where an earlier call stopped.  A chunk holds whole rows,
+    about _CHUNK_WORDS words of them, and at least one row; words is a
+    (rows, k) view of a buffer that the next chunk overwrites.
     """
-    blocks = -(-k // _WORDS_PER_BLOCK)
-    if n <= 0 or blocks == 0:
+    n = keys.size
+    first, skip = divmod(start, _WORDS_PER_BLOCK)
+    blocks = -(-(skip + k) // _WORDS_PER_BLOCK)
+    if n == 0 or k <= 0:
         return
     step = min(n, max(1, _CHUNK_WORDS // (_WORDS_PER_BLOCK * blocks)))
     w0, w1 = (np.uint64(w) for w in _PHILOX_W)
@@ -143,21 +154,22 @@ def random_words(master_seed: int, tag: str, n: int, k: int) -> Iterator[tuple[i
     # maps that to (hi(M1 hi(M0 j)) ^ (k0 + W0), lo(M1 hi(M0 j)),
     # hi(M0 k0) ^ lo(M0 j) ^ W1, lo(M0 k0)).  Each product is of a counter
     # alone or a key alone: O(rows + blocks) work instead of O(rows * blocks).
-    lo_j, hi_j = _mul_hi_alloc(np.arange(1, blocks + 1, dtype=np.uint64), _PHILOX_M[0])
+    counters = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
+    lo_j, hi_j = _mul_hi_alloc(counters, _PHILOX_M[0])
     lo_b, hi_b = _mul_hi_alloc(hi_j, _PHILOX_M[1])
-    keys = _keys(master_seed, tag, np.arange(n, dtype=np.uint64))[:, None]
+    keys = keys.reshape(n, 1)
     lo_k, hi_k = _mul_hi_alloc(keys, _PHILOX_M[0])
     hi_k ^= w1
     slab = np.empty(8 * step * blocks, dtype=np.uint64)  # four state words, four scratch
-    for start in range(0, n, step):
-        rows = min(step, n - start)
+    for row in range(0, n, step):
+        rows = min(step, n - row)
         bufs = slab[: 8 * rows * blocks].reshape(8, rows, blocks)
         state, (hi, *scratch) = list(bufs[:4]), bufs[4:]
-        key = keys[start:start + rows]
+        key = keys[row:row + rows]
         np.bitwise_xor(hi_b, key + w0, out=state[0])
         state[1][...] = lo_b
-        np.bitwise_xor(lo_j, hi_k[start:start + rows], out=state[2])
-        state[3][...] = lo_k[start:start + rows]
+        np.bitwise_xor(lo_j, hi_k[row:row + rows], out=state[2])
+        state[3][...] = lo_k[row:row + rows]
         # a round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
         # for (lo0, hi0) = M0 * c0 and (lo1, hi1) = M1 * c2, so it rotates the buffers
         for r in range(2, _PHILOX_ROUNDS):
@@ -171,19 +183,69 @@ def random_words(master_seed: int, tag: str, n: int, k: int) -> Iterator[tuple[i
             state = [c1, c2, c3, c0]
         words = bufs[4:].reshape(rows, _WORDS_PER_BLOCK * blocks)  # the scratch is free now
         for w, c in enumerate(state):
-            np.right_shift(c, np.uint64(11), out=words[:, w::_WORDS_PER_BLOCK])
-        yield start, words
+            words[:, w::_WORDS_PER_BLOCK] = c
+        yield row, words[:, skip:skip + k]
 
 
-def random_rows(master_seed: int, tag: str, n: int, k: int) -> np.ndarray:
-    """(n, k) doubles whose row i is stream(master_seed, tag, i).random(k), bit for bit.
+def random_rows(keys: np.ndarray, k: int, start: int = 0) -> np.ndarray:
+    """(len(keys), k) doubles: row r is output words start..start + k - 1 of
+    the stream keyed keys[r], as Generator.random scales them, so with
+    start 0 it is np.random.Generator(np.random.Philox(key=keys[r])).random(k)
+    bit for bit.
 
-    A double is the top 53 bits of a Philox word scaled by 2**-53, as
-    Generator.random computes it.
+    A double is the top 53 bits (word >> 11) of a Philox word scaled by
+    2**-53.  A row longer than _CHUNK_WORDS is drawn _CHUNK_WORDS columns
+    at a time, so random_words' buffers stay within one chunk.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"random_rows needs n >= 0 and k >= 0, got n={n} k={k}")
-    out = np.empty((n, k))
-    for start, words in random_words(master_seed, tag, n, k):
-        np.multiply(words[:, :k], 2.0**-53, out=out[start:start + words.shape[0]])
+    if k < 0:
+        raise ValueError(f"random_rows needs k >= 0, got k={k}")
+    out = np.empty((keys.size, k))
+    for col in range(0, k, _CHUNK_WORDS):
+        width = min(_CHUNK_WORDS, k - col)
+        for row, words in random_words(keys, width, start + col):
+            words >>= _SHIFT53
+            np.multiply(words, 2.0**-53, out=out[row:row + words.shape[0], col:col + width])
     return out
+
+
+def permutation(key: np.ndarray, n: int, start: int) -> np.ndarray:
+    """Generator.permutation(n) of the stream keyed by the one uint64 in
+    key, once its first start words are spent.
+
+    numpy shuffles arange(n) by Fisher-Yates from the last position down.
+    The swap index for position i is a 32-bit draw masked by the smallest
+    all-ones mask >= i, drawn again while it exceeds i; a 64-bit word gives
+    two draws, its low half first.  The words are drawn in batches, one
+    after another by counter offset, until the shuffle has its swaps.
+    """
+    batch = _swap_batch(n)
+    draws = chain.from_iterable(_halves(key, at, batch) for at in count(start, batch))
+    order = list(range(n))
+    top = n - 1
+    while top >= 1:
+        mask = (1 << top.bit_length()) - 1
+        for i in range(top, mask >> 1, -1):  # the positions that share this mask
+            j = next(draws) & mask
+            while j > i:
+                j = next(draws) & mask
+            order[i], order[j] = order[j], order[i]
+        top = mask >> 1
+    return np.array(order, dtype=np.intp)
+
+
+def _swap_batch(n: int) -> int:
+    """Words per batch for a shuffle of n: it takes at most about 1.47 n
+    draws on average, as a mask rejects up to half its values, so 3n/4
+    words (1.5 n draws) rarely leave it short.  A batch holds at most a
+    chunk, so a long shuffle draws chunk after chunk as it goes."""
+    return min(_CHUNK_WORDS, max(1, n - n // 4))
+
+
+def _halves(key: np.ndarray, start: int, batch: int) -> list[int]:
+    """The 32-bit halves of words start..start + batch - 1 of one stream,
+    each word's low half first, split by mask and shift."""
+    _, words = next(random_words(key, batch, start))
+    halves = np.empty((batch, 2), dtype=np.uint64)
+    np.bitwise_and(words[0], _LOW32, out=halves[:, 0])
+    np.right_shift(words[0], _U32, out=halves[:, 1])
+    return halves.ravel().tolist()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .estimation import GoldPhaseConfig, run_gold_phase
 from .lp import ConstraintSet, LpStatus
 from .model import Policy, Population, Priors, label_one_probabilities
 from .pipeline import build_policy
-from .rng import mix, stream
+from .rng import mix, random_rows, stream_keys
 
 METHODS = ("CrowdFDB", "Random", "Greedy")
 THREADS_ENV_VAR = "CROWDFDB_THREADS"
@@ -92,7 +93,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Scores for one repetition (or a score_labels fragment).
+    """Scores for one repetition.
 
     Rates are None when their denominator is zero ("marked absent");
     cell tuples are ordered (z0y0, z0y1, z1y0, z1y1).
@@ -179,14 +180,6 @@ def resolve_inputs(cfg: ExperimentConfig) -> tuple[Population, TaskPool, Priors]
     return population, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
 
 
-def score_labels(records: list[tuple[int, int, int]]) -> MetricsReport:
-    """Empirical rates from (z, y, collected label) triples."""
-    if not records:
-        raise ValueError("need at least one record to score")
-    arr = np.asarray(records, dtype=int)
-    return _score_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
-
-
 def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsReport:
     errors = yhats != ys
     cell_tasks = []
@@ -241,12 +234,28 @@ class RunInputs:
         )
 
 
-def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None = None) -> MetricsReport:
+def _collect_draws(cfg: ExperimentConfig, rep_index: int, n_tasks: int) -> np.ndarray:
+    """Label collection's doubles for one repetition, from the stream
+    (seed, "collect", rep): a worker draw per task, then a label draw per
+    task.  Greedy's assignment is fixed, so it takes the first n_tasks as its
+    label draws and only those are drawn.  The row depends on neither sweep
+    parameter, so every sweep point of a repetition reads the same one."""
+    k = n_tasks if cfg.method == "Greedy" else 2 * n_tasks
+    return random_rows(stream_keys(cfg.seed, "collect", [rep_index]), k)[0]
+
+
+def run_once(
+    cfg: ExperimentConfig,
+    rep_index: int,
+    _resolved: RunInputs | None = None,
+    _draws: np.ndarray | None = None,
+) -> MetricsReport:
     """One repetition; deterministic given (cfg.seed, rep_index).
 
     The gold stream is keyed by the gold-task count as well, so sweeping
     alpha reuses identical estimates per repetition (paired comparisons)
-    while sweeping the gold count re-draws them.
+    while sweeping the gold count re-draws them.  _draws, when given, is
+    _collect_draws(cfg, rep_index, n_tasks), drawn once for all sweep points.
     """
     inputs = _resolved if _resolved is not None else RunInputs.build(*resolve_inputs(cfg))
     population, priors, costs = inputs.population, inputs.priors, inputs.population.cost
@@ -278,16 +287,17 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
         assignment = plan.assignment_sequence()
         entropy = Policy(np.array(plan.counts) / n_tasks).entropy()
 
-    rng = stream(cfg.seed, "collect", rep_index)
+    u = _draws if _draws is not None else _collect_draws(cfg, rep_index, n_tasks)
     if assignment is None:
         # inverse-CDF draw keeps worker choice fully determined by the stream
         cumulative = np.cumsum(weights)
-        chosen = np.searchsorted(cumulative, rng.random(n_tasks), side="right")
+        chosen = np.searchsorted(cumulative, u[:n_tasks], side="right")
         chosen = np.minimum(chosen, n - 1)
+        u = u[n_tasks:]
     else:
         chosen = assignment
 
-    yhats = (rng.random(n_tasks) < inputs.p_label_one[chosen, zs, ys]).astype(int)
+    yhats = (u < inputs.p_label_one[chosen, zs, ys]).astype(int)
 
     scored = _score_arrays(zs, ys, yhats)
     return replace(
@@ -298,9 +308,11 @@ def run_once(cfg: ExperimentConfig, rep_index: int, _resolved: RunInputs | None 
     )
 
 
-def _run_rep(args) -> MetricsReport:
-    cfg, rep_index, resolved = args
-    return run_once(cfg, rep_index, _resolved=resolved)
+def _run_rep(args) -> list[MetricsReport]:
+    """Every sweep point of one repetition, on one row of collect draws."""
+    point_cfgs, rep_index, resolved = args
+    draws = _collect_draws(point_cfgs[0], rep_index, len(resolved.tasks))
+    return [run_once(cfg, rep_index, _resolved=resolved, _draws=draws) for cfg in point_cfgs]
 
 
 def _thread_count() -> int:
@@ -324,7 +336,7 @@ def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     return mean, float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def aggregate_reports(reports: list[MetricsReport]) -> AggregateMetrics:
+def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateMetrics:
     feasible = [r for r in reports if r.feasible]
 
     def collect(getter) -> list[float]:
@@ -379,39 +391,33 @@ def _apply_sweep(cfg: ExperimentConfig, parameter: str, value: float) -> Experim
 def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     """Run all repetitions at every sweep point and aggregate.
 
-    Repetitions execute in a process pool when CROWDFDB_THREADS > 1, with
-    at most min(CROWDFDB_THREADS, usable CPUs, repetitions) worker processes;
-    outputs are aggregated in repetition order either way.
+    One job runs one repetition at every sweep point.  Jobs execute in one
+    process pool when CROWDFDB_THREADS > 1, with at most
+    min(CROWDFDB_THREADS, usable CPUs, repetitions) worker processes;
+    outputs are aggregated per sweep point in repetition order either way.
     """
     resolved = RunInputs.build(*resolve_inputs(cfg))
     if cfg.sweep is not None:
         points = [(cfg.sweep.parameter, v) for v in cfg.sweep.values]
     else:
         points = [(None, None)]
+    point_cfgs = [cfg if parameter is None else _apply_sweep(cfg, parameter, value) for parameter, value in points]
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(_thread_count(), cpus, cfg.repetitions)
-    results = []
-    for parameter, value in points:
-        cfg_point = cfg if parameter is None else _apply_sweep(cfg, parameter, value)
-        jobs = [(cfg_point, rep, resolved) for rep in range(cfg.repetitions)]
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for multiprocessing
+    jobs = [(point_cfgs, rep, resolved) for rep in range(cfg.repetitions)]
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run pays for multiprocessing
 
-            chunk = max(1, cfg.repetitions // (4 * threads))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(_run_rep, jobs, chunksize=chunk))
-        else:
-            reports = [_run_rep(job) for job in jobs]
-        results.append(
-            SweepPointResult(
-                parameter=parameter,
-                value=value,
-                reports=tuple(reports),
-                aggregate=aggregate_reports(reports),
-            )
-        )
-    return results
+        chunk = max(1, cfg.repetitions // (4 * threads))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            by_rep = list(pool.map(_run_rep, jobs, chunksize=chunk))
+    else:
+        by_rep = [_run_rep(job) for job in jobs]
+    return [
+        SweepPointResult(parameter=parameter, value=value, reports=reports, aggregate=aggregate_reports(reports))
+        for (parameter, value), reports in zip(points, zip(*by_rep))
+    ]
 
 
 RESULTS_COLUMNS = [

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,34 @@ def test_importing_the_cli_loads_no_process_pool():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_never_import_numpy_random(tmp_path):
+    """Every runtime draw comes from the in-place Philox kernel: experiment
+    and policy runs build no numpy Generator, so numpy.random stays unloaded."""
+    workers, responses, _ = write_gold_files(tmp_path, n_workers=60)
+    commands = [
+        ["experiment", "--recipe", "figure1", "--repetitions", "2", "--out", f"{tmp_path}/figure1.csv"],
+        ["experiment", "--recipe", "figure4", "--repetitions", "2", "--out", f"{tmp_path}/figure4.csv"],
+        ["policy", "--out", f"{tmp_path}/spec.csv"],
+        ["policy", "--workers-file", str(workers), "--responses", str(responses), "--beta", "0.1", "--budget", "2.0",
+         "--out", f"{tmp_path}/resp.csv"],
+    ]
+    code = (
+        "import contextlib, io, json, sys, numpy\n"
+        "if 'numpy.random' in sys.modules: print('numpy loads it'); sys.exit()\n"
+        "from crowdfdb import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(crowdfdb.__file__).parents[1]), "CROWDFDB_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() == "numpy loads it":
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert done.stdout.strip() == "[0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("command", [

@@ -20,12 +20,11 @@ from crowdfdb import (
     resolve_inputs,
     run_experiment,
     run_once,
-    score_labels,
     stream,
     write_results_csv,
 )
 from crowdfdb import simulator
-from crowdfdb.simulator import RESULTS_COLUMNS, RunInputs
+from crowdfdb.simulator import RESULTS_COLUMNS, RunInputs, _apply_sweep, _score_arrays
 from fixtures import make_binding_fairness_instance
 from oracles import recount_scores
 
@@ -59,6 +58,12 @@ def base_config(method="CrowdFDB", **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def score_labels(records):
+    """_score_arrays on (z, y, collected label) triples."""
+    zs, ys, yhats = np.asarray(records, dtype=int).T
+    return _score_arrays(zs, ys, yhats)
 
 
 class TestScoreLabels:
@@ -107,6 +112,14 @@ class TestRunOnce:
         assert report.fpr_gap == 0.0
         assert report.fnr_gap == 0.0
         assert report.mean_cost == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("method, k", [("CrowdFDB", 2000), ("Random", 2000), ("Greedy", 1000)])
+    def test_collect_draws_are_the_collect_stream(self, method, k):
+        """A worker draw then a label draw per task; Greedy's assignment is
+        fixed, so it draws the labels only."""
+        cfg = base_config(method=method, seed=2**64 - 5)
+        expected = stream(cfg.seed, "collect", 3).random(k)
+        assert simulator._collect_draws(cfg, 3, 1000).tobytes() == expected.tobytes()
 
     def test_deterministic_per_seed_and_rep(self):
         cfg = base_config(
@@ -288,6 +301,52 @@ class TestRunExperiment:
         results = run_experiment(cfg)
         # greedy ignores alpha; shared gold draws make sweep points identical
         assert results[0].reports == results[1].reports
+
+    @pytest.mark.parametrize("method", ["CrowdFDB", "Random", "Greedy"])
+    def test_one_collect_row_per_rep_serves_every_sweep_point(self, monkeypatch, method):
+        cfg = base_config(
+            method=method,
+            population=default_population_spec(seed=21, n_workers=30),
+            constraints=ConstraintSet(
+                alpha=0.1, beta=0.1, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
+            ),
+            sweep=SweepSpec("gold", (3, 5, 10)),
+            repetitions=2,
+        )
+        alone = [[run_once(_apply_sweep(cfg, "gold", v), rep) for rep in range(2)] for v in (3, 5, 10)]
+        rows = []
+        original = simulator._collect_draws
+        monkeypatch.setattr(simulator, "_collect_draws", lambda *args: rows.append(args[1]) or original(*args))
+        results = run_experiment(cfg)
+        assert [list(point.reports) for point in results] == alone
+        assert rows == [0, 1]
+
+    def test_one_process_pool_for_a_four_point_sweep(self, monkeypatch, tmp_path):
+        from concurrent import futures
+
+        cfg = base_config(
+            population=default_population_spec(seed=61, n_workers=20),
+            constraints=ConstraintSet(
+                alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY
+            ),
+            sweep=SweepSpec("gold", (2, 5, 10, 20)),
+            repetitions=4,
+        )
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        write_results_csv(one, [("CrowdFDB", run_experiment(cfg))])
+        pools = []
+
+        class CountingPool(futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("CROWDFDB_THREADS", "2")
+        write_results_csv(two, [("CrowdFDB", run_experiment(cfg))])
+        assert pools == [2]
+        assert two.read_bytes() == one.read_bytes()
 
     def test_parallel_matches_sequential(self, monkeypatch):
         cfg = base_config(
