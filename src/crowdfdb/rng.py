@@ -44,9 +44,9 @@ _PHILOX_ROUNDS = 10
 _WORDS_PER_BLOCK = 4
 # random_words works over chunks of whole rows of about this many output words.
 # Its buffers take 16 bytes per word, 256 KiB here, no more than the n x k draws
-# of a recipe's gold phase took.  On 2 vCPUs, 1 << 15 ran the gold phase at
-# N_g = 20 and 40 about 17% faster, but its 512 KiB raised figure4's peak RSS
-# by 0.27 MB.
+# of a recipe's gold phase took: 2-rep figure1 and figure4 commands peak at
+# 33.1 MB RSS (numpy 2.4).  On 2 vCPUs, 1 << 15 ran the gold phase at N_g = 20
+# and 40 about 17% faster, but its 512 KiB raised figure4's peak RSS by 0.27 MB.
 _CHUNK_WORDS = 1 << 14
 
 
