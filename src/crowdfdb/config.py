@@ -276,7 +276,10 @@ def gold_config(cfg: dict[str, str]) -> GoldPhaseConfig:
 
 def policy_settings(cfg: dict[str, str]) -> tuple[float, int]:
     """The `policy` command's bound confidence gamma and its gold-phase seed."""
-    return _get_float(cfg, "policy.gamma"), _get_int(cfg, "experiment.seed")
+    gamma = _get_float(cfg, "policy.gamma")
+    if not 0.0 < gamma < 1.0:
+        raise ConfigError(f"confidence must lie in (0, 1), got {gamma}")
+    return gamma, _get_int(cfg, "experiment.seed")
 
 
 def priors_override(cfg: dict[str, str]) -> Priors | None:

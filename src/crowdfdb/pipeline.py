@@ -48,9 +48,12 @@ def build_policy(
 
     When recorded gold tallies are supplied they are matched to workers by
     id and used instead of simulated gold responses; tallies of other
-    workers are ignored.  Otherwise worker i's responses are drawn from the
-    stream (seed, "gold", i).
+    workers are ignored, and the fairness bound is taken at the smallest
+    attempted count of the matched tallies, not at
+    gold_cfg.n_gold_per_type.  Otherwise worker i's responses are drawn
+    from the stream (seed, "gold", i).
     """
+    n_gold = gold_cfg.n_gold_per_type
     if tallies is None:
         estimates = run_gold_phase(population, gold_cfg, seed)
     else:
@@ -64,13 +67,14 @@ def build_policy(
             )
         ordered = GoldTallies(population.ids, tallies.attempted[order], tallies.correct[order])
         estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
+        n_gold = int(ordered.attempted.min())  # >= 1: estimate_tallies rejects an unattempted type
 
     lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)
     delta = fairness_violation_bound(
         BoundQuery(
             n_workers=len(population),
-            n_gold_per_type=gold_cfg.n_gold_per_type,
+            n_gold_per_type=n_gold,
             confidence=confidence,
         )
     )

@@ -1,13 +1,14 @@
 """Seeded experiment harness.
 
-One repetition runs the full loop: simulate the gold phase, estimate
-worker matrices, build the assignment rule for the configured method
-(LP policy, uniform random, or greedy fill), hand every pool task to a
-worker, sample her label from her true matrices, and score empirical
-group error rates, accuracy, and realized cost.  Repetitions use derived
-independent streams, so they can run in parallel (set CROWDFDB_THREADS)
-with results identical to sequential execution, and a sweep re-runs the
-repetitions at each value of the swept parameter.
+One repetition runs the full loop: simulate the gold phase into an
+(n, z, y) array of estimated correctness, build the configured method's
+assignment rule (LP policy, uniform random, or greedy fill), hand every
+pool task to a worker, draw the worker's label from the (n, z, y) array of
+true P(label 1 | z, y), and score the labels from the four (z, y) cell
+counts.  One job runs one repetition at every sweep point, on one row of
+collect draws (seed, "collect", rep); jobs use derived independent streams,
+so they can run in one process pool (set CROWDFDB_THREADS) with results
+identical to sequential execution.
 
 Results are written as delimited text with one row per (sweep value,
 repetition) plus "mean" and "se" aggregate rows per sweep value; the
@@ -180,37 +181,31 @@ def resolve_inputs(cfg: ExperimentConfig) -> tuple[Population, TaskPool, Priors]
     return population, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
 
 
-def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray) -> MetricsReport:
-    errors = yhats != ys
-    cell_tasks = []
-    cell_errors = []
-    rate = {}
-    for z in (0, 1):
-        for y in (0, 1):
-            mask = (zs == z) & (ys == y)
-            count = int(mask.sum())
-            wrong = int(errors[mask].sum())
-            cell_tasks.append(count)
-            cell_errors.append(wrong)
-            rate[(z, y)] = wrong / count if count > 0 else None
-    fpr_gap = (
-        abs(rate[(0, 0)] - rate[(1, 0)])
-        if rate[(0, 0)] is not None and rate[(1, 0)] is not None
-        else None
+def _gaps(tasks: Sequence[int], errors: Sequence[int]) -> tuple[float | None, float | None]:
+    """(FPR gap, FNR gap) from task and error counts per cell 2z + y: the
+    z0 and z1 error rates of y = 0, then of y = 1, each None when either
+    cell is empty.  Callers pass Python ints, so each rate is one correctly
+    rounded division of exact counts."""
+    return tuple(
+        abs(errors[y] / tasks[y] - errors[2 + y] / tasks[2 + y]) if tasks[y] and tasks[2 + y] else None
+        for y in (0, 1)
     )
-    fnr_gap = (
-        abs(rate[(0, 1)] - rate[(1, 1)])
-        if rate[(0, 1)] is not None and rate[(1, 1)] is not None
-        else None
-    )
-    accuracy = 1.0 - float(errors.sum()) / float(zs.size)
+
+
+def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray, **fields) -> MetricsReport:
+    """The report of labels yhats collected on tasks (zs, ys), scored from
+    the four (z, y) cell counts; fields (lp_status and the rest) complete it."""
+    cells = 2 * zs + ys
+    tasks = np.bincount(cells, minlength=4).tolist()
+    errors = np.bincount(cells[yhats != ys], minlength=4).tolist()
+    fpr_gap, fnr_gap = _gaps(tasks, errors)
     return MetricsReport(
-        lp_status="-",
         fpr_gap=fpr_gap,
         fnr_gap=fnr_gap,
-        accuracy=accuracy,
-        cell_tasks=tuple(cell_tasks),
-        cell_errors=tuple(cell_errors),
+        accuracy=1.0 - sum(errors) / zs.size,
+        cell_tasks=tuple(tasks),
+        cell_errors=tuple(errors),
+        **fields,
     )
 
 
@@ -264,48 +259,33 @@ def run_once(
     n_tasks = zs.size
     gold_seed = mix(cfg.seed, "goldphase", cfg.gold.n_gold_per_type, rep_index)
 
-    weights: np.ndarray | None = None
-    assignment: np.ndarray | None = None
     lp_status = "-"
+    chosen: np.ndarray | None = None
     if cfg.method == "CrowdFDB":
         result = build_policy(population, cfg.gold, priors, cfg.constraints, seed=gold_seed)
         if result.solution.status != LpStatus.OPTIMAL:
             return MetricsReport(lp_status=result.solution.status)
-        weights = result.policy.weights
-        entropy = result.policy.entropy()
-        lp_status = LpStatus.OPTIMAL
+        policy, lp_status = result.policy, LpStatus.OPTIMAL
     elif cfg.method == "Random":
         policy = random_policy(n)
-        weights = policy.weights
-        entropy = policy.entropy()
     else:  # Greedy
         estimates = run_gold_phase(population, cfg.gold, gold_seed)
         try:
             plan = greedy_plan(estimates, costs, priors, cfg.constraints.beta, n_tasks)
         except CapacityError:
             return MetricsReport(lp_status=LpStatus.INFEASIBLE)
-        assignment = plan.assignment_sequence()
-        entropy = Policy(np.array(plan.counts) / n_tasks).entropy()
+        policy, chosen = Policy(np.array(plan.counts) / n_tasks), plan.assignment_sequence()
 
     u = _draws if _draws is not None else _collect_draws(cfg, rep_index, n_tasks)
-    if assignment is None:
+    if chosen is None:
         # inverse-CDF draw keeps worker choice fully determined by the stream
-        cumulative = np.cumsum(weights)
-        chosen = np.searchsorted(cumulative, u[:n_tasks], side="right")
+        chosen = np.searchsorted(np.cumsum(policy.weights), u[:n_tasks], side="right")
         chosen = np.minimum(chosen, n - 1)
         u = u[n_tasks:]
-    else:
-        chosen = assignment
 
-    yhats = (u < inputs.p_label_one[chosen, zs, ys]).astype(int)
-
-    scored = _score_arrays(zs, ys, yhats)
-    return replace(
-        scored,
-        lp_status=lp_status,
-        mean_cost=float(costs[chosen].mean()),
-        entropy=entropy,
-    )
+    yhats = u < inputs.p_label_one[chosen, zs, ys]
+    mean_cost = float(costs[chosen].mean())
+    return _score_arrays(zs, ys, yhats, lp_status=lp_status, mean_cost=mean_cost, entropy=policy.entropy())
 
 
 def _run_rep(args) -> list[MetricsReport]:
@@ -326,6 +306,16 @@ def _thread_count() -> int:
     return value
 
 
+# The MetricsReport fields that AggregateMetrics averages, in results-column order.
+_AVERAGED = ("fpr_gap", "fnr_gap", "accuracy", "mean_cost", "entropy")
+
+
+def _stat_field(kind: str, name: str) -> str:
+    """The AggregateMetrics field holding the kind ("mean" or "se") of the
+    averaged field name: mean_cost's are mean_cost and se_cost."""
+    return f"{kind}_{name.removeprefix('mean_')}"
+
+
 def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
     if not values:
         return None, None
@@ -338,47 +328,20 @@ def _mean_se(values: list[float]) -> tuple[float | None, float | None]:
 
 def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateMetrics:
     feasible = [r for r in reports if r.feasible]
-
-    def collect(getter) -> list[float]:
-        return [getter(r) for r in feasible if getter(r) is not None]
-
-    mean_fpr, se_fpr = _mean_se(collect(lambda r: r.fpr_gap))
-    mean_fnr, se_fnr = _mean_se(collect(lambda r: r.fnr_gap))
-    mean_acc, se_acc = _mean_se(collect(lambda r: r.accuracy))
-    mean_cost, se_cost = _mean_se(collect(lambda r: r.mean_cost))
-    mean_ent, se_ent = _mean_se(collect(lambda r: r.entropy))
-
-    tasks = np.zeros(4, dtype=int)
-    errors = np.zeros(4, dtype=int)
-    for r in feasible:
-        if r.cell_tasks is not None:
-            tasks += np.array(r.cell_tasks)
-            errors += np.array(r.cell_errors)
-
-    def pooled_rate(cell: int) -> float | None:
-        return errors[cell] / tasks[cell] if tasks[cell] > 0 else None
-
-    rate_z0_fp, rate_z1_fp = pooled_rate(0), pooled_rate(2)
-    rate_z0_fn, rate_z1_fn = pooled_rate(1), pooled_rate(3)
-    pooled_fpr = abs(rate_z0_fp - rate_z1_fp) if rate_z0_fp is not None and rate_z1_fp is not None else None
-    pooled_fnr = abs(rate_z0_fn - rate_z1_fn) if rate_z0_fn is not None and rate_z1_fn is not None else None
-
+    stats = {}
+    for name in _AVERAGED:
+        values = [getattr(r, name) for r in feasible if getattr(r, name) is not None]
+        stats[_stat_field("mean", name)], stats[_stat_field("se", name)] = _mean_se(values)
+    scored = [(r.cell_tasks, r.cell_errors) for r in feasible if r.cell_tasks is not None]
+    tasks, errors = np.array(scored, dtype=np.int64).reshape(-1, 2, 4).sum(axis=0).tolist()
+    pooled_fpr, pooled_fnr = _gaps(tasks, errors)
     return AggregateMetrics(
         n_reps=len(reports),
         n_feasible=len(feasible),
         n_infeasible=len(reports) - len(feasible),
-        mean_fpr_gap=mean_fpr,
-        se_fpr_gap=se_fpr,
-        mean_fnr_gap=mean_fnr,
-        se_fnr_gap=se_fnr,
-        mean_accuracy=mean_acc,
-        se_accuracy=se_acc,
-        mean_cost=mean_cost,
-        se_cost=se_cost,
-        mean_entropy=mean_ent,
-        se_entropy=se_ent,
         pooled_fpr_gap=pooled_fpr,
         pooled_fnr_gap=pooled_fnr,
+        **stats,
     )
 
 
@@ -480,55 +443,23 @@ def write_results_csv(
         for method, points in results_by_method:
             for point in points:
                 param = point.parameter if point.parameter is not None else "none"
-                value_str = _sweep_value_str(point.parameter, point.value)
+                prefix = [param, _sweep_value_str(point.parameter, point.value), method]
                 for rep, report in enumerate(point.reports):
-                    cells = report.cell_tasks if report.cell_tasks is not None else (None,) * 4
-                    errs = report.cell_errors if report.cell_errors is not None else (None,) * 4
+                    cells = (report.cell_tasks or (None,) * 4) + (report.cell_errors or (None,) * 4)
                     writer.writerow(
-                        [
-                            param,
-                            value_str,
-                            method,
-                            "rep",
-                            rep,
-                            report.lp_status,
-                            _fmt(report.fpr_gap),
-                            _fmt(report.fnr_gap),
-                            _fmt(report.accuracy),
-                            _fmt(report.mean_cost),
-                            _fmt(report.entropy),
-                            *[_fmt(c) for c in cells],
-                            *[_fmt(e) for e in errs],
-                            "",
-                            "",
-                            "",
-                            "",
-                            "",
-                        ]
+                        prefix
+                        + ["rep", rep, report.lp_status]
+                        + [_fmt(getattr(report, name)) for name in _AVERAGED]
+                        + [_fmt(c) for c in cells]
+                        + [""] * 5
                     )
                 agg = point.aggregate
-                for kind, gap_f, gap_n, acc, cost, ent in (
-                    ("mean", agg.mean_fpr_gap, agg.mean_fnr_gap, agg.mean_accuracy, agg.mean_cost, agg.mean_entropy),
-                    ("se", agg.se_fpr_gap, agg.se_fnr_gap, agg.se_accuracy, agg.se_cost, agg.se_entropy),
-                ):
+                for kind, pooled in (("mean", (agg.pooled_fpr_gap, agg.pooled_fnr_gap)), ("se", (None, None))):
                     writer.writerow(
-                        [
-                            param,
-                            value_str,
-                            method,
-                            kind,
-                            "",
-                            "",
-                            _fmt(gap_f),
-                            _fmt(gap_n),
-                            _fmt(acc),
-                            _fmt(cost),
-                            _fmt(ent),
-                            *[""] * 8,
-                            agg.n_reps,
-                            agg.n_feasible,
-                            agg.n_infeasible,
-                            _fmt(agg.pooled_fpr_gap) if kind == "mean" else "",
-                            _fmt(agg.pooled_fnr_gap) if kind == "mean" else "",
-                        ]
+                        prefix
+                        + [kind, "", ""]
+                        + [_fmt(getattr(agg, _stat_field(kind, name))) for name in _AVERAGED]
+                        + [""] * 8
+                        + [agg.n_reps, agg.n_feasible, agg.n_infeasible]
+                        + [_fmt(p) for p in pooled]
                     )

@@ -173,7 +173,9 @@ def loop_expected_accuracy(weights, workers, priors) -> float:
 
 
 def recount_scores(records):
-    """Spreadsheet-style recount of rates from (z, y, yhat) triples."""
+    """Spreadsheet-style recount from (z, y, yhat) triples: the FPR gap, FNR
+    gap and accuracy, then the task and error counts of cells (0, 0), (0, 1),
+    (1, 0), (1, 1)."""
     cells = {}
     wrong = {}
     for z, y, yhat in records:
@@ -189,7 +191,10 @@ def recount_scores(records):
     accuracy = 1.0 - sum(wrong.values()) / len(records)
     fpr_gap = abs(fpr0 - fpr1) if fpr0 is not None and fpr1 is not None else None
     fnr_gap = abs(fnr0 - fnr1) if fnr0 is not None and fnr1 is not None else None
-    return fpr_gap, fnr_gap, accuracy
+    order = ((0, 0), (0, 1), (1, 0), (1, 1))
+    cell_tasks = tuple(cells.get(cell, 0) for cell in order)
+    cell_errors = tuple(wrong.get(cell, 0) for cell in order)
+    return fpr_gap, fnr_gap, accuracy, cell_tasks, cell_errors
 
 
 def random_lp_instance(rng, n, alpha, beta, budget_kind, fairness_kind):

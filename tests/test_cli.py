@@ -289,6 +289,40 @@ class TestPolicy:
         assert policy == (tmp_path / "from-tallies.csv").read_bytes()
         assert policy.count(b"\n") == 61
 
+    @pytest.mark.parametrize("source", ["--responses", "--tallies"])
+    def test_recorded_gold_bounds_at_the_fewest_recorded_answers(self, tmp_path, capsys, source):
+        """6 recorded answers per type set N_g, whatever --gold says."""
+        from crowdfdb import BoundQuery, fairness_violation_bound
+
+        workers, responses, tallies = write_gold_files(tmp_path, n_workers=60)
+        capsys.readouterr()
+        expected = f"fairness inflation bound (gamma=0.9): {fairness_violation_bound(BoundQuery(60, 6, 0.9)):.6g}"
+        assert expected.endswith(": 1.60535")
+        files = {"--responses": responses, "--tallies": tallies}
+        for gold in ([], ["--gold", 5], ["--gold", 40]):
+            args = ["policy", "--workers-file", workers, source, files[source], *gold, "--beta", 0.1, "--budget", 2.0,
+                    "--out", tmp_path / "p.csv"]
+            assert run_cli(args) == 0
+            assert capsys.readouterr().out.splitlines()[1] == expected
+
+    @pytest.mark.parametrize("gamma", ["0", "1", "1.5", "-0.2", "nan"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_gamma_outside_the_unit_interval_exits_2_before_the_gold_phase(
+        self, tmp_path, capsys, monkeypatch, gamma, where
+    ):
+        def no_gold_phase(*args, **kwargs):
+            raise AssertionError("gold phase ran with an invalid gamma")
+
+        monkeypatch.setattr("crowdfdb.pipeline.run_gold_phase", no_gold_phase)
+        cfg = tmp_path / "gamma.cfg"
+        cfg.write_text(f"policy.gamma = {gamma}\n", encoding="utf-8")
+        args = ["--gamma", gamma] if where == "flag" else ["--config", cfg]
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: confidence must lie in (0, 1), got {float(gamma)}\n"
+        assert not out.exists()
+
     def test_zero_attempts_name_the_worker(self, tmp_path, capsys):
         workers, responses, _ = write_gold_files(tmp_path, n_workers=8, skip=("w0003", 1, 0))
         out = tmp_path / "p.csv"

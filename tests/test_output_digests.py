@@ -179,12 +179,12 @@ DIGESTS = {
         "policy.csv.manifest": "ad3f7517d666cc04dd09a98f69a5654a86a3c3dec304cea8252be124ef911348",
     },
     "policy responses": {
-        "stdout": "fa84ed197da0331bfc21f469103298bb662d800b56ae89b97bc4ba10fa80861b",
+        "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
         "policy.csv": "2e7f102e165541419d8dd0c3927dcf9c57240d5f6460d4817d0f95005869f397",
         "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
     },
     "policy tallies": {
-        "stdout": "fa84ed197da0331bfc21f469103298bb662d800b56ae89b97bc4ba10fa80861b",
+        "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
         "policy.csv": "2e7f102e165541419d8dd0c3927dcf9c57240d5f6460d4817d0f95005869f397",
         "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
     },
@@ -205,4 +205,5 @@ def test_two_processes_write_the_one_process_csv():
 
 
 def test_responses_and_tallies_give_one_policy():
-    assert DIGESTS["policy responses"]["policy.csv"] == DIGESTS["policy tallies"]["policy.csv"]
+    for name in ("policy.csv", "stdout"):
+        assert DIGESTS["policy responses"][name] == DIGESTS["policy tallies"][name]

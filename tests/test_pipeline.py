@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crowdfdb import (
+    BoundQuery,
     ConstraintSet,
     FairnessKind,
     GoldPhaseConfig,
@@ -14,6 +15,7 @@ from crowdfdb import (
     build_policy,
     compose_policy_accuracy,
     fairness_gap,
+    fairness_violation_bound,
 )
 from fixtures import make_binding_fairness_instance
 
@@ -97,6 +99,15 @@ class TestBuildPolicy:
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(workers, GoldPhaseConfig(10), PRIORS, cs, seed=0, tallies=tallies)
         assert result.estimates[:, 0, 0].tolist() == [0.5, 1.0]
+
+    def test_bound_takes_the_fewest_answers_of_the_matched_tallies(self):
+        attempted = np.full((3, 2, 2), 12)
+        attempted[1, 1, 0] = 7  # w1's (z=1, y=0) type
+        attempted[2] = 1  # x is no worker of this population
+        tallies = GoldTallies(("w0", "w1", "x"), attempted, attempted)
+        cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
+        result = build_policy(perfect_workers(2), GoldPhaseConfig(40), PRIORS, cs, seed=0, tallies=tallies)
+        assert result.diagnostics.fairness_bound == fairness_violation_bound(BoundQuery(2, 7, 0.9))
 
     def test_tallies_missing_worker_rejected(self):
         workers = perfect_workers(2)

@@ -1,8 +1,10 @@
+import csv
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from crowdfdb import (
     ConstraintSet,
@@ -24,7 +26,7 @@ from crowdfdb import (
     write_results_csv,
 )
 from crowdfdb import simulator
-from crowdfdb.simulator import RESULTS_COLUMNS, RunInputs, _apply_sweep, _score_arrays
+from crowdfdb.simulator import RESULTS_COLUMNS, MetricsReport, RunInputs, _apply_sweep, _score_arrays
 from fixtures import make_binding_fairness_instance
 from oracles import recount_scores
 
@@ -61,9 +63,22 @@ def base_config(method="CrowdFDB", **kwargs):
 
 
 def score_labels(records):
-    """_score_arrays on (z, y, collected label) triples."""
-    zs, ys, yhats = np.asarray(records, dtype=int).T
-    return _score_arrays(zs, ys, yhats)
+    """_score_arrays on (z, y, collected label) triples, with run_once's
+    dtypes: int8 groups and truths, boolean labels."""
+    zs, ys, yhats = np.asarray(records, dtype=np.int8).T
+    return _score_arrays(zs, ys, yhats.astype(bool), lp_status="-")
+
+
+CELLS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def score_records(draw):
+    """(z, y, label) triples on a drawn subset of the four (z, y) cells, so
+    single cells and whole groups are often empty."""
+    cells = draw(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4, unique=True))
+    pairs = st.tuples(st.sampled_from(cells), st.integers(0, 1))
+    return [(z, y, label) for (z, y), label in draw(st.lists(pairs, min_size=1, max_size=300))]
 
 
 class TestScoreLabels:
@@ -98,10 +113,18 @@ class TestScoreLabels:
             for _ in range(200)
         ]
         report = score_labels(records)
-        fpr_gap, fnr_gap, accuracy = recount_scores(records)
-        assert report.fpr_gap == pytest.approx(fpr_gap)
-        assert report.fnr_gap == pytest.approx(fnr_gap)
-        assert report.accuracy == pytest.approx(accuracy)
+        fpr_gap, fnr_gap, accuracy, cell_tasks, cell_errors = recount_scores(records)
+        assert (report.fpr_gap, report.fnr_gap, report.accuracy) == (fpr_gap, fnr_gap, accuracy)
+        assert (report.cell_tasks, report.cell_errors) == (cell_tasks, cell_errors)
+
+    @given(score_records())
+    @example([(0, 0, 1)])
+    @example([(1, 1, 1), (1, 0, 1), (1, 0, 0)])
+    @settings(max_examples=300, deadline=None)
+    def test_scores_equal_the_recount_exactly(self, records):
+        fpr_gap, fnr_gap, accuracy, cell_tasks, cell_errors = recount_scores(records)
+        expected = MetricsReport("-", fpr_gap, fnr_gap, accuracy, cell_tasks=cell_tasks, cell_errors=cell_errors)
+        assert score_labels(records) == expected
 
 
 class TestRunOnce:
@@ -431,8 +454,6 @@ class TestRunExperiment:
 
 class TestAggregation:
     def test_infeasible_reports_excluded_but_counted(self):
-        from crowdfdb.simulator import MetricsReport
-
         good = MetricsReport(
             lp_status="optimal",
             fpr_gap=0.1,
@@ -451,9 +472,17 @@ class TestAggregation:
         assert agg.mean_fpr_gap == pytest.approx(0.1)
         assert agg.pooled_fpr_gap == pytest.approx(abs(2 / 20 - 6 / 20))
 
-    def test_single_rep_has_no_se(self):
-        from crowdfdb.simulator import MetricsReport
+    @given(st.lists(score_records(), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_pooled_gaps_equal_a_recount_over_the_concatenated_records(self, reps):
+        # only feasible repetitions count, whatever an infeasible report carries
+        infeasible = MetricsReport(lp_status="infeasible", cell_tasks=(1, 1, 1, 1), cell_errors=(1, 0, 0, 1))
+        agg = aggregate_reports([infeasible] + [score_labels(records) for records in reps] + [infeasible])
+        fpr_gap, fnr_gap = recount_scores([record for records in reps for record in records])[:2]
+        assert (agg.pooled_fpr_gap, agg.pooled_fnr_gap) == (fpr_gap, fnr_gap)
+        assert (agg.n_reps, agg.n_feasible, agg.n_infeasible) == (len(reps) + 2, len(reps), 2)
 
+    def test_single_rep_has_no_se(self):
         agg = aggregate_reports(
             [MetricsReport(lp_status="-", fpr_gap=0.1, fnr_gap=0.1, accuracy=0.8)]
         )
@@ -479,3 +508,20 @@ class TestResultsCsv:
         write_results_csv(a, [("CrowdFDB", run_experiment(cfg))])
         write_results_csv(b, [("CrowdFDB", run_experiment(cfg))])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_point_with_every_repetition_infeasible(self, tmp_path):
+        cfg = base_config(
+            population=perfect_population(1),
+            constraints=ConstraintSet(alpha=math.inf, beta=0.5, budget=math.inf, fairness_kind=FairnessKind.NONE),
+            repetitions=3,
+        )
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [("CrowdFDB", run_experiment(cfg))])
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        prefix = ["none", "", "CrowdFDB"]
+        assert rows[1:] == [
+            *(prefix + ["rep", str(rep), "infeasible"] + [""] * 18 for rep in range(3)),
+            prefix + ["mean", "", ""] + [""] * 13 + ["3", "0", "3", "", ""],
+            prefix + ["se", "", ""] + [""] * 13 + ["3", "0", "3", "", ""],
+        ]
