@@ -10,6 +10,7 @@ protocol with a fully seeded simulation harness.
 from ._version import __version__
 from .baselines import CapacityError, GreedyPlan, greedy_plan, random_policy
 from .bounds import BoundQuery, accuracy_loss_bound, fairness_violation_bound
+from .config import default_population_spec, default_task_pool_spec
 from .datagen import (
     AccuracyLinkedCost,
     ClusterBiasModel,
@@ -19,8 +20,6 @@ from .datagen import (
     TaskPool,
     TaskPoolSpec,
     UniformCost,
-    default_population_spec,
-    default_task_pool_spec,
     generate_population,
     generate_task_pool,
     load_gold_tallies,

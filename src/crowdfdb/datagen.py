@@ -651,33 +651,3 @@ def _add_counts(total: np.ndarray, kind: np.ndarray, size: int) -> np.ndarray:
     counts[: total.size] += total
     return counts
 
-
-def default_population_spec(seed: int = 4482, n_workers: int = 400,
-                            cost_model: UniformCost | AccuracyLinkedCost | None = None) -> PopulationSpec:
-    """Default synthetic population: a biased/unbiased worker mixture.
-
-    40% of workers split both error rates by 0.25 between the groups (in
-    opposite directions, mimicking higher false positives for one group
-    and higher false negatives for the other); ability is independent of
-    bias, with every worker's per-label accuracy drawn from (0.60, 0.86).
-    """
-    return PopulationSpec(
-        n_workers=n_workers,
-        bias_model=ClusterBiasModel(
-            biased_fraction=0.4,
-            biased_diag_y0=(0.60, 0.86),
-            biased_diag_y1=(0.60, 0.86),
-            unbiased_diag_y0=(0.60, 0.86),
-            unbiased_diag_y1=(0.60, 0.86),
-            biased_fpr_offset=-0.25,
-            biased_fnr_offset=0.25,
-        ),
-        cost_model=cost_model if cost_model is not None else UniformCost(fee=1.0),
-        seed=seed,
-    )
-
-
-def default_task_pool_spec(seed: int = 9161) -> TaskPoolSpec:
-    """Default task pool: 2454 + 3696 tasks with group base rates
-    0.3936 and 0.5143."""
-    return TaskPoolSpec(n_z0=2454, n_z1=3696, base_rate_z0=0.3936, base_rate_z1=0.5143, seed=seed)

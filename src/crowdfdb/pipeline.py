@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,9 +51,10 @@ def build_policy(
     workers are ignored, and the fairness bound is taken at the smallest
     attempted count of the matched tallies, not at
     gold_cfg.n_gold_per_type.  Otherwise worker i's responses are drawn
-    from the stream (seed, "gold", i).
+    from the stream (seed, "gold", i).  The bound's inputs, confidence
+    included, are checked before any gold response is drawn or read.
     """
-    n_gold = gold_cfg.n_gold_per_type
+    query = BoundQuery(n_workers=len(population), n_gold_per_type=gold_cfg.n_gold_per_type, confidence=confidence)
     if tallies is None:
         estimates = run_gold_phase(population, gold_cfg, seed)
     else:
@@ -67,17 +68,11 @@ def build_policy(
             )
         ordered = GoldTallies(population.ids, tallies.attempted[order], tallies.correct[order])
         estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
-        n_gold = int(ordered.attempted.min())  # >= 1: estimate_tallies rejects an unattempted type
+        query = replace(query, n_gold_per_type=int(ordered.attempted.min()))  # >= 1: estimate_tallies rejects 0
 
     lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)
-    delta = fairness_violation_bound(
-        BoundQuery(
-            n_workers=len(population),
-            n_gold_per_type=n_gold,
-            confidence=confidence,
-        )
-    )
+    delta = fairness_violation_bound(query)
     if solution.status == LpStatus.OPTIMAL:
         diagnostics = PipelineDiagnostics(
             confidence=confidence,

@@ -76,6 +76,21 @@ class TestBuildPolicy:
         assert result.diagnostics.confidence == 0.9
         assert result.diagnostics.fairness_bound > 0.0
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_bad_confidence_rejected_before_any_work(self, monkeypatch, confidence, recorded):
+        def boom(*args, **kwargs):
+            raise AssertionError("work done before the confidence was checked")
+
+        for name in ("run_gold_phase", "estimate_tallies", "solve_lp"):
+            monkeypatch.setattr(f"crowdfdb.pipeline.{name}", boom)
+        tallies = tallies_of(("w0", 5, 5), ("w1", 5, 5)) if recorded else None
+        cs = ConstraintSet(alpha=0.01, beta=0.5, budget=2.0)
+        with pytest.raises(ValueError) as err:
+            build_policy(perfect_workers(2), GoldPhaseConfig(5), PRIORS, cs, seed=0, tallies=tallies,
+                         confidence=confidence)
+        assert str(err.value) == f"confidence must lie in (0, 1), got {confidence}"
+
     def test_tallies_input_used_instead_of_simulation(self):
         workers = perfect_workers(2)
         tallies = tallies_of(("w0", 10, 5), ("w1", 10, 10))
