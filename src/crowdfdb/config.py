@@ -82,11 +82,14 @@ DEFAULTS: dict[str, str] = {
     "policy.gamma": "0.9",
 }
 
+# the interval model's range keys, in field order; they have no defaults
+_INTERVAL_KEYS = tuple(f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y in (0, 1) for end in ("low", "high"))
+
 # every key with a default, plus the keys that have none
 KNOWN_KEYS = frozenset(
     [
         *DEFAULTS,
-        *(f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y in (0, 1) for end in ("low", "high")),
+        *_INTERVAL_KEYS,
         "workers.file",
         "tasks.file",
         "priors.p_z1",
@@ -210,7 +213,18 @@ _COST_MODELS = {"uniform": UniformCost, "accuracy-linked": AccuracyLinkedCost}
 
 
 def population_spec(cfg: dict[str, str]) -> PopulationSpec:
-    bias_model = _spec(_choice(cfg, "population.model", _BIAS_MODELS), cfg, "population")
+    """The population spec.  An interval range key set under another bias
+    model is rejected rather than ignored; the fee keys are not checked so,
+    as DEFAULTS writes them into every resolved config."""
+    bias_cls = _choice(cfg, "population.model", _BIAS_MODELS)
+    if bias_cls is not IntervalBiasModel:
+        stray = next((key for key in _INTERVAL_KEYS if key in cfg), None)
+        if stray is not None:
+            raise ConfigError(
+                f"{stray} is read only with population.model = intervals, "
+                f"got population.model = {_get(cfg, 'population.model')!r}"
+            )
+    bias_model = _spec(bias_cls, cfg, "population")
     cost_model = _spec(_choice(cfg, "population.cost_model", _COST_MODELS), cfg, "population")
     return _spec(PopulationSpec, cfg, "population", bias_model=bias_model, cost_model=cost_model)
 

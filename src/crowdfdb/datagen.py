@@ -143,8 +143,9 @@ class AccuracyLinkedCost:
     high_fee: float
 
     def __post_init__(self) -> None:
-        if self.low_fee < 0.0 or self.high_fee < 0.0:
-            raise ValueError("fees must be >= 0")
+        for name in ("low_fee", "high_fee"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,16 @@ outcome.
 The solver is a two-phase bounded-variable primal simplex (Dantzig 1955;
 Chvatal, Linear Programming, ch. 8) over an m x m basis of the real rows:
 a variable that reaches its cap flips to its upper bound instead of
-adding a row, so each iteration costs O(m n).  Pivoting uses Dantzig's
-largest reduced cost for speed and switches to Bland's rule whenever a
-run of degenerate pivots exceeds a fixed threshold, which restores the
-anti-cycling guarantee while keeping every choice deterministic.
-Feasibility is accepted at 1e-7 and reduced costs at 1e-9 (see
-Tolerances in model.py).
+adding a row, so each iteration costs O(m n).  The basis inverse starts
+as the diagonal crash basis (the identity, its own inverse) and is kept
+by one rank-one (product-form) update per pivot (Dantzig & Orchard-Hays,
+Math. Tables Aids Comput. 1954); the point x is carried by the same
+steps, from phase 1 into phase 2.  No inverse is formed and no LAPACK
+routine runs.  Pivoting uses Dantzig's largest reduced cost for speed
+and switches to Bland's rule whenever a run of degenerate pivots exceeds
+a fixed threshold, which restores the anti-cycling guarantee while
+keeping every choice deterministic.  Feasibility is accepted at 1e-7 and
+reduced costs at 1e-9 (see Tolerances in model.py).
 
 Phase 1 starts from a crash basis (Bixby, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 1992) instead of S = 0:
@@ -203,43 +207,43 @@ def build_lp(
 
 def _simplex(
     A: np.ndarray,
-    b: np.ndarray,
     cost: np.ndarray,
     upper: np.ndarray,
     basis: np.ndarray,
     at_upper: np.ndarray,
+    B_inv: np.ndarray,
+    x: np.ndarray,
     max_iter: int,
-) -> tuple[str, np.ndarray, int]:
-    """Bounded-variable primal simplex on A x = b, 0 <= x <= upper.
+) -> tuple[str, int]:
+    """Bounded-variable primal simplex on A x = b, 0 <= x <= upper, where
+    b is A x at the start.
 
-    Starts from a feasible basis; nonbasic variables sit at 0 or, where
-    at_upper is set, at their upper bound.  Updates basis and at_upper in
-    place and returns ("optimal" | "unbounded", x, iterations), counting
-    the final pass that proves the status; raises SolverError past
-    max_iter.
+    Starts from a feasible basis, its inverse B_inv and its point x:
+    nonbasic variables sit at 0 or, where at_upper is set, at their upper
+    bound.  A bound flip moves the basic values by the step times the
+    entering column; a pivot does too, puts the leaving variable at its
+    bound and applies one rank-one (product-form) update to B_inv, so no
+    inverse is ever formed.  Updates basis, at_upper, B_inv and x in place
+    and returns ("optimal" | "unbounded", iterations), counting the final
+    pass that proves the status; raises SolverError past max_iter.
     """
     m = len(basis)
     movable = upper > 0.0
     degenerate_streak = 0
     for iteration in range(1, max_iter + 1):
-        x = np.where(at_upper, upper, 0.0)
-        x[basis] = 0.0
-        B_inv = np.linalg.inv(A[:, basis])
-        x[basis] = B_inv @ (b - A @ x)
         reduced = cost - (cost[basis] @ B_inv) @ A
         eligible = movable & np.where(at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
         eligible[basis] = False
         if not eligible.any():
-            return "optimal", x, iteration
+            return "optimal", iteration
         if degenerate_streak > _DEGENERATE_SWITCH:
             entering = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
             entering = int(np.argmax(np.where(eligible, np.abs(reduced), -1.0)))
 
         # basic values change at `rate` per unit step of the entering variable
-        rate = B_inv @ A[:, entering]
-        if not at_upper[entering]:
-            rate = -rate
+        column = B_inv @ A[:, entering]
+        rate = column if at_upper[entering] else -column
         x_basic = x[basis]
         ratios = np.full(m, np.inf)
         down = rate < -_RATIO_TOL
@@ -250,16 +254,25 @@ def _simplex(
         best = ratios.min()
         if upper[entering] <= best:  # bound flip: the entering variable crosses its range first
             if math.isinf(upper[entering]):
-                return "unbounded", x, iteration
+                return "unbounded", iteration
+            x[basis] += upper[entering] * rate
+            x[entering] = 0.0 if at_upper[entering] else upper[entering]
             at_upper[entering] = not at_upper[entering]
             degenerate_streak = 0
             continue
         # deterministic anti-cycling tie-break: smallest basis variable index
         tied = np.flatnonzero(ratios <= best + 1e-15)
         leaving = int(tied[np.argmin(basis[tied])])
-        at_upper[basis[leaving]] = rate[leaving] > 0.0
+        x[basis] += best * rate
+        x[entering] = upper[entering] - best if at_upper[entering] else best
+        leaver = basis[leaving]
+        at_upper[leaver] = rate[leaving] > 0.0
+        x[leaver] = upper[leaver] if at_upper[leaver] else 0.0
         at_upper[entering] = False
         basis[leaving] = entering
+        pivot_row = B_inv[leaving] / column[leaving]
+        B_inv -= np.outer(column, pivot_row)
+        B_inv[leaving] = pivot_row
         degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
     raise SolverError(f"simplex exceeded {max_iter} pivots (cycling guard)")
 
@@ -362,12 +375,18 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     at_upper = np.zeros(A.shape[1], dtype=bool)
     at_upper[:n] = x0 > 0.0
     max_iter = 2000 + 200 * (m + A.shape[1])
+    # every basic column of the crash is an artificial or the slack of a
+    # row whose residual is >= 0, so sign +1: the basis is the identity
+    B_inv = np.eye(m)
+    x = np.where(at_upper, upper, 0.0)
+    x[basis] = b - A @ x
 
     # phase 1 repairs only the rows with an artificial: the total row
-    # always has one, so phase 1 always runs
+    # always has one, so phase 1 always runs; phase 2 goes on from its
+    # basis, B_inv and x
     phase1 = np.zeros(A.shape[1])
     phase1[n_struct:] = 1.0
-    status, x, iterations = _simplex(A, b, phase1, upper, basis, at_upper, max_iter)
+    status, iterations = _simplex(A, phase1, upper, basis, at_upper, B_inv, x, max_iter)
     if status != "optimal":
         raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
     if x[n_struct:].sum() > 1e-9:
@@ -376,7 +395,7 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
 
     cost = np.zeros(A.shape[1])
     cost[:n] = lp.objective
-    status, x, phase2_iterations = _simplex(A, b, cost, upper, basis, at_upper, max_iter)
+    status, phase2_iterations = _simplex(A, cost, upper, basis, at_upper, B_inv, x, max_iter)
     iterations += phase2_iterations
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None, iterations

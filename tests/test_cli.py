@@ -26,9 +26,10 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
-def test_commands_never_import_numpy_random(tmp_path):
-    """Every runtime draw comes from the in-place Philox kernel: experiment
-    and policy runs build no numpy Generator, so numpy.random stays unloaded."""
+def run_commands_in_subprocess(tmp_path, prelude, report):
+    """Run figure1 and figure4 at 2 reps, a policy from the default spec and
+    one from a responses file, in a fresh interpreter after prelude; report
+    prints from codes, the commands' exit codes.  Returns that stdout."""
     workers, responses, _ = write_gold_files(tmp_path, n_workers=60)
     commands = [
         ["experiment", "--recipe", "figure1", "--repetitions", "2", "--out", f"{tmp_path}/figure1.csv"],
@@ -39,19 +40,44 @@ def test_commands_never_import_numpy_random(tmp_path):
     ]
     code = (
         "import contextlib, io, json, sys, numpy\n"
-        "if 'numpy.random' in sys.modules: print('numpy loads it'); sys.exit()\n"
+        f"{prelude}"
         "from crowdfdb import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+        f"{report}"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(crowdfdb.__file__).parents[1]), "CROWDFDB_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    if done.stdout.strip() == "numpy loads it":
+    return done.stdout.strip()
+
+
+def test_commands_never_import_numpy_random(tmp_path):
+    """Every runtime draw comes from the in-place Philox kernel: experiment
+    and policy runs build no numpy Generator, so numpy.random stays unloaded."""
+    out = run_commands_in_subprocess(
+        tmp_path,
+        "if 'numpy.random' in sys.modules: print('numpy loads it'); sys.exit()\n",
+        "print(codes, sorted(m for m in sys.modules if m.startswith('numpy.random')))\n",
+    )
+    if out == "numpy loads it":
         pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert done.stdout.strip() == "[0, 0, 0, 0] []"
+    assert out == "[0, 0, 0, 0] []"
+
+
+def test_commands_never_call_numpy_linalg(tmp_path):
+    """The simplex keeps its basis inverse by rank-one updates, so no command
+    inverts or solves a matrix through numpy.linalg (LAPACK)."""
+    out = run_commands_in_subprocess(
+        tmp_path,
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('numpy.linalg called')\n"
+        "for name in ('inv', 'solve', 'pinv', 'lstsq'):\n"
+        "    setattr(numpy.linalg, name, refuse)\n",
+        "print(codes)\n",
+    )
+    assert out == "[0, 0, 0, 0]"
 
 
 @pytest.mark.parametrize("command", [

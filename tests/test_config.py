@@ -152,7 +152,8 @@ def test_range_and_name_errors_keep_their_place_in_the_order(settings, message):
     ({"population.unbiased_fnr_offset": "-2"}, "unbiased_fnr_offset must lie in [-1, 1], got -2.0"),
     ({**INTERVALS, "population.diag_z0_y1_high": "0.5"}, "diag_z0_y1 range must satisfy 0 <= lo <= hi <= 1, got (0.55, 0.5)"),
     ({"population.fee": "-1"}, "fee must be >= 0, got -1.0"),
-    ({**ACCURACY_LINKED, "population.high_fee": "-3"}, "fees must be >= 0"),
+    ({**ACCURACY_LINKED, "population.high_fee": "-3"}, "high_fee must be >= 0, got -3.0"),
+    ({**ACCURACY_LINKED, "population.high_fee": "-3", "population.low_fee": "-1"}, "low_fee must be >= 0, got -1.0"),
     ({"population.n_workers": "0"}, "n_workers must be >= 1, got 0"),
 ])
 def test_population_model_and_cost_errors_are_config_errors(settings, message):
@@ -182,6 +183,21 @@ def test_the_interval_model_has_no_default_ranges():
     assert not any(key.startswith("population.diag_") for key in DEFAULTS)
     with pytest.raises(ConfigError, match=r"^missing config key 'population.diag_z0_y0_low'$"):
         population_spec(resolve({"population.model": "intervals"}))
+
+
+@pytest.mark.parametrize("settings,key", [
+    # all eight ranges set, but population.model left at its default
+    ({k: v for k, v in INTERVALS.items() if k != "population.model"}, "population.diag_z0_y0_low"),
+    ({"population.diag_z0_y0_low": "0.1", "population.diag_z0_y0_high": "0.2", "population.low_fee": "5"},
+     "population.diag_z0_y0_low"),
+    ({"population.model": "clusters", "population.diag_z1_y1_high": "0.9", "population.biased_fraction": "x"},
+     "population.diag_z1_y1_high"),
+])
+def test_an_interval_key_without_the_interval_model_is_named(settings, key):
+    with pytest.raises(ConfigError, match=(
+        f"^{re.escape(key)} is read only with population.model = intervals, got population.model = 'clusters'$"
+    )):
+        population_spec(resolve(settings))
 
 
 def test_specs_read_every_other_key_by_its_field_name():

@@ -11,12 +11,15 @@ from crowdfdb import (
     LpStatus,
     Policy,
     Priors,
+    TOL,
     build_lp,
     dump,
     solve_lp,
     verify_solution,
 )
 from crowdfdb import lp as lp_module
+from crowdfdb.config import constraint_set, gold_config, resolve, resolve_priors, resolve_workers
+from crowdfdb.estimation import run_gold_phase
 from crowdfdb.lp import LpProblem, SolverError, _crash, _lowest, _solve_bounded, _without_family, binding_rows
 from fixtures import make_binding_fairness_instance
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
@@ -525,6 +528,29 @@ class TestIterations:
         assert sol.status == LpStatus.OPTIMAL
         assert verify_solution(lp, sol) == []
         assert sol.iterations <= bound
+
+
+def test_a_program_of_over_a_thousand_pivots_matches_highs():
+    """The basis inverse is carried by rank-one updates from the crash's
+    identity, never re-inverted, so any drift would grow with the pivots:
+    the n = 20,000, beta = 2/n policy program of the default population
+    takes 1,538 iterations, 1,477 of them pivots, in about 0.4 s."""
+    pytest.importorskip("scipy")
+    n = 20_000
+    cfg = resolve({"population.n_workers": str(n), "constraints.beta": repr(2 / n)})
+    population = resolve_workers(cfg)
+    estimates = run_gold_phase(population, gold_config(cfg), seed=7)
+    lp = build_lp(estimates, population.cost, resolve_priors(cfg), constraint_set(cfg))
+    sol = solve_lp(lp)
+    assert sol.status == LpStatus.OPTIMAL
+    assert sol.iterations > 1_000
+    assert sol.objective_value == pytest.approx(highs(lp)[1], abs=1e-9)
+    weights = sol.policy.weights
+    assert abs(float(weights.sum()) - 1.0) <= TOL.policy_sum
+    # every <= row holds to 1e-12 (measured 3.8e-15); rounding B_inv to
+    # float32 after each pivot breaks the budget row by 1.7e-10
+    assert float((lp.coeffs @ weights - lp.rhs).max()) <= 1e-12
+    assert verify_solution(lp, sol) == []
 
 
 def test_weight_sum_outside_policy_tolerance_is_a_solver_error(monkeypatch):

@@ -119,47 +119,47 @@ def digests(case: str) -> dict[str, str]:
 DIGESTS = {
     "experiment appendix-figure5": {
         "stdout": "520e4cb790d22beb16b7dae43dc02f610b99340f0c55a0e0384d7c9cb9967e37",
-        "results.csv": "73161cf30adb9f055117c2628745ace468b46ea0896cd752ccfe75c8fd744421",
+        "results.csv": "4dbcf04f577a9a16b0bcc980e63d75719dda783376c5104b8ba93dc0e9b57b34",
         "results.csv.manifest": "c12fc5e5db8ee005c5ff748935d78072fb42b8e806cda19f5fb5759f6ecb2c9d",
     },
     "experiment appendix-figure6": {
         "stdout": "78b4e21971725227ba9a2a56f6af3e3860179ef7e847301354db9ee9a73ecf10",
-        "results.csv": "75a2641e16962b34c6d16a56277d49277026e0ac14ca527ae1f4c15f378a0444",
+        "results.csv": "d5efe3bbe46ee84ecd5e9e82e0049ab5667470878c2c7985b2e626d8b6f21bff",
         "results.csv.manifest": "89ef64f8507639a378fa1e4563ae73f3ee9395b8bf95a76a6e4403f047293a9b",
     },
     "experiment appendix-figure7": {
-        "stdout": "1e3df2167e30fc915594076fce0e4cbd7b45480388033eb789b22b6603770e95",
-        "results.csv": "34e2ea211c80428b6d492a81b8ef1fd21b13271a8343cd1138f4f86bd8f6c452",
+        "stdout": "d1766c35a54ea8af8e08cf997993e53c41141d769bef37d9da0dbed8adc1bf04",
+        "results.csv": "5f2758080e399f6718a3783afc402535c67f24be37336e0212af53c9cd32720d",
         "results.csv.manifest": "65293283077c951948c73529f758acc091c39045f5e58c11a869373c9378c24a",
     },
     "experiment appendix-figure8": {
         "stdout": "1b4e4a2ad8c245f1c93af9c78709e37aa0f4f6bcff7ded2f27be5f773921bb5d",
-        "results.csv": "e2ac940b87bdc33dfff618fcedbd9cb8f05b3d97597227fe4c5978088b1377e9",
+        "results.csv": "09602943f4efab253fab5bfe798d4572d36e0e4afc60835ac2ea80bb0c9dfce8",
         "results.csv.manifest": "d849206f39450c7ad8bc7b3b804b3c09e4be4fca64b494d1f3c48b08dc487d7b",
     },
     "experiment figure1": {
         "stdout": "a276bc1b7acb32f68c911365715cd1c97b4e6cd90fee7f143200e98bc590cd2a",
-        "results.csv": "977ff0e13242240633130e9b46e2b067990d5618b7209f276ec7f905480d2c2a",
+        "results.csv": "1379022037d7fc857d2277eb8e8bf60a1616ef0465335675f2684ef664896711",
         "results.csv.manifest": "7fd724fb0110b873e0dbb58f70d7d8443097c01dddf00b6b6ea91d599a07b1c5",
     },
     "experiment figure2": {
         "stdout": "b2cc249e1167d5ded76417f06c08901e5104934102e6def2910b59316b73ab11",
-        "results.csv": "ba3460ddc84553cf544f4e94630d8cd6a5e18fc4a7632f4f1f29d51e2388f25e",
+        "results.csv": "7d44004bf688448812ed6ec260f5739553f4a334d6e01c036a39906f6f04fe2c",
         "results.csv.manifest": "5f14e5b32e7e7d89cf357980ecca8e73c8961d156e1d0491ed3bbe5ea13aabf2",
     },
     "experiment figure3": {
-        "stdout": "77658352d79d5fde9baa79602f921ae9720652cd9b4cee4cd9d01c3c505682f3",
-        "results.csv": "f362ea12da98a10f6020aff103ff821bcad3029c07743877d148703415fc4f69",
+        "stdout": "58eff5dda7e26d24275709b3470fbc486c6b53697281a6eb3e05b593e6bd8a91",
+        "results.csv": "bf6c640671d63538c968efcb6b742467ae92cbdb5a3604b6c72189524704b8de",
         "results.csv.manifest": "7353b8d1fe4632c6d0ee54a40b7152e982b140278c260c5f477f09690616de76",
     },
     "experiment figure4": {
         "stdout": "8a51a414caedcdf0f7e3ed5ea6bae0e8ad181ead53b9177ea4a14ac09fe5d25a",
-        "results.csv": "c1e11e43c0d5762976fa2498de80d1ab635c716ea2749ebdb8a42a11b2cf9c8b",
+        "results.csv": "e9c6473342b894de6ed50fe7e59059294463b70524afb383372b981b6ff749ce",
         "results.csv.manifest": "10625067c0ee00ea6f05c0efe7950113bf466dbc6012a855d7bbbf3b827c7a43",
     },
     "experiment figure1 threads=2": {
         "stdout": "a276bc1b7acb32f68c911365715cd1c97b4e6cd90fee7f143200e98bc590cd2a",
-        "results.csv": "977ff0e13242240633130e9b46e2b067990d5618b7209f276ec7f905480d2c2a",
+        "results.csv": "1379022037d7fc857d2277eb8e8bf60a1616ef0465335675f2684ef664896711",
         "results.csv.manifest": "7fd724fb0110b873e0dbb58f70d7d8443097c01dddf00b6b6ea91d599a07b1c5",
     },
     "generate defaults": {
@@ -170,22 +170,22 @@ DIGESTS = {
     },
     "policy default": {
         "stdout": "a877738f4d56fa7082c0923c3863179204c06daab3ff557c20be089f78254785",
-        "policy.csv": "9784eec343d822506a0afced313ee9a4785c6cc258dfaf3282d100f5b2aa4aca",
+        "policy.csv": "40937aa60031f8a78fb93173f2382b99cf02390ebe897bb8b353fe0afa1da646",
         "policy.csv.manifest": "b4bbd6411032b225eee582ad1fd083735ad5ef3c6872ea19e34797c84b1ead99",
     },
     "policy budgeted": {
         "stdout": "ff70b195cbc87345ef6263b9ab732d47a864edf82f85cdaf30c2cfab50cbee97",
-        "policy.csv": "43f982baed6eed497730139d86124554ad15793f06938c00ba73beeb5dd195f4",
+        "policy.csv": "b42745d0fdcb7b6830b5d9b8e16a7e2a63278bd1d9fbb91d3c2eb1a2997ec132",
         "policy.csv.manifest": "ad3f7517d666cc04dd09a98f69a5654a86a3c3dec304cea8252be124ef911348",
     },
     "policy responses": {
         "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
-        "policy.csv": "2e7f102e165541419d8dd0c3927dcf9c57240d5f6460d4817d0f95005869f397",
+        "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
         "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
     },
     "policy tallies": {
         "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
-        "policy.csv": "2e7f102e165541419d8dd0c3927dcf9c57240d5f6460d4817d0f95005869f397",
+        "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
         "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
     },
 }
