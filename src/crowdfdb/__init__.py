@@ -53,7 +53,6 @@ from .lp import (
     verify_solution,
 )
 from .model import (
-    AccuracyMatrix,
     DimensionMismatchError,
     FairnessKind,
     Policy,
@@ -62,7 +61,6 @@ from .model import (
     TOL,
     Tolerances,
     WorkerProfile,
-    as_correctness,
     compose_policy_accuracy,
     diagonal_accuracies,
     expected_accuracy,

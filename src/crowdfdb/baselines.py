@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccuracyMatrix, Policy, Priors, diagonal_accuracies
+from .model import Policy, Priors, diagonal_accuracies
 
 
 class CapacityError(ValueError):
@@ -36,13 +36,12 @@ class GreedyPlan:
 
     def assignment_sequence(self) -> np.ndarray:
         """Worker index for each task slot, highest-density workers first."""
-        return np.concatenate(
-            [np.full(self.counts[i], i, dtype=int) for i in self.order if self.counts[i]]
-        )
+        order = np.array(self.order, dtype=int)
+        return np.repeat(order, np.array(self.counts)[order])
 
 
 def greedy_plan(
-    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]],
+    estimates: np.ndarray | list[np.ndarray],
     costs: list[float] | np.ndarray,
     priors: Priors,
     beta: float,
@@ -50,8 +49,8 @@ def greedy_plan(
 ) -> GreedyPlan:
     """Fill workers to floor(beta * T) in decreasing density order.
 
-    Estimates are the (n, z, y) correctness array or matrix pairs (see
-    as_correctness).  Density is estimated expected accuracy divided by
+    Estimates are the (n, z, y) correctness array, or a list of per-worker
+    (z, y) arrays.  Density is estimated expected accuracy divided by
     fee (infinite for a free worker); ties break toward the lower worker
     index.  Unlike the LP policy the greedy baseline must know the task
     count T in advance.

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import GoldTallies, check_counts
-from .model import TOL, AccuracyMatrix, Population
+from .model import TOL, Population
 from .rng import mix, permutation, random_rows, stream_keys
 
 
@@ -547,11 +547,14 @@ def _worker_row(path, lineno: int, row: list[str], seen: dict[str, int]) -> list
     _check_row(path, lineno, row, len(_WORKER_COLUMNS))
     numbers = [_parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])]
     grids = np.array(numbers[1:]).reshape(2, 2, 2)  # [z, y, yhat]
-    for z in (0, 1):
-        try:
-            AccuracyMatrix(grids[z])  # rejects a row that does not sum to 1
-        except ValueError as err:
-            raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
+    for z, m in enumerate(grids):
+        if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN fails every comparison
+            problem = f"entries must lie in [0, 1]: {m.tolist()}"
+        elif (np.abs(m.sum(axis=1) - 1.0) > TOL.structural).any():
+            problem = f"rows must sum to 1, got sums {m.sum(axis=1).tolist()}"
+        else:
+            continue
+        raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: accuracy matrix {problem}")
     try:
         Population(ids=(row[0],), correct=grids.diagonal(axis1=1, axis2=2)[None], cost=numbers[:1])
     except ValueError as err:  # the cost check

@@ -5,7 +5,8 @@ fraction answered correctly is the estimated P(correct | z, y), entry
 [i, z, y] of the (n, z, y) array that run_gold_phase and estimate_tallies
 return.  Recorded counts are held as one GoldTallies of (n, z, y) arrays;
 GoldResponseTally, simulate_gold_tally and estimate_matrices are the
-per-worker reference they match bit for bit.
+per-worker reference they match bit for bit: estimate_matrices gives one
+worker's (z, y) array, a row of the (n, z, y) array.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AccuracyMatrix, Population, WorkerProfile, label_one_probabilities
+from .model import Population, WorkerProfile, label_one_probabilities
 from .rng import random_words, stream_keys
 
 # fixed type order used for simulation draws and file columns
@@ -124,23 +125,19 @@ class GoldTallies:
             yield worker_id, GoldResponseTally(attempted=tuple(a), correct=tuple(c))
 
 
-def estimate_matrices(
-    tally: GoldResponseTally, smoothing: bool = False
-) -> tuple[AccuracyMatrix, AccuracyMatrix]:
-    """Estimated (z=0, z=1) accuracy matrices from a gold tally."""
-    diag = {}
+def estimate_matrices(tally: GoldResponseTally, smoothing: bool = False) -> np.ndarray:
+    """Estimated correctness diag[z, y] = P(correct | z, y) from one worker's
+    gold tally, type by type."""
+    diag = np.empty((2, 2))
     for z, y in TYPE_ORDER:
         attempted, correct = tally.get(z, y)
         if attempted == 0:
             raise EstimationError(f"no gold tasks attempted for type (z={z}, y={y})")
         if smoothing:
-            diag[(z, y)] = (correct + 1) / (attempted + 2)
+            diag[z, y] = (correct + 1) / (attempted + 2)
         else:
-            diag[(z, y)] = correct / attempted
-    return (
-        AccuracyMatrix.from_diagonals(diag[(0, 0)], diag[(0, 1)]),
-        AccuracyMatrix.from_diagonals(diag[(1, 0)], diag[(1, 1)]),
-    )
+            diag[z, y] = correct / attempted
+    return diag
 
 
 def simulate_gold_tally(

@@ -52,15 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    AccuracyMatrix,
-    FairnessKind,
-    Policy,
-    Priors,
-    TOL,
-    as_correctness,
-    diagonal_accuracies,
-)
+from .model import FairnessKind, Policy, Priors, TOL, diagonal_accuracies
 
 FEASIBILITY_TOL = TOL.lp_feasibility
 OPTIMALITY_TOL = TOL.lp_optimality
@@ -159,21 +151,22 @@ class LpSolution:
 
 
 def build_lp(
-    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]],
+    estimates: np.ndarray | list[np.ndarray],
     costs: list[float] | np.ndarray,
     priors: Priors,
     cs: ConstraintSet,
 ) -> LpProblem:
     """Assemble the accuracy-maximization LP from per-worker estimates.
 
-    The objective coefficient for worker i is the negated prior-weighted
-    sum of the estimated correctness diag[i, z, y] (see as_correctness),
-    so minimizing it maximizes expected accuracy.  Fairness rows encode
+    Estimates are the (n, z, y) correctness array, or a list of per-worker
+    (z, y) arrays.  The objective coefficient for worker i is the negated
+    prior-weighted sum of the estimated correctness diag[i, z, y], so
+    minimizing it maximizes expected accuracy.  Fairness rows encode
     the mixture-level gap as a pair of <= alpha rows per constrained error
     kind; they are expanded to per-worker coefficients gap_i = (1 - diag[i,
     0, y]) - (1 - diag[i, 1, y]) because the mixture gap is linear in S.
     """
-    d = as_correctness(estimates)
+    d = np.asarray(estimates, dtype=float)
     n = len(d)
     if n < 1:
         raise ValueError("need at least one worker")

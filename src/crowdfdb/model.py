@@ -4,14 +4,17 @@ A worker is four correctness probabilities and a fee: correct[z, y] is the
 probability that the worker labels a task of group z and true label y
 correctly.  With binary labels this fixes the worker's 2x2 row-stochastic
 accuracy matrix for each group, entry [y, yhat] = P(label yhat | truth y),
-which WorkerProfile.matrix(z) derives.  A population carries its workers as
-arrays, Population(ids, correct (n, z, y), cost (n,)), validated once when
-it is built; indexing it gives one worker's WorkerProfile view.  A policy is
-a probability vector over workers, and its group-level correctness is the
-policy-weighted mixture of the workers', one (z, y) array.
+which WorkerProfile.matrix(z) derives as a plain 2x2 array; no type holds
+such a matrix, and only worker files spell one out.  A population carries
+its workers as arrays, Population(ids, correct (n, z, y), cost (n,)),
+validated once when it is built; indexing it gives one worker's
+WorkerProfile view.  A policy is a probability vector over workers, and its
+group-level correctness is the policy-weighted mixture of the workers', one
+(z, y) array.
 
 Estimates travel the same way, as one (n, z, y) correctness array
-diag[i, z, y] = P(correct | z, y).
+diag[i, z, y] = P(correct | z, y); wherever a list of per-worker (z, y)
+arrays is passed instead, it is read with np.asarray.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 class Tolerances:
     """Fixed numerical tolerances shared across the package (see README).
 
-    structural:     accuracy-matrix row sums
+    structural:     row sums of the worker-file accuracy matrices
     policy_sum:     policy weight sums
     lp_feasibility: constraint residuals accepted from the LP solver
     lp_optimality:  reduced-cost threshold for simplex termination
@@ -58,68 +61,6 @@ class FairnessKind(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class AccuracyMatrix:
-    """2x2 row-stochastic matrix; entry [y, yhat] = P(label yhat | truth y).
-
-    Validated at construction: entries in [0, 1] and each row summing to 1
-    within the structural tolerance.  Matrices are rejected, never silently
-    renormalized, so estimation bugs surface instead of being washed out.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"accuracy matrix must be 2x2, got shape {m.shape}")
-        # NaN compares false against every bound, so check finiteness first
-        if not np.all(np.isfinite(m)) or np.any(m < 0.0) or np.any(m > 1.0):
-            raise ValueError(f"accuracy matrix entries must lie in [0, 1]: {m.tolist()}")
-        sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > TOL.structural):
-            raise ValueError(f"accuracy matrix rows must sum to 1, got sums {sums.tolist()}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    def __getitem__(self, index) -> float:
-        return float(self.entries[index])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AccuracyMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self.entries, other.entries))
-
-    def __hash__(self) -> int:
-        return hash(self.entries.tobytes())
-
-    @property
-    def fpr(self) -> float:
-        """P(label 1 | truth 0)."""
-        return float(self.entries[0, 1])
-
-    @property
-    def fnr(self) -> float:
-        """P(label 0 | truth 1)."""
-        return float(self.entries[1, 0])
-
-    @staticmethod
-    def from_diagonals(correct_on_0: float, correct_on_1: float) -> "AccuracyMatrix":
-        """Build from the two per-truth-label correctness probabilities."""
-        return AccuracyMatrix(
-            np.array(
-                [
-                    [correct_on_0, 1.0 - correct_on_0],
-                    [1.0 - correct_on_1, correct_on_1],
-                ]
-            )
-        )
-
-    @staticmethod
-    def identity() -> "AccuracyMatrix":
-        return AccuracyMatrix(np.eye(2))
-
-
-@dataclass(frozen=True, eq=False)
 class WorkerProfile:
     """One worker: read-only correct[z, y] = P(correct | z, y) and the per-label fee."""
 
@@ -148,11 +89,13 @@ class WorkerProfile:
     def __hash__(self) -> int:
         return hash((self.id, self.cost))
 
-    def matrix(self, z: int) -> AccuracyMatrix:
-        """The group-z accuracy matrix implied by the diagonal correct[z]."""
+    def matrix(self, z: int) -> np.ndarray:
+        """The group-z accuracy matrix implied by the diagonal correct[z], as a
+        new 2x2 array: entry [y, yhat] = P(label yhat | truth y)."""
         if z not in (0, 1):
             raise ValueError(f"sensitive attribute must be 0 or 1, got {z}")
-        return AccuracyMatrix.from_diagonals(*self.correct[z])
+        on_0, on_1 = self.correct[z].tolist()
+        return np.array([[on_0, 1.0 - on_0], [1.0 - on_1, on_1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,32 +216,21 @@ def compose_policy_accuracy(policy: Policy, population: Population) -> np.ndarra
     return np.clip(mixed, 0.0, 1.0)
 
 
-def as_correctness(estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]]) -> np.ndarray:
-    """Per-worker correctness as an (n, z, y) array, like np.asarray.
-
-    An ndarray is returned unchanged; a list of (z=0, z=1) matrix pairs is
-    stacked as diag[i, z, y] = pair[z][y, y].
-    """
-    if isinstance(estimates, np.ndarray):
-        return estimates
-    return np.array([[m.entries.diagonal() for m in pair] for pair in estimates]).reshape(-1, 2, 2)
-
-
 def label_one_probabilities(population: Population) -> np.ndarray:
     """True P(label 1 | z, y) of every worker, as an (n, z, y) array."""
     correct = population.correct
     return np.where(np.array([False, True]), correct, 1.0 - correct)  # label 1 is correct iff y == 1
 
 
-def diagonal_accuracies(
-    estimates: np.ndarray | list[tuple[AccuracyMatrix, AccuracyMatrix]], priors: Priors
-) -> np.ndarray:
+def diagonal_accuracies(estimates: np.ndarray | list[np.ndarray], priors: Priors) -> np.ndarray:
     """Per-worker expected accuracy on a random task, as a vector.
 
-    Entry i is sum_z P(Z=z) * sum_y P_z(Y=y) * diag[i, z, y]; this is both
-    the negated LP objective coefficient and the greedy density numerator.
+    Estimates are the (n, z, y) correctness array, or a list of per-worker
+    (z, y) arrays.  Entry i is sum_z P(Z=z) * sum_y P_z(Y=y) * diag[i, z, y];
+    this is both the negated LP objective coefficient and the greedy density
+    numerator.
     """
-    diag = as_correctness(estimates)
+    diag = np.asarray(estimates, dtype=float)
     weight = np.array([[priors.type_weight(z, y) for y in (0, 1)] for z in (0, 1)])
     return np.tensordot(diag, weight, axes=([1, 2], [0, 1]))
 

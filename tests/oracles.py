@@ -203,17 +203,9 @@ def random_lp_instance(rng, n, alpha, beta, budget_kind, fairness_kind):
     budget_kind "tight" barely covers the cheapest cap-respecting mix,
     "loose" can never bind (an average of costs is at most the maximum).
     """
-    from crowdfdb import AccuracyMatrix, ConstraintSet, Priors, build_lp
+    from crowdfdb import ConstraintSet, Priors, build_lp
 
-    estimates = []
-    for _ in range(n):
-        diag = rng.uniform(0.05, 0.95, size=4)
-        estimates.append(
-            (
-                AccuracyMatrix.from_diagonals(diag[0], diag[1]),
-                AccuracyMatrix.from_diagonals(diag[2], diag[3]),
-            )
-        )
+    estimates = [rng.uniform(0.05, 0.95, size=4).reshape(2, 2) for _ in range(n)]
     costs = rng.uniform(0.5, 2.0, size=n)
     priors = Priors(
         p_z1=float(rng.uniform(0.2, 0.8)),
@@ -302,10 +294,11 @@ def _reference_rows(path, columns):
 
 def reference_load_workers(path):
     """load_workers as the per-row loop it replaced: each row's fields parsed
-    in turn, then both of its matrices and the worker validated as objects;
-    a list of WorkerProfiles, which must not be empty."""
+    in turn, then both of its matrices checked by the rule stated here (entries
+    in [0, 1], then rows summing to 1 within 1e-12) and the worker validated
+    as an object; a list of WorkerProfiles, which must not be empty."""
     from crowdfdb.datagen import _WORKER_COLUMNS, FileFormatError, _parse_float
-    from crowdfdb.model import AccuracyMatrix, WorkerProfile
+    from crowdfdb.model import WorkerProfile
 
     workers, seen = [], {}
     for lineno, row in _reference_rows(path, _WORKER_COLUMNS):
@@ -314,10 +307,14 @@ def reference_load_workers(path):
         )
         grids = np.array(entries).reshape(2, 2, 2)  # [z, y, yhat]
         for z in (0, 1):
-            try:
-                AccuracyMatrix(grids[z])
-            except ValueError as err:
-                raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: {err}")
+            m = grids[z].tolist()
+            if not all(0.0 <= v <= 1.0 for row in m for v in row):  # NaN fails every comparison
+                raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: "
+                                      f"accuracy matrix entries must lie in [0, 1]: {m}")
+            sums = [row[0] + row[1] for row in m]
+            if any(abs(s - 1.0) > 1e-12 for s in sums):
+                raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: "
+                                      f"accuracy matrix rows must sum to 1, got sums {sums}")
         try:
             workers.append(WorkerProfile(id=row[0], correct=grids.diagonal(axis1=1, axis2=2), cost=cost))
         except ValueError as err:

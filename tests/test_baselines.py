@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crowdfdb import (
-    AccuracyMatrix,
     CapacityError,
     Policy,
     Population,
@@ -19,10 +18,8 @@ PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
 
 def flat_estimates(diagonals):
-    return [
-        (AccuracyMatrix.from_diagonals(d, d), AccuracyMatrix.from_diagonals(d, d))
-        for d in diagonals
-    ]
+    """Per-worker (z, y) arrays, each the same accuracy for every type."""
+    return [np.full((2, 2), d) for d in diagonals]
 
 
 class TestRandomPolicy:
@@ -114,3 +111,13 @@ class TestGreedyPlan:
         plan = greedy_plan(flat_estimates([0.9, 0.6]), [1.0, 1.0], PRIORS, beta=0.6, total_tasks=10)
         seq = plan.assignment_sequence()
         assert seq.tolist() == [0] * 6 + [1] * 4
+
+    @pytest.mark.parametrize("beta, total_tasks", [(0.01, 6150), (0.17, 537), (1.0, 25)])
+    def test_assignment_sequence_matches_the_per_worker_loop(self, beta, total_tasks):
+        rng = np.random.default_rng(total_tasks)
+        estimates = rng.integers(0, 6, size=(400, 2, 2)) / 5  # k/5: many tied densities
+        costs = rng.choice([0.0, 1.0, 1.5], size=400)
+        plan = greedy_plan(estimates, costs, PRIORS, beta=beta, total_tasks=total_tasks)
+        reference = np.concatenate([np.full(plan.counts[i], i, dtype=np.int64) for i in plan.order if plan.counts[i]])
+        seq = plan.assignment_sequence()
+        assert seq.dtype == np.int64 and seq.tobytes() == reference.tobytes()

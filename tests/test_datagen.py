@@ -3,7 +3,6 @@ import pytest
 
 from crowdfdb import (
     AccuracyLinkedCost,
-    AccuracyMatrix,
     ClusterBiasModel,
     FairnessKind,
     FileFormatError,
@@ -100,14 +99,14 @@ class TestGeneratePopulation:
             seed=3,
         )
         for w in generate_population(spec):
-            assert w.matrix(0).fpr - w.matrix(1).fpr == pytest.approx(0.2, abs=1e-12)
-            assert w.matrix(0).fnr - w.matrix(1).fnr == pytest.approx(-0.1, abs=1e-12)
+            assert w.matrix(0)[0, 1] - w.matrix(1)[0, 1] == pytest.approx(0.2, abs=1e-12)  # FPR
+            assert w.matrix(0)[1, 0] - w.matrix(1)[1, 0] == pytest.approx(-0.1, abs=1e-12)  # FNR
 
     def test_generators_and_array_helpers_build_no_matrix(self, monkeypatch):
         def forbidden(self):
-            raise AssertionError("an AccuracyMatrix was constructed")
+            raise AssertionError("a WorkerProfile was constructed")
 
-        monkeypatch.setattr(AccuracyMatrix, "__post_init__", forbidden)
+        monkeypatch.setattr(WorkerProfile, "__post_init__", forbidden)  # matrix(z) is only on a WorkerProfile
         for population in (
             generate_population(default_population_spec(n_workers=20)),
             generate_population(interval_spec(20, 0.3, 0.9, AccuracyLinkedCost(1.0, 3.0))),
@@ -488,6 +487,50 @@ class TestMalformedFiles:
         with pytest.raises(FileFormatError) as err:
             load_responses(path)
         assert str(err.value) == f"{path} line 3: field answer must be 0 or 1, got 2"
+
+
+WORKER_FIELDS = "1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,0.6"  # cost, then a0_00 .. a1_11
+
+
+class TestWorkerMatrixMessages:
+    """The worker-file matrix rule, byte for byte: entries in [0, 1] first,
+    then each row summing to 1 within 1e-12, a0 before a1.  The bad row is
+    the last but one of a one-block file, or of a file whose second block
+    (past datagen._BLOCK_ROWS rows) holds it."""
+
+    @staticmethod
+    def _file(tmp_path, n_rows, fields):
+        rows = [f"w{i},{WORKER_FIELDS}" for i in range(n_rows)]
+        rows[-2] = f"w{n_rows - 2},{fields}"
+        path = tmp_path / "workers.csv"
+        path.write_text(LOADERS["workers"][1] + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        return path, n_rows  # the bad row's line: the header is line 1
+
+    @pytest.mark.parametrize("n_rows", [3, 600], ids=["one block", "second block"])
+    @pytest.mark.parametrize("fields, message", [
+        ("1.0,1.5,0.0,0.2,0.8,0.7,0.3,0.4,0.6",
+         "matrix a0_*: accuracy matrix entries must lie in [0, 1]: [[1.5, 0.0], [0.2, 0.8]]"),
+        ("1.0,0.9,0.1,0.2,0.8,0.7,0.3,-0.1,0.6",
+         "matrix a1_*: accuracy matrix entries must lie in [0, 1]: [[0.7, 0.3], [-0.1, 0.6]]"),
+        ("1.0,0.9,0.1,nan,0.8,0.7,0.3,0.4,0.6",
+         "matrix a0_*: accuracy matrix entries must lie in [0, 1]: [[0.9, 0.1], [nan, 0.8]]"),
+        ("1.0,0.9,0.1,0.2,0.8,0.7,0.3,0.4,inf",
+         "matrix a1_*: accuracy matrix entries must lie in [0, 1]: [[0.7, 0.3], [0.4, inf]]"),
+        ("1.0,0.9,0.1,0.2,0.8,0.7,0.300000000002,0.4,0.6",
+         "matrix a1_*: accuracy matrix rows must sum to 1, got sums [1.000000000002, 1.0]"),
+    ], ids=["entry 1.5", "entry -0.1", "entry nan", "entry inf", "row sum off by 2e-12"])
+    def test_bad_matrix_message(self, tmp_path, n_rows, fields, message):
+        path, lineno = self._file(tmp_path, n_rows, fields)
+        with pytest.raises(FileFormatError) as err:
+            load_workers(path)
+        assert str(err.value) == f"{path} line {lineno}: {message}"
+
+    @pytest.mark.parametrize("n_rows", [3, 600], ids=["one block", "second block"])
+    def test_row_sum_off_by_5e_13_is_accepted(self, tmp_path, n_rows):
+        path, _ = self._file(tmp_path, n_rows, "1.0,0.9,0.1000000000005,0.2,0.8,0.7,0.3,0.4,0.6")
+        population = load_workers(path)
+        assert len(population) == n_rows
+        assert population.correct[n_rows - 2].tolist() == [[0.9, 0.8], [0.7, 0.6]]
 
 
 class TestRepeatedIds:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdfdb import (
-    AccuracyMatrix,
     EstimationError,
     GoldPhaseConfig,
     GoldResponseTally,
@@ -129,23 +128,20 @@ class TestGoldTallies:
 
 class TestEstimateMatrices:
     def test_all_correct_gives_identity(self):
+        # correctness 1 for every type: both groups' accuracy matrices are the identity
         tally = GoldResponseTally(attempted=(7, 7, 7, 7), correct=(7, 7, 7, 7))
-        m0, m1 = estimate_matrices(tally)
-        assert m0 == AccuracyMatrix.identity()
-        assert m1 == AccuracyMatrix.identity()
+        est = estimate_matrices(tally)
+        assert est.shape == (2, 2) and est.dtype == float
+        assert est.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_fifteen_of_twenty(self):
-        # type (z=1, y=1): diagonal k/N, off-diagonal its complement
+        # type (z=1, y=1): k/N
         tally = GoldResponseTally(attempted=(20, 20, 20, 20), correct=(20, 20, 20, 15))
-        _, m1 = estimate_matrices(tally)
-        assert m1[1, 1] == pytest.approx(0.75)
-        assert m1[1, 0] == pytest.approx(0.25)
+        assert estimate_matrices(tally)[1, 1] == 0.75
 
     def test_zero_correct_boundary(self):
         tally = GoldResponseTally(attempted=(20, 20, 20, 20), correct=(0, 20, 20, 20))
-        m0, _ = estimate_matrices(tally)
-        assert m0[0, 0] == 0.0
-        assert m0[0, 1] == 1.0
+        assert estimate_matrices(tally).tolist() == [[0.0, 1.0], [1.0, 1.0]]
 
     def test_zero_attempted_is_error(self):
         tally = GoldResponseTally(attempted=(0, 5, 5, 5), correct=(0, 5, 5, 5))
@@ -154,11 +150,7 @@ class TestEstimateMatrices:
 
     def test_smoothing_add_one(self):
         tally = GoldResponseTally(attempted=(20, 20, 20, 20), correct=(20, 0, 15, 10))
-        m0, m1 = estimate_matrices(tally, smoothing=True)
-        assert m0[0, 0] == pytest.approx(21 / 22)
-        assert m0[1, 1] == pytest.approx(1 / 22)
-        assert m1[0, 0] == pytest.approx(16 / 22)
-        assert m1[1, 1] == pytest.approx(11 / 22)
+        assert estimate_matrices(tally, smoothing=True).tolist() == [[21 / 22, 1 / 22], [16 / 22, 11 / 22]]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -168,17 +160,12 @@ class TestEstimateMatrices:
             data.draw(st.integers(min_value=0, max_value=a)) for a in attempted
         )
         smoothing = data.draw(st.booleans())
-        m0, m1 = estimate_matrices(
+        est = estimate_matrices(
             GoldResponseTally(attempted=attempted, correct=correct), smoothing=smoothing
         )
-        for m in (m0, m1):
-            assert np.all(m.entries >= 0.0) and np.all(m.entries <= 1.0)
-            assert np.all(np.abs(m.entries.sum(axis=1) - 1.0) <= 1e-12)
-
-
-def stack_diagonals(pairs):
-    """Reference (n, z, y) array from per-worker (z=0, z=1) matrix pairs."""
-    return np.array([[[m[y, y] for y in (0, 1)] for m in pair] for pair in pairs])
+        assert np.all(est >= 0.0) and np.all(est <= 1.0)
+        tallies = GoldTallies(("w",), np.reshape(attempted, (1, 2, 2)), np.reshape(correct, (1, 2, 2)))
+        assert est.tobytes() == estimate_tallies(tallies, smoothing)[0].tobytes()
 
 
 def mixed_workers(count=25, seed=31):
@@ -198,7 +185,7 @@ class TestArrayMatchesPerWorkerReference:
         workers = mixed_workers()
         cfg = GoldPhaseConfig(n_gold, smoothing=smoothing)
         got = run_gold_phase(as_population(workers), cfg, seed=2024)
-        reference = stack_diagonals(
+        reference = np.array(
             [
                 estimate_matrices(simulate_gold_tally(w, n_gold, stream(2024, "gold", i)), smoothing)
                 for i, w in enumerate(workers)
@@ -213,7 +200,7 @@ class TestArrayMatchesPerWorkerReference:
         attempted = rng.integers(1, 60, (25, 2, 2))
         tallies = GoldTallies(tuple(f"w{i}" for i in range(25)), attempted, rng.integers(0, attempted + 1))
         got = estimate_tallies(tallies, smoothing=smoothing)
-        reference = stack_diagonals([estimate_matrices(t, smoothing) for _, t in tallies])
+        reference = np.array([estimate_matrices(t, smoothing) for _, t in tallies])
         assert got.tobytes() == reference.tobytes()
 
     def test_tallies_zero_attempts_raise_like_reference(self):
@@ -254,7 +241,7 @@ class TestRunGoldPhase:
         workers = [make_worker(0.8, 0.6, 0.75, 0.9, wid=f"w{i}") for i in range(5)]
         batch = run_gold_phase(as_population(workers), GoldPhaseConfig(21), seed=5)
         solo_tally = simulate_gold_tally(workers[3], 21, stream(5, "gold", 3))
-        solo = stack_diagonals([estimate_matrices(solo_tally)])[0]
+        solo = estimate_matrices(solo_tally)
         assert batch[3].tobytes() == solo.tobytes()
 
     def test_empty_worker_list_rejected(self):
@@ -272,8 +259,7 @@ class TestRunGoldPhase:
             errs = []
             for r in range(reps):
                 tally = simulate_gold_tally(w, n_gold, stream(mix(11, n_gold), "rep", r))
-                m0, m1 = estimate_matrices(tally)
-                est = {(0, 0): m0[0, 0], (0, 1): m0[1, 1], (1, 0): m1[0, 0], (1, 1): m1[1, 1]}
+                est = estimate_matrices(tally)
                 errs.append(max(abs(est[k] - true[k]) for k in true))
             mean_err[n_gold] = float(np.mean(errs))
         values = [mean_err[k] for k in (5, 10, 20, 40, 80)]
@@ -284,7 +270,7 @@ class TestRunGoldPhase:
 
 def reference_gold_phase(workers, n_gold, seed, rows, smoothing=False):
     """Per-worker reference estimates of the given rows (indices into workers)."""
-    return stack_diagonals(
+    return np.array(
         [
             estimate_matrices(simulate_gold_tally(workers[i], n_gold, stream(seed, "gold", i)), smoothing)
             for i in rows

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from crowdfdb import (
-    AccuracyMatrix,
     ConstraintSet,
     FairnessKind,
     LpStatus,
@@ -14,7 +13,11 @@ from crowdfdb import (
     TOL,
     build_lp,
     dump,
+    estimate_matrices,
+    estimate_tallies,
+    load_responses,
     solve_lp,
+    stream,
     verify_solution,
 )
 from crowdfdb import lp as lp_module
@@ -29,11 +32,8 @@ PRIORS = Priors(p_z1=0.5, p_y1_given_z0=0.4, p_y1_given_z1=0.6)
 
 
 def flat_estimates(diagonals):
-    """Workers whose accuracy is the same constant across z and y."""
-    return [
-        (AccuracyMatrix.from_diagonals(d, d), AccuracyMatrix.from_diagonals(d, d))
-        for d in diagonals
-    ]
+    """Per-worker (z, y) arrays: workers whose accuracy is the same constant across z and y."""
+    return [np.full((2, 2), d) for d in diagonals]
 
 
 class TestBuildLp:
@@ -94,10 +94,7 @@ class TestBuildLp:
         # verified against the brute-force grid oracle
         rng = np.random.default_rng(5)
         diag = rng.uniform(0.3, 0.95, size=(3, 4))
-        estimates = [
-            (AccuracyMatrix.from_diagonals(*d[:2]), AccuracyMatrix.from_diagonals(*d[2:]))
-            for d in diag
-        ]
+        estimates = diag.reshape(-1, 2, 2)
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         lp = build_lp(estimates, [1.0, 1.0, 1.0], PRIORS, cs)
         sol = solve_lp(lp)
@@ -150,7 +147,7 @@ class TestSolveLp:
 
     def test_infeasibility_hint_names_fairness(self):
         workers = make_binding_fairness_instance(0.4, 1, seed=2)
-        estimates = [(w.matrix(0), w.matrix(1)) for w in workers]
+        estimates = workers.correct
         # force all mass to one side with a cap of 1-eps on worker 0 only:
         # alpha=0 with asymmetric costs and a tight budget that only worker 0 fits
         cs = ConstraintSet(alpha=0.05, beta=0.999, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
@@ -183,7 +180,7 @@ class TestVerifySolution:
 
     def test_reports_binding_fairness_row_after_perturbation(self):
         workers = make_binding_fairness_instance(0.3, 1, seed=11)
-        estimates = [(w.matrix(0), w.matrix(1)) for w in workers]
+        estimates = workers.correct
         cs = ConstraintSet(alpha=0.0, beta=0.6, budget=math.inf, fairness_kind=FairnessKind.FPR_PARITY)
         lp = build_lp(estimates, [1.0, 1.0], PRIORS, cs)
         sol = solve_lp(lp)
@@ -263,10 +260,7 @@ class TestMonotonicityAndScale:
     def _instance(self, alpha, beta=0.6, budget=math.inf, scale=1.0):
         rng = np.random.default_rng(99)
         diag = rng.uniform(0.4, 0.95, size=(4, 4))
-        estimates = [
-            (AccuracyMatrix.from_diagonals(*d[:2]), AccuracyMatrix.from_diagonals(*d[2:]))
-            for d in diag
-        ]
+        estimates = diag.reshape(-1, 2, 2)
         costs = np.array([1.0, 1.4, 0.7, 2.0]) * scale
         cs = ConstraintSet(
             alpha=alpha, beta=beta, budget=budget * scale if math.isfinite(budget) else budget,
@@ -307,10 +301,7 @@ class TestMonotonicityAndScale:
         n = 10_000
         rng = np.random.default_rng(10_000)
         diag = rng.integers(0, 21, size=(n, 4)) / 20
-        estimates = [
-            (AccuracyMatrix.from_diagonals(*d[:2]), AccuracyMatrix.from_diagonals(*d[2:]))
-            for d in diag
-        ]
+        estimates = diag.reshape(-1, 2, 2)
         cs = ConstraintSet(alpha=0.01, beta=0.01, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
         lp = build_lp(estimates, rng.uniform(0.5, 2.0, size=n), PRIORS, cs)
         assert len(lp.labels) <= 5  # plus the implicit total row
@@ -326,22 +317,27 @@ class TestMonotonicityAndScale:
 
 
 class TestDumpAndBinding:
+    @pytest.mark.parametrize("smoothing", [False, True])
     @pytest.mark.parametrize("kind", list(FairnessKind))
-    def test_dump_identical_from_pairs_or_array(self, kind):
-        rng = np.random.default_rng(17)
-        pairs = [
-            (AccuracyMatrix.from_diagonals(*rng.uniform(0, 1, 2)),
-             AccuracyMatrix.from_diagonals(*rng.uniform(0, 1, 2)))
-            for _ in range(30)
-        ]
-        diag = np.array([[[pair[z][y, y] for y in (0, 1)] for z in (0, 1)] for pair in pairs])
+    def test_per_worker_reference_lp_is_the_commands_lp(self, tmp_path, kind, smoothing):
+        # a list of per-worker estimate_matrices arrays, as the benchmark's reference
+        # builds it, against the one (n, z, y) array that crowdfdb policy builds
+        path = tmp_path / "responses.csv"
+        rng = stream(17, "responses")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("worker_id,task_id,answer,z,y\n")
+            for i in range(30):
+                for z, y in itertools.product((0, 1), repeat=2):
+                    answers = rng.random(int(rng.integers(1, 9))) < rng.random()
+                    handle.writelines(f"w{i:02d},g{z}{y}-{j},{int(a)},{z},{y}\n" for j, a in enumerate(answers))
+        tallies = load_responses(path)
         costs = rng.uniform(0.5, 2.0, 30)
         cs = ConstraintSet(alpha=0.02, beta=0.1, budget=1.2, fairness_kind=kind)
-        from_pairs = build_lp(pairs, costs, PRIORS, cs)
-        from_array = build_lp(diag, costs, PRIORS, cs)
-        assert dump(from_pairs) == dump(from_array)
-        assert from_pairs.objective.tobytes() == from_array.objective.tobytes()
-        assert from_pairs.coeffs.tobytes() == from_array.coeffs.tobytes()
+        reference = build_lp([estimate_matrices(t, smoothing) for _, t in tallies], costs, PRIORS, cs)
+        command = build_lp(estimate_tallies(tallies, smoothing), costs, PRIORS, cs)
+        assert dump(reference) == dump(command)
+        assert reference.objective.tobytes() == command.objective.tobytes()
+        assert reference.coeffs.tobytes() == command.coeffs.tobytes()
 
     def test_dump_fixed_format(self):
         lp = LpProblem(

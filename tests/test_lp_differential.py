@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdfdb import (
-    AccuracyMatrix,
     ConstraintSet,
     FairnessKind,
     LpStatus,
@@ -50,10 +49,7 @@ SEEDED_CASES = (
 def draw_lp(rng, n, alpha, beta_kind, budget_kind, kind):
     """A program over n workers with k/N_GOLD estimates and fees from FEES."""
     diag = rng.integers(0, N_GOLD + 1, size=(n, 4)) / N_GOLD
-    estimates = [
-        (AccuracyMatrix.from_diagonals(d[0], d[1]), AccuracyMatrix.from_diagonals(d[2], d[3]))
-        for d in diag
-    ]
+    estimates = diag.reshape(-1, 2, 2)
     costs = FEES[rng.integers(0, FEES.size, size=n)]
     if budget_kind == "below_min_fee":
         costs = costs + 0.5  # keeps the budget below the cheapest fee nonnegative

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crowdfdb import (
-    AccuracyMatrix,
     DimensionMismatchError,
     FairnessKind,
     Policy,
@@ -48,34 +47,6 @@ def populations(draw, n):
         )
         for i in range(n)
     ])
-
-
-class TestAccuracyMatrix:
-    def test_rejects_bad_row_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            AccuracyMatrix(np.array([[0.7, 0.5], [0.2, 0.8]]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            AccuracyMatrix(np.array([[1.2, -0.2], [0.2, 0.8]]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            AccuracyMatrix(np.eye(3))
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            AccuracyMatrix(np.array([[np.nan, np.nan], [0.2, 0.8]]))
-
-    def test_entries_are_read_only(self):
-        m = AccuracyMatrix.from_diagonals(0.8, 0.7)
-        with pytest.raises(ValueError):
-            m.entries[0, 0] = 0.5
-
-    def test_fpr_fnr_accessors(self):
-        m = AccuracyMatrix.from_diagonals(0.8, 0.7)
-        assert m.fpr == pytest.approx(0.2)
-        assert m.fnr == pytest.approx(0.3)
 
 
 class TestPolicy:
@@ -211,9 +182,9 @@ class TestFairnessGap:
 
     def test_matches_the_accuracy_matrices_bit_for_bit(self):
         mixed = np.array([[0.7531, 0.6], [0.9117, 0.8125]])
-        z0, z1 = (AccuracyMatrix.from_diagonals(*mixed[z]) for z in (0, 1))
-        assert fairness_gap(mixed, FairnessKind.FPR_PARITY) == abs(z0.fpr - z1.fpr)
-        assert fairness_gap(mixed, FairnessKind.FNR_PARITY) == abs(z0.fnr - z1.fnr)
+        z0, z1 = (worker(*mixed).matrix(z) for z in (0, 1))  # [y, yhat]: the FPR at [0, 1], the FNR at [1, 0]
+        assert fairness_gap(mixed, FairnessKind.FPR_PARITY) == abs(z0[0, 1] - z1[0, 1])
+        assert fairness_gap(mixed, FairnessKind.FNR_PARITY) == abs(z0[1, 0] - z1[1, 0])
 
     def test_none_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -291,8 +262,11 @@ class TestWorkerProfile:
 
     def test_matrix_accessor(self):
         w = worker((0.8, 0.7), (0.6, 0.9))
-        assert w.matrix(0) == AccuracyMatrix.from_diagonals(0.8, 0.7)
-        assert w.matrix(1) == AccuracyMatrix.from_diagonals(0.6, 0.9)
+        for z, (on_0, on_1) in enumerate([(0.8, 0.7), (0.6, 0.9)]):
+            m = w.matrix(z)
+            assert m.dtype == float and m.tolist() == [[on_0, 1.0 - on_0], [1.0 - on_1, on_1]]
+            m[0, 0] = 0.0  # a new array each call: the worker is unchanged
+            assert w.matrix(z)[0, 0] == on_0
         with pytest.raises(ValueError):
             w.matrix(2)
 
