@@ -66,7 +66,7 @@ from .model import (
     expected_accuracy,
     fairness_gap,
 )
-from .pipeline import PipelineDiagnostics, PipelineResult, build_policy
+from .pipeline import PipelineResult, build_policy
 from .rng import mix, stream
 from .simulator import (
     AggregateMetrics,

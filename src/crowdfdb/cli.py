@@ -127,9 +127,8 @@ def cmd_policy(args) -> int:
     result = build_policy(
         population, gold, priors, constraints, seed=seed, tallies=tallies, confidence=gamma
     )
-    diag = result.diagnostics
     print(f"status: {result.solution.status}")
-    print(f"fairness inflation bound (gamma={gamma}): {diag.fairness_bound:.6g}")
+    print(f"fairness inflation bound (gamma={gamma}): {result.fairness_bound:.6g}")
     if result.solution.status != LpStatus.OPTIMAL:
         hints = result.solution.relaxation_hints
         if hints:
@@ -139,12 +138,12 @@ def cmd_policy(args) -> int:
             print("no single constraint family removal restores feasibility", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    print(f"predicted accuracy: {diag.predicted_accuracy:.6g}")
-    print(f"binding constraints: {', '.join(diag.binding) if diag.binding else '(none)'}")
+    print(f"predicted accuracy: {result.solution.objective_value:.6g}")
+    print(f"binding constraints: {', '.join(result.binding) if result.binding else '(none)'}")
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "weight"])
-        writer.writerows(zip(population.ids, map(repr, result.policy.weights.tolist())))
+        writer.writerows(zip(population.ids, map(repr, result.solution.policy.weights.tolist())))
     manifest_path = str(args.out) + ".manifest"
     cfgmod.write_manifest(manifest_path, "policy", cfg, outputs={"policy": str(args.out)})
     print(f"policy written to {args.out}")

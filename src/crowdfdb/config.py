@@ -318,6 +318,9 @@ def methods(cfg: dict[str, str]) -> list[str]:
 def sweep_spec(cfg: dict[str, str]) -> SweepSpec | None:
     raw = cfg.get("experiment.sweep", "none")
     if raw in ("", "none"):
+        if "experiment.sweep_values" in cfg:  # rejected rather than ignored
+            raise ConfigError(f"experiment.sweep_values is read only with experiment.sweep = gold or alpha, "
+                              f"got experiment.sweep = {raw!r}")
         return None
     values_raw = cfg.get("experiment.sweep_values", "")
     parts = [p.strip() for p in values_raw.split(",") if p.strip()]

@@ -1,12 +1,12 @@
 """Worker accuracy estimation from gold tasks.
 
-Each worker answers n_gold_per_type tasks of every (z, y) type; the
-fraction answered correctly is the estimated P(correct | z, y), entry
-[i, z, y] of the (n, z, y) array that run_gold_phase and estimate_tallies
-return.  Recorded counts are held as one GoldTallies of (n, z, y) arrays;
+Gold counts take one form, whether run_gold_phase draws them or datagen
+loads them: a GoldTallies of (n, z, y) attempted and correct arrays.
+estimate_tallies is the one estimate rule: the fraction answered correctly
+is the estimated P(correct | z, y), entry [i, z, y] of its (n, z, y) array.
 GoldResponseTally, simulate_gold_tally and estimate_matrices are the
-per-worker reference they match bit for bit: estimate_matrices gives one
-worker's (z, y) array, a row of the (n, z, y) array.
+per-worker reference these match bit for bit: estimate_matrices gives
+one worker's (z, y) array, a row of the (n, z, y) array.
 """
 
 from __future__ import annotations
@@ -178,21 +178,22 @@ def word_limits(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0**53).astype(np.uint64)
 
 
-def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> np.ndarray:
-    """Simulate the gold phase and return the (n, z, y) estimate array.
+def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> GoldTallies:
+    """Simulate the gold phase and return its tallies, in population order:
+    n_gold_per_type attempted answers of every type, and the correct ones.
 
     Worker i's draws are those of the derived stream (seed, "gold", i),
     consumed in TYPE_ORDER exactly as simulate_gold_tally does, and each
-    worker's estimate depends on its own stream only.  A response is
-    label 1 when its draw is below the true P(label 1 | z, y); the phase
-    counts those from the top 53 bits of random_words' integer words, chunk
-    by chunk, against word_limits, and never builds the n x 4 * n_gold_per_type
+    worker's counts depend on its own stream only.  A response is label 1
+    when its draw is below the true P(label 1 | z, y); the phase counts
+    those from the top 53 bits of random_words' integer words, chunk by
+    chunk, against word_limits, and never builds the n x 4 * n_gold_per_type
     draws.  For y = 0 the correct count is n_gold_per_type minus the count of
-    ones.
+    ones.  cfg.smoothing is not read here: it is estimate_tallies' argument.
     """
     n_gold = cfg.n_gold_per_type
     limits = word_limits(label_one_probabilities(population)).reshape(-1, 4, 1)
-    ones = np.empty((len(population), 4), dtype=np.intp)
+    ones = np.empty((len(population), 4), dtype=np.int64)
     keys = stream_keys(seed, "gold", np.arange(len(population)))
     for start, words in random_words(keys, 4 * n_gold):
         stop = start + words.shape[0]
@@ -201,4 +202,4 @@ def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> n
         below.sum(axis=-1, out=ones[start:stop])
     ones = ones.reshape(-1, 2, 2)
     correct = np.where(np.array([False, True]), ones, n_gold - ones)  # label == y
-    return (correct + cfg.smoothing) / (n_gold + 2 * cfg.smoothing)
+    return GoldTallies(population.ids, np.full(correct.shape, n_gold), correct)

@@ -26,8 +26,10 @@ steps, from phase 1 into phase 2.  No inverse is formed and no LAPACK
 routine runs.  Pivoting uses Dantzig's largest reduced cost for speed
 and switches to Bland's rule whenever a run of degenerate pivots exceeds
 a fixed threshold, which restores the anti-cycling guarantee while
-keeping every choice deterministic.  Feasibility is accepted at 1e-7 and
-reduced costs at 1e-9 (see Tolerances in model.py).
+keeping every choice deterministic.  A stall, steps that do not lower the
+objective, ends in SolverError after a number of steps fixed per row, not
+per worker.  Feasibility is accepted at 1e-7 and reduced costs at 1e-9
+(see Tolerances in model.py).
 
 Phase 1 starts from a crash basis (Bixby, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 1992) instead of S = 0:
@@ -47,6 +49,7 @@ Relaxation-hint re-solves crash the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +61,8 @@ FEASIBILITY_TOL = TOL.lp_feasibility
 OPTIMALITY_TOL = TOL.lp_optimality
 _RATIO_TOL = 1e-11
 _DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before engaging Bland
+_STALL_STEPS_PER_ROW = 100  # steps in a row without objective progress, per basis row, before SolverError
+_PROGRESS_TOL = 1e-12  # objective decrease, relative to max(1, |objective|), that counts as progress
 _CRASH_ROUNDS = 2  # passes of the crash over its priced rows
 _CRASH_STEPS = 12  # bisection steps per row price
 _CRASH_PRICE_SPAN = 2.0**20  # a row price is bisected within [scale / span, scale * span]
@@ -206,7 +211,6 @@ def _simplex(
     at_upper: np.ndarray,
     B_inv: np.ndarray,
     x: np.ndarray,
-    max_iter: int,
 ) -> tuple[str, int]:
     """Bounded-variable primal simplex on A x = b, 0 <= x <= upper, where
     b is A x at the start.
@@ -218,18 +222,28 @@ def _simplex(
     bound and applies one rank-one (product-form) update to B_inv, so no
     inverse is ever formed.  Updates basis, at_upper, B_inv and x in place
     and returns ("optimal" | "unbounded", iterations), counting the final
-    pass that proves the status; raises SolverError past max_iter.
+    pass that proves the status.  Raises SolverError (the cycling guard)
+    after more than _STALL_STEPS_PER_ROW * m steps in a row, pivots and
+    flips alike, that lower the objective by less than _PROGRESS_TOL.
     """
     m = len(basis)
     movable = upper > 0.0
-    degenerate_streak = 0
-    for iteration in range(1, max_iter + 1):
+    degenerate_streak = stalled = 0
+    lowest = math.inf
+    for iteration in itertools.count(1):
         reduced = cost - (cost[basis] @ B_inv) @ A
         eligible = movable & np.where(at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
         eligible[basis] = False
         if not eligible.any():
             return "optimal", iteration
-        if degenerate_streak > _DEGENERATE_SWITCH:
+        value = float(cost @ x)
+        if lowest - value > _PROGRESS_TOL * max(1.0, abs(value)):
+            lowest, stalled = value, 0
+        else:
+            stalled += 1
+        if stalled > _STALL_STEPS_PER_ROW * m:
+            raise SolverError(f"simplex made no objective progress in {stalled} steps (cycling guard)")
+        if degenerate_streak >= _DEGENERATE_SWITCH:
             entering = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
             entering = int(np.argmax(np.where(eligible, np.abs(reduced), -1.0)))
@@ -267,7 +281,6 @@ def _simplex(
         B_inv -= np.outer(column, pivot_row)
         B_inv[leaving] = pivot_row
         degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
-    raise SolverError(f"simplex exceeded {max_iter} pivots (cycling guard)")
 
 
 def _lowest(key: np.ndarray, k: int) -> np.ndarray:
@@ -367,7 +380,6 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     upper[:n] = lp.upper
     at_upper = np.zeros(A.shape[1], dtype=bool)
     at_upper[:n] = x0 > 0.0
-    max_iter = 2000 + 200 * (m + A.shape[1])
     # every basic column of the crash is an artificial or the slack of a
     # row whose residual is >= 0, so sign +1: the basis is the identity
     B_inv = np.eye(m)
@@ -379,7 +391,7 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     # basis, B_inv and x
     phase1 = np.zeros(A.shape[1])
     phase1[n_struct:] = 1.0
-    status, iterations = _simplex(A, phase1, upper, basis, at_upper, B_inv, x, max_iter)
+    status, iterations = _simplex(A, phase1, upper, basis, at_upper, B_inv, x)
     if status != "optimal":
         raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
     if x[n_struct:].sum() > 1e-9:
@@ -388,7 +400,7 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
 
     cost = np.zeros(A.shape[1])
     cost[:n] = lp.objective
-    status, phase2_iterations = _simplex(A, cost, upper, basis, at_upper, B_inv, x, max_iter)
+    status, phase2_iterations = _simplex(A, cost, upper, basis, at_upper, B_inv, x)
     iterations += phase2_iterations
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None, iterations

@@ -1,38 +1,46 @@
-"""End-to-end policy construction: gold phase, estimation, LP solve."""
+"""End-to-end policy construction: gold tallies (drawn or recorded, one
+GoldTallies either way) -> estimate_tallies -> LP solve."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundQuery, fairness_violation_bound
 from .estimation import GoldPhaseConfig, GoldTallies, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
-from .model import Policy, Population, Priors
+from .model import Population, Priors
 
 BINDING_TOL = 1e-6
 DEFAULT_CONFIDENCE = 0.9
 
 
-@dataclass(frozen=True)
-class PipelineDiagnostics:
-    """Run-level guarantees: the fairness-slack inflation bound at the
-    requested confidence, the LP's predicted accuracy, and which caps and
-    inequality rows sit within BINDING_TOL of equality."""
+@dataclass(frozen=True, eq=False)
+class PipelineResult:
+    """The estimates, the LP solution (its policy and predicted accuracy
+    are solution.policy and solution.objective_value), the fairness-slack
+    inflation bound at the requested confidence, and which caps and
+    inequality rows sit within BINDING_TOL of equality (none unless the
+    solve is optimal)."""
 
-    confidence: float
+    estimates: np.ndarray  # (n, z, y) estimated P(correct | z, y)
+    solution: LpSolution
     fairness_bound: float
-    predicted_accuracy: float | None
     binding: tuple[str, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PipelineResult:
-    estimates: np.ndarray  # (n, z, y) estimated P(correct | z, y)
-    solution: LpSolution
-    policy: Policy | None
-    diagnostics: PipelineDiagnostics
+def _matched(tallies: GoldTallies, population: Population) -> GoldTallies:
+    """The tallies of the population's workers, in population order."""
+    row = dict(zip(tallies.ids, range(len(tallies))))
+    order = np.fromiter((row.get(i, -1) for i in population.ids), dtype=np.intp, count=len(population))
+    missing = np.flatnonzero(order < 0)
+    if missing.size:
+        raise ValueError(
+            f"gold tallies missing for {missing.size} of {len(population)} workers, "
+            f"first {population.ids[missing[0]]!r}"
+        )
+    return GoldTallies(population.ids, tallies.attempted[order], tallies.correct[order])
 
 
 def build_policy(
@@ -46,50 +54,21 @@ def build_policy(
 ) -> PipelineResult:
     """Estimate every worker, build the LP, and solve it.
 
-    When recorded gold tallies are supplied they are matched to workers by
-    id and used instead of simulated gold responses; tallies of other
-    workers are ignored, and the fairness bound is taken at the smallest
-    attempted count of the matched tallies, not at
-    gold_cfg.n_gold_per_type.  Otherwise worker i's responses are drawn
-    from the stream (seed, "gold", i).  The bound's inputs, confidence
-    included, are checked before any gold response is drawn or read.
+    Worker i's gold responses are drawn from the stream (seed, "gold", i),
+    unless recorded gold tallies are supplied: those are matched to workers
+    by id, and tallies of other workers are ignored.  The fairness bound is
+    taken at the smallest attempted count of the tallies used, which is
+    gold_cfg.n_gold_per_type for drawn ones.  The bound's inputs,
+    confidence included, are checked before any gold response is drawn or
+    read.
     """
-    query = BoundQuery(n_workers=len(population), n_gold_per_type=gold_cfg.n_gold_per_type, confidence=confidence)
-    if tallies is None:
-        estimates = run_gold_phase(population, gold_cfg, seed)
-    else:
-        row = dict(zip(tallies.ids, range(len(tallies))))
-        order = np.fromiter((row.get(i, -1) for i in population.ids), dtype=np.intp, count=len(population))
-        missing = np.flatnonzero(order < 0)
-        if missing.size:
-            raise ValueError(
-                f"gold tallies missing for {missing.size} of {len(population)} workers, "
-                f"first {population.ids[missing[0]]!r}"
-            )
-        ordered = GoldTallies(population.ids, tallies.attempted[order], tallies.correct[order])
-        estimates = estimate_tallies(ordered, smoothing=gold_cfg.smoothing)
-        query = replace(query, n_gold_per_type=int(ordered.attempted.min()))  # >= 1: estimate_tallies rejects 0
+    BoundQuery(len(population), gold_cfg.n_gold_per_type, confidence)  # raises on bad inputs, before any gold
+    tallies = run_gold_phase(population, gold_cfg, seed) if tallies is None else _matched(tallies, population)
+    estimates = estimate_tallies(tallies, smoothing=gold_cfg.smoothing)
+    # >= 1: estimate_tallies rejects a type never attempted
+    delta = fairness_violation_bound(BoundQuery(len(population), int(tallies.attempted.min()), confidence))
 
     lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)
-    delta = fairness_violation_bound(query)
-    if solution.status == LpStatus.OPTIMAL:
-        diagnostics = PipelineDiagnostics(
-            confidence=confidence,
-            fairness_bound=delta,
-            predicted_accuracy=solution.objective_value,
-            binding=binding_rows(lp, solution.policy, BINDING_TOL),
-        )
-    else:
-        diagnostics = PipelineDiagnostics(
-            confidence=confidence,
-            fairness_bound=delta,
-            predicted_accuracy=None,
-            binding=(),
-        )
-    return PipelineResult(
-        estimates=estimates,
-        solution=solution,
-        policy=solution.policy,
-        diagnostics=diagnostics,
-    )
+    binding = binding_rows(lp, solution.policy, BINDING_TOL) if solution.status == LpStatus.OPTIMAL else ()
+    return PipelineResult(estimates=estimates, solution=solution, fairness_bound=delta, binding=binding)

@@ -1,7 +1,7 @@
 """Seeded experiment harness.
 
-One repetition runs the full loop: simulate the gold phase into an
-(n, z, y) array of estimated correctness, build the configured method's
+One repetition runs the full loop: simulate the gold phase's tallies and
+estimate the (n, z, y) correctness array from them, build the method's
 assignment rule (LP policy, uniform random, or greedy fill), hand every
 pool task to a worker, draw the worker's label from the (n, z, y) array of
 true P(label 1 | z, y), and score the labels from the four (z, y) cell
@@ -35,7 +35,7 @@ from .datagen import (
     load_tasks,
     load_workers,
 )
-from .estimation import GoldPhaseConfig, run_gold_phase
+from .estimation import GoldPhaseConfig, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpStatus
 from .model import Policy, Population, Priors, label_one_probabilities
 from .pipeline import build_policy
@@ -265,11 +265,11 @@ def run_once(
         result = build_policy(population, cfg.gold, priors, cfg.constraints, seed=gold_seed)
         if result.solution.status != LpStatus.OPTIMAL:
             return MetricsReport(lp_status=result.solution.status)
-        policy, lp_status = result.policy, LpStatus.OPTIMAL
+        policy, lp_status = result.solution.policy, LpStatus.OPTIMAL
     elif cfg.method == "Random":
         policy = random_policy(n)
     else:  # Greedy
-        estimates = run_gold_phase(population, cfg.gold, gold_seed)
+        estimates = estimate_tallies(run_gold_phase(population, cfg.gold, gold_seed), smoothing=cfg.gold.smoothing)
         try:
             plan = greedy_plan(estimates, costs, priors, cfg.constraints.beta, n_tasks)
         except CapacityError:

@@ -32,6 +32,7 @@ from crowdfdb import (
     default_population_spec,
     default_task_pool_spec,
     estimate_matrices,
+    estimate_tallies,
     expected_accuracy,
     fairness_gap,
     fairness_violation_bound,
@@ -139,7 +140,7 @@ def estimate_then_solve_trials():
     assert true_solution.status == LpStatus.OPTIMAL
     trials = []
     for t in range(500):
-        estimates = run_gold_phase(workers, gold, seed=mix(302, "trial", t))
+        estimates = estimate_tallies(run_gold_phase(workers, gold, seed=mix(302, "trial", t)))
         sol = solve_lp(build_lp(estimates, costs, TRIAL_PRIORS, TRIAL_CONSTRAINTS))
         trials.append((estimates, sol))
     elapsed = time.monotonic() - start
@@ -386,7 +387,7 @@ def test_09_bound_formulas_against_high_precision():
 def test_10_performance_large_lp_and_full_recipe(tmp_path):
     workers = generate_population(default_population_spec(seed=1001, n_workers=400))
     priors = Priors(p_z1=0.6, p_y1_given_z0=0.3936, p_y1_given_z1=0.5143)
-    estimates = run_gold_phase(workers, GoldPhaseConfig(20), seed=1002)
+    estimates = estimate_tallies(run_gold_phase(workers, GoldPhaseConfig(20), seed=1002))
     cs = ConstraintSet(alpha=0.01, beta=0.01, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
     start = time.monotonic()
     lp = build_lp(estimates, workers.cost, priors, cs)

@@ -194,7 +194,7 @@ class TestPolicy:
 
         from crowdfdb import (
             ConstraintSet, FairnessKind, GoldPhaseConfig, LpStatus, Policy,
-            build_lp, run_gold_phase, verify_solution,
+            build_lp, estimate_tallies, run_gold_phase, verify_solution,
         )
         from crowdfdb.config import DEFAULTS, resolve, resolve_priors, resolve_workers
         from crowdfdb.lp import LpSolution
@@ -206,7 +206,7 @@ class TestPolicy:
         })
         population = resolve_workers(resolved)
         priors = resolve_priors(resolved)
-        estimates = run_gold_phase(population, GoldPhaseConfig(20), seed=6)
+        estimates = estimate_tallies(run_gold_phase(population, GoldPhaseConfig(20), seed=6))
         lp = build_lp(
             estimates,
             population.cost,

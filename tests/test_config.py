@@ -200,6 +200,30 @@ def test_an_interval_key_without_the_interval_model_is_named(settings, key):
         population_spec(resolve(settings))
 
 
+@pytest.mark.parametrize("settings", [
+    {"experiment.sweep_values": "5,10"},
+    {"experiment.sweep": "none", "experiment.sweep_values": "5,10"},
+    {"experiment.sweep": "", "experiment.sweep_values": ""},
+])
+def test_sweep_values_without_a_sweep_are_named(settings):
+    sweep = settings.get("experiment.sweep", "none")
+    with pytest.raises(ConfigError, match=(
+        "^experiment.sweep_values is read only with experiment.sweep = gold or alpha, "
+        f"got experiment.sweep = {re.escape(repr(sweep))}$"
+    )):
+        experiment_configs(resolve(settings))
+
+
+def test_sweep_values_without_a_sweep_exit_2_from_the_cli(tmp_path, capsys):
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text(format_config({"experiment.sweep_values": "0.01,0.05"}), encoding="utf-8")
+    out = tmp_path / "r.csv"
+    assert cli.main(["experiment", "--config", str(cfg), "--repetitions", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "experiment.sweep_values is read only with experiment.sweep = gold or alpha" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 def test_specs_read_every_other_key_by_its_field_name():
     cfg = resolve({
         **PRIORS, **ACCURACY_LINKED, "population.low_fee": "0.5", "population.high_fee": "2.5",

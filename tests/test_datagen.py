@@ -129,7 +129,7 @@ class TestGeneratePopulation:
         gold = GoldPhaseConfig(5)
         priors = Priors(0.5, 0.4, 0.6)
         constraints = ConstraintSet(alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.FPR_PARITY)
-        assert run_gold_phase(population, gold, seed=3).shape == (30, 2, 2)
+        assert run_gold_phase(population, gold, seed=3).correct.shape == (30, 2, 2)
         build_policy(population, gold, priors, constraints, seed=3)
         tallies = GoldTallies(population.ids, np.full((30, 2, 2), 5), np.tile([[4, 3], [2, 1]], (30, 1, 1)))
         build_policy(population, gold, priors, constraints, seed=3, tallies=tallies)

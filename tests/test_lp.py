@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from crowdfdb import (
 )
 from crowdfdb import lp as lp_module
 from crowdfdb.config import constraint_set, gold_config, resolve, resolve_priors, resolve_workers
-from crowdfdb.estimation import run_gold_phase
+from crowdfdb.estimation import estimate_tallies, run_gold_phase
 from crowdfdb.lp import LpProblem, SolverError, _crash, _lowest, _solve_bounded, _without_family, binding_rows
 from fixtures import make_binding_fairness_instance
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
@@ -526,6 +527,40 @@ class TestIterations:
         assert sol.iterations <= bound
 
 
+def beale_program(extra_columns):
+    """Beale's cycling example (Naval Research Logistics Quarterly, 1955) as
+    _simplex arguments: slack basis x0..x2 at the degenerate start, x3..x6
+    its structural columns, then extra_columns zero columns that never
+    price in.  Its optimum is -5/4."""
+    columns = 7 + extra_columns
+    A = np.zeros((3, columns))
+    A[:, :7] = [[1, 0, 0, 0.25, -8, -1, 9], [0, 1, 0, 0.5, -12, -0.5, 3], [0, 0, 1, 0, 0, 1, 0]]
+    cost = np.ones(columns)
+    cost[:7] = [0, 0, 0, -0.75, 20, -0.5, 6]
+    x = np.zeros(columns)
+    x[2] = 1.0
+    return A, cost, np.full(columns, np.inf), np.arange(3), np.zeros(columns, dtype=bool), np.eye(3), x
+
+
+class TestCyclingGuard:
+    """Largest-reduced-cost pivoting with the smallest-index leaving row
+    cycles on Beale's example; the guard counts steps without objective
+    progress, a number fixed per basis row, so the columns do not matter."""
+
+    def test_a_cycle_over_ten_thousand_columns_fails_within_seconds(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_DEGENERATE_SWITCH", math.inf)  # never Bland: the cycle goes on
+        start = time.monotonic()
+        with pytest.raises(SolverError, match=r"no objective progress in 301 steps \(cycling guard\)"):
+            lp_module._simplex(*beale_program(10_000))
+        assert time.monotonic() - start < 10.0
+
+    def test_blands_rule_leaves_the_cycle(self):
+        A, cost, upper, basis, at_upper, B_inv, x = beale_program(10_000)
+        status, _ = lp_module._simplex(A, cost, upper, basis, at_upper, B_inv, x)
+        assert status == "optimal"
+        assert float(cost @ x) == pytest.approx(-1.25, abs=1e-12)
+
+
 def test_a_program_of_over_a_thousand_pivots_matches_highs():
     """The basis inverse is carried by rank-one updates from the crash's
     identity, never re-inverted, so any drift would grow with the pivots:
@@ -535,7 +570,7 @@ def test_a_program_of_over_a_thousand_pivots_matches_highs():
     n = 20_000
     cfg = resolve({"population.n_workers": str(n), "constraints.beta": repr(2 / n)})
     population = resolve_workers(cfg)
-    estimates = run_gold_phase(population, gold_config(cfg), seed=7)
+    estimates = estimate_tallies(run_gold_phase(population, gold_config(cfg), seed=7))
     lp = build_lp(estimates, population.cost, resolve_priors(cfg), constraint_set(cfg))
     sol = solve_lp(lp)
     assert sol.status == LpStatus.OPTIMAL

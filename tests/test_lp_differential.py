@@ -25,6 +25,7 @@ from crowdfdb import (
     solve_lp,
     verify_solution,
 )
+from crowdfdb import lp as lp_module
 from crowdfdb.lp import LpProblem
 from oracles import vertex_enumeration
 
@@ -170,3 +171,37 @@ def test_every_shipped_recipe_lp_matches_highs(tmp_path, monkeypatch):
         assert sol.status == status
         if status == LpStatus.OPTIMAL:
             assert sol.objective_value == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60, 400, 5000])
+def test_blands_rule_on_every_pivot_keeps_each_seeded_program(n, monkeypatch):
+    """Bland's rule only takes over after _DEGENERATE_SWITCH degenerate
+    pivots in a row, which no program here reaches; with the switch at 0
+    it picks every pivot, and each program keeps its status, hints and
+    optimum."""
+    rng = np.random.default_rng(9000 + n)
+    programs = [draw_lp(rng, n, *case) for case in SEEDED_CASES]
+    dantzig = [solve_lp(lp) for lp in programs]
+    monkeypatch.setattr(lp_module, "_DEGENERATE_SWITCH", 0)
+    bland = [solve_lp(lp) for lp in programs]
+    if n >= 10:  # the rule changed which pivots were taken
+        assert [s.iterations for s in bland] != [s.iterations for s in dantzig]
+    for lp, before, after in zip(programs, dantzig, bland):
+        assert (after.status, after.relaxation_hints) == (before.status, before.relaxation_hints)
+        if after.status == LpStatus.OPTIMAL:
+            assert after.objective_value == pytest.approx(before.objective_value, abs=1e-9)
+            assert verify_solution(lp, after, tol=1e-7) == []
+
+
+def test_blands_rule_on_every_pivot_matches_the_vertex_oracle(monkeypatch):
+    monkeypatch.setattr(lp_module, "_DEGENERATE_SWITCH", 0)
+    rng = np.random.default_rng(77)
+    for _ in range(150):
+        n = int(rng.integers(1, 9))
+        case = (
+            [0.0, 0.05, 0.2, math.inf][rng.integers(4)],
+            ["one_over_n", "two_over_n", "half", "loose"][rng.integers(4)],
+            ["min_fee", "below_min_fee", "mean_fee", "none"][rng.integers(4)],
+            KINDS[rng.integers(len(KINDS))],
+        )
+        check_against(draw_lp(rng, n, *case), vertex_enumeration)

@@ -14,8 +14,11 @@ from crowdfdb import (
     Priors,
     build_policy,
     compose_policy_accuracy,
+    default_population_spec,
     fairness_gap,
     fairness_violation_bound,
+    generate_population,
+    run_gold_phase,
 )
 from fixtures import make_binding_fairness_instance
 
@@ -38,16 +41,16 @@ class TestBuildPolicy:
         cs = ConstraintSet(alpha=0.01, beta=0.5, budget=2.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
         result = build_policy(perfect_workers(4), GoldPhaseConfig(5), PRIORS, cs, seed=3)
         assert result.solution.status == LpStatus.OPTIMAL
-        assert result.diagnostics.predicted_accuracy == pytest.approx(1.0)
-        assert result.policy is result.solution.policy
+        assert result.solution.objective_value == pytest.approx(1.0)
 
     def test_single_worker_under_cap_forwards_hint(self):
         cs = ConstraintSet(alpha=math.inf, beta=0.5, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(perfect_workers(1), GoldPhaseConfig(5), PRIORS, cs, seed=3)
         assert result.solution.status == LpStatus.INFEASIBLE
-        assert result.policy is None
+        assert result.solution.policy is None
         assert "diversity" in result.solution.relaxation_hints
-        assert result.diagnostics.predicted_accuracy is None
+        assert result.solution.objective_value is None
+        assert result.binding == ()
 
     def test_mirrored_pair_alpha_zero_binds_fairness(self):
         workers = make_binding_fairness_instance(0.3, 1, seed=6)
@@ -57,8 +60,8 @@ class TestBuildPolicy:
         # where the program is built from the true matrices)
         result = build_policy(workers, GoldPhaseConfig(4000), PRIORS, cs, seed=10)
         assert result.solution.status == LpStatus.OPTIMAL
-        assert result.policy.weights == pytest.approx([0.5, 0.5], abs=0.02)
-        assert any(label.startswith("fpr") for label in result.diagnostics.binding)
+        assert result.solution.policy.weights == pytest.approx([0.5, 0.5], abs=0.02)
+        assert any(label.startswith("fpr") for label in result.binding)
 
     def test_idempotent_for_fixed_seed(self):
         workers = make_binding_fairness_instance(0.2, 3, seed=1)
@@ -66,15 +69,14 @@ class TestBuildPolicy:
         a = build_policy(workers, GoldPhaseConfig(15), PRIORS, cs, seed=42)
         b = build_policy(workers, GoldPhaseConfig(15), PRIORS, cs, seed=42)
         assert a.estimates.tobytes() == b.estimates.tobytes()
-        assert a.policy == b.policy
-        assert a.diagnostics == b.diagnostics
+        assert a.solution == b.solution
+        assert (a.fairness_bound, a.binding) == (b.fairness_bound, b.binding)
 
-    def test_diagnostics_carry_default_confidence_bound(self):
+    def test_bound_taken_at_default_confidence(self):
         workers = perfect_workers(3)
         cs = ConstraintSet(alpha=0.01, beta=0.5, budget=2.0)
         result = build_policy(workers, GoldPhaseConfig(20), PRIORS, cs, seed=0)
-        assert result.diagnostics.confidence == 0.9
-        assert result.diagnostics.fairness_bound > 0.0
+        assert result.fairness_bound == fairness_violation_bound(BoundQuery(3, 20, 0.9)) > 0.0
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
     @pytest.mark.parametrize("recorded", [False, True])
@@ -99,7 +101,7 @@ class TestBuildPolicy:
         assert result.estimates[0, 0, 0] == pytest.approx(0.5)
         assert np.all(result.estimates[1] == 1.0)
         # the optimum leans on the worker whose recorded tallies are perfect
-        assert result.policy.weights[1] == pytest.approx(0.9, abs=1e-9)
+        assert result.solution.policy.weights[1] == pytest.approx(0.9, abs=1e-9)
 
     def test_tallies_follow_the_population_order_not_the_file_order(self):
         workers = Population(ids=("b", "a"), correct=np.ones((2, 2, 2)), cost=np.ones(2))
@@ -122,7 +124,21 @@ class TestBuildPolicy:
         tallies = GoldTallies(("w0", "w1", "x"), attempted, attempted)
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(perfect_workers(2), GoldPhaseConfig(40), PRIORS, cs, seed=0, tallies=tallies)
-        assert result.diagnostics.fairness_bound == fairness_violation_bound(BoundQuery(2, 7, 0.9))
+        assert result.fairness_bound == fairness_violation_bound(BoundQuery(2, 7, 0.9))
+
+    @pytest.mark.parametrize("smoothing", [False, True])
+    @pytest.mark.parametrize("n_gold", [1, 5, 20])
+    def test_drawn_gold_equals_its_tallies_passed_as_recorded(self, n_gold, smoothing):
+        workers = generate_population(default_population_spec(seed=5, n_workers=60))
+        gold = GoldPhaseConfig(n_gold, smoothing=smoothing)
+        cs = ConstraintSet(alpha=0.05, beta=0.05, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY)
+        drawn = build_policy(workers, gold, PRIORS, cs, seed=8)
+        recorded = build_policy(workers, gold, PRIORS, cs, seed=0, tallies=run_gold_phase(workers, gold, 8))
+        assert drawn.solution.status == recorded.solution.status == LpStatus.OPTIMAL
+        assert drawn.estimates.tobytes() == recorded.estimates.tobytes()
+        assert drawn.solution.policy.weights.tobytes() == recorded.solution.policy.weights.tobytes()
+        assert drawn.fairness_bound == recorded.fairness_bound == fairness_violation_bound(BoundQuery(60, n_gold, 0.9))
+        assert drawn.binding == recorded.binding
 
     def test_tallies_missing_worker_rejected(self):
         workers = perfect_workers(2)
@@ -157,6 +173,6 @@ class TestBuildPolicy:
             result = build_policy(workers, GoldPhaseConfig(10_000), PRIORS, cs, seed=trial)
             assert result.solution.status == LpStatus.OPTIMAL
             true_gap = fairness_gap(
-                compose_policy_accuracy(result.policy, workers), FairnessKind.FPR_PARITY
+                compose_policy_accuracy(result.solution.policy, workers), FairnessKind.FPR_PARITY
             )
             assert true_gap <= alpha + 0.05

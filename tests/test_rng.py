@@ -167,7 +167,7 @@ class TestNoStreamPerWorker:
 
     def test_gold_phase_and_population(self, no_streams):
         workers = generate_population(default_population_spec(n_workers=50))
-        assert run_gold_phase(workers, GoldPhaseConfig(10), seed=5).shape == (50, 2, 2)
+        assert run_gold_phase(workers, GoldPhaseConfig(10), seed=5).correct.shape == (50, 2, 2)
 
     def test_task_pool(self, no_streams):
         assert len(generate_task_pool(default_task_pool_spec())) == 6150

@@ -204,7 +204,7 @@ class TestRunOnce:
 
         result = build_policy(workers, cfg.gold, priors, cfg.constraints, seed=mix(cfg.seed, "goldphase", 20, 0))
         rng = stream(cfg.seed, "collect", 0)
-        chosen = np.searchsorted(np.cumsum(result.policy.weights), rng.random(n_tasks), side="right")
+        chosen = np.searchsorted(np.cumsum(result.solution.policy.weights), rng.random(n_tasks), side="right")
         shares = np.bincount(chosen, minlength=len(workers)) / n_tasks
         assert shares.max() <= 0.04 + 3 * math.sqrt(0.04 / n_tasks)
 
@@ -218,11 +218,11 @@ class TestRunOnce:
                 alpha=0.01, beta=0.04, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
         )
-        from crowdfdb import greedy_plan, run_gold_phase
+        from crowdfdb import estimate_tallies, greedy_plan, run_gold_phase
         from crowdfdb.rng import mix
 
         workers, tasks, priors = resolve_inputs(cfg)
-        estimates = run_gold_phase(workers, cfg.gold, mix(cfg.seed, "goldphase", 10, 0))
+        estimates = estimate_tallies(run_gold_phase(workers, cfg.gold, mix(cfg.seed, "goldphase", 10, 0)))
         plan = greedy_plan(estimates, workers.cost, priors, 0.04, len(tasks))
         cap = math.floor(0.04 * len(tasks))
         assert max(plan.counts) <= cap
