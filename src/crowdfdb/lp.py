@@ -10,10 +10,7 @@ equivalent minimization of its negation) over policies S subject to:
 
 where gap_i is worker i's between-group difference of the constrained
 error-rate entry.  A fairness slack or budget of +inf omits the matching
-rows, so the program has at most six rows.  Problems of this shape are
-bounded (the feasible set sits inside the probability simplex), so a
-returned Unbounded status signals a bug in build_lp rather than a legitimate
-outcome.
+rows, so the program has at most six rows.
 
 The solver is a two-phase bounded-variable primal simplex (Dantzig 1955;
 Chvatal, Linear Programming, ch. 8) over an m x m basis of the real rows:
@@ -23,13 +20,15 @@ as the diagonal crash basis (the identity, its own inverse) and is kept
 by one rank-one (product-form) update per pivot (Dantzig & Orchard-Hays,
 Math. Tables Aids Comput. 1954); the point x is carried by the same
 steps, from phase 1 into phase 2.  No inverse is formed and no LAPACK
-routine runs.  Pivoting uses Dantzig's largest reduced cost for speed
-and switches to Bland's rule whenever a run of degenerate pivots exceeds
-a fixed threshold, which restores the anti-cycling guarantee while
-keeping every choice deterministic.  A stall, steps that do not lower the
-objective, ends in SolverError after a number of steps fixed per row, not
-per worker.  Feasibility is accepted at 1e-7 and reduced costs at 1e-9
-(see Tolerances in model.py).
+routine runs.  Pivoting uses Dantzig's largest reduced cost for speed.
+One stall counter, the steps in a row that do not lower the objective,
+drives the anti-cycling rules: at a fixed threshold Bland's rule engages,
+deterministically, and past a number of steps fixed per row, not per
+worker, the stall is a SolverError.  So is an improving column that no
+row blocks: the feasible set lies inside the capped simplex, so such a
+ray means a corrupt program.  Feasibility is accepted at 1e-7 and
+reduced costs at 1e-9 (see Tolerances in model.py).  Phase 1 answers
+feasibility, so each relaxation hint runs phase 1 alone.
 
 Phase 1 starts from a crash basis (Bixby, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 1992) instead of S = 0:
@@ -44,7 +43,7 @@ the least one, found by bisection with the other prices held, at which
 the crash fits its row; the crash goes round the rows a fixed number of
 times.  The k lowest keys are selected in O(n), equal keys going to the
 lower index, so the start is a function of the keys alone.
-Relaxation-hint re-solves crash the same way.
+Relaxation-hint phase-1 runs crash the same way.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from .model import FairnessKind, Policy, Priors, TOL, diagonal_accuracies
 FEASIBILITY_TOL = TOL.lp_feasibility
 OPTIMALITY_TOL = TOL.lp_optimality
 _RATIO_TOL = 1e-11
-_DEGENERATE_SWITCH = 24  # consecutive degenerate pivots before engaging Bland
+_DEGENERATE_SWITCH = 24  # steps in a row without objective progress before Bland's rule engages
 _STALL_STEPS_PER_ROW = 100  # steps in a row without objective progress, per basis row, before SolverError
 _PROGRESS_TOL = 1e-12  # objective decrease, relative to max(1, |objective|), that counts as progress
 _CRASH_ROUNDS = 2  # passes of the crash over its priced rows
@@ -139,14 +138,13 @@ class Violation:
 class LpStatus:
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """Solver outcome; objective_value is the achieved expected accuracy
     (sign-corrected to positive) when status is optimal, and iterations
-    counts every simplex iteration run, relaxation-hint re-solves included."""
+    counts every simplex iteration run, hints' phase-1 runs included."""
 
     status: str
     policy: Policy | None = None
@@ -211,7 +209,7 @@ def _simplex(
     at_upper: np.ndarray,
     B_inv: np.ndarray,
     x: np.ndarray,
-) -> tuple[str, int]:
+) -> int:
     """Bounded-variable primal simplex on A x = b, 0 <= x <= upper, where
     b is A x at the start.
 
@@ -221,21 +219,22 @@ def _simplex(
     entering column; a pivot does too, puts the leaving variable at its
     bound and applies one rank-one (product-form) update to B_inv, so no
     inverse is ever formed.  Updates basis, at_upper, B_inv and x in place
-    and returns ("optimal" | "unbounded", iterations), counting the final
-    pass that proves the status.  Raises SolverError (the cycling guard)
-    after more than _STALL_STEPS_PER_ROW * m steps in a row, pivots and
-    flips alike, that lower the objective by less than _PROGRESS_TOL.
+    to an optimum and returns the iterations, counting the final pass that
+    proves it.  From _DEGENERATE_SWITCH steps in a row, pivots and flips
+    alike, that lower the objective by less than _PROGRESS_TOL, Bland's
+    rule picks the entering column; after more than _STALL_STEPS_PER_ROW * m
+    SolverError is raised (the cycling guard), as it is for a ray.
     """
     m = len(basis)
     movable = upper > 0.0
-    degenerate_streak = stalled = 0
+    stalled = 0
     lowest = math.inf
     for iteration in itertools.count(1):
         reduced = cost - (cost[basis] @ B_inv) @ A
         eligible = movable & np.where(at_upper, reduced > OPTIMALITY_TOL, reduced < -OPTIMALITY_TOL)
         eligible[basis] = False
         if not eligible.any():
-            return "optimal", iteration
+            return iteration
         value = float(cost @ x)
         if lowest - value > _PROGRESS_TOL * max(1.0, abs(value)):
             lowest, stalled = value, 0
@@ -243,7 +242,7 @@ def _simplex(
             stalled += 1
         if stalled > _STALL_STEPS_PER_ROW * m:
             raise SolverError(f"simplex made no objective progress in {stalled} steps (cycling guard)")
-        if degenerate_streak >= _DEGENERATE_SWITCH:
+        if stalled >= _DEGENERATE_SWITCH:
             entering = int(np.flatnonzero(eligible)[0])  # Bland: lowest index
         else:
             entering = int(np.argmax(np.where(eligible, np.abs(reduced), -1.0)))
@@ -261,11 +260,10 @@ def _simplex(
         best = ratios.min()
         if upper[entering] <= best:  # bound flip: the entering variable crosses its range first
             if math.isinf(upper[entering]):
-                return "unbounded", iteration
+                raise SolverError(f"column {entering} improves without bound; the program is corrupt")
             x[basis] += upper[entering] * rate
             x[entering] = 0.0 if at_upper[entering] else upper[entering]
             at_upper[entering] = not at_upper[entering]
-            degenerate_streak = 0
             continue
         # deterministic anti-cycling tie-break: smallest basis variable index
         tied = np.flatnonzero(ratios <= best + 1e-15)
@@ -280,7 +278,6 @@ def _simplex(
         pivot_row = B_inv[leaving] / column[leaving]
         B_inv -= np.outer(column, pivot_row)
         B_inv[leaving] = pivot_row
-        degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
 
 
 def _lowest(key: np.ndarray, k: int) -> np.ndarray:
@@ -350,9 +347,10 @@ def _crash(lp: LpProblem) -> np.ndarray:
     return picked
 
 
-def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
-    """Two-phase simplex from the crash start; returns (status, weights or
-    None, iterations of both phases)."""
+def _phase1(lp: LpProblem) -> tuple[tuple[np.ndarray, ...] | None, int]:
+    """Phase 1 from the crash start: the feasible basis state (A, upper,
+    basis, at_upper, B_inv, x) with the artificials capped at 0, or None
+    if the program is infeasible; and the phase-1 iterations."""
     n, m = lp.n, 1 + len(lp.rhs)
     x0 = np.zeros(n)
     x0[_crash(lp)] = lp.upper
@@ -387,24 +385,27 @@ def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
     x[basis] = b - A @ x
 
     # phase 1 repairs only the rows with an artificial: the total row
-    # always has one, so phase 1 always runs; phase 2 goes on from its
-    # basis, B_inv and x
+    # always has one, so phase 1 always runs
     phase1 = np.zeros(A.shape[1])
     phase1[n_struct:] = 1.0
-    status, iterations = _simplex(A, phase1, upper, basis, at_upper, B_inv, x)
-    if status != "optimal":
-        raise SolverError("phase-1 subproblem reported unbounded; the program is corrupt")
+    iterations = _simplex(A, phase1, upper, basis, at_upper, B_inv, x)
     if x[n_struct:].sum() > 1e-9:
-        return LpStatus.INFEASIBLE, None, iterations
+        return None, iterations
     upper[n_struct:] = 0.0  # artificials still basic stay at 0 on redundant rows
+    return (A, upper, basis, at_upper, B_inv, x), iterations
 
+
+def _solve_bounded(lp: LpProblem) -> tuple[str, np.ndarray | None, int]:
+    """Phase 2 on from _phase1's state; returns (status, weights or None,
+    iterations of both phases)."""
+    state, iterations = _phase1(lp)
+    if state is None:
+        return LpStatus.INFEASIBLE, None, iterations
+    A, upper, basis, at_upper, B_inv, x = state
     cost = np.zeros(A.shape[1])
-    cost[:n] = lp.objective
-    status, phase2_iterations = _simplex(A, cost, upper, basis, at_upper, B_inv, x)
-    iterations += phase2_iterations
-    if status == "unbounded":
-        return LpStatus.UNBOUNDED, None, iterations
-    return LpStatus.OPTIMAL, x[:n], iterations
+    cost[: lp.n] = lp.objective
+    iterations += _simplex(A, cost, upper, basis, at_upper, B_inv, x)
+    return LpStatus.OPTIMAL, x[: lp.n], iterations
 
 
 def solve_lp(lp: LpProblem) -> LpSolution:
@@ -412,9 +413,9 @@ def solve_lp(lp: LpProblem) -> LpSolution:
 
     On infeasibility the solution carries relaxation hints: the constraint
     families (fairness / diversity / budget) whose individual removal makes
-    the program feasible, so the requester knows what to relax.  An
-    optimal weight vector whose sum misses 1 by more than TOL.policy_sum is
-    a solver failure and raises SolverError.
+    the program feasible (phase 1 alone answers each), so the requester
+    knows what to relax.  An optimal weight vector whose sum misses 1 by
+    more than TOL.policy_sum is a solver failure and raises SolverError.
     """
     status, x, iterations = _solve_bounded(lp)
     if status == LpStatus.OPTIMAL:
@@ -427,13 +428,12 @@ def solve_lp(lp: LpProblem) -> LpSolution:
         value = -float(np.dot(lp.objective, weights))
         return LpSolution(status=status, policy=Policy(weights), objective_value=value, iterations=iterations)
     hints = []
-    if status == LpStatus.INFEASIBLE:
-        for family in ("fairness", "diversity", "budget"):
-            if family == "diversity" or family in map(_family, lp.labels):
-                relaxed_status, _, relaxed_iterations = _solve_bounded(_without_family(lp, family))
-                iterations += relaxed_iterations
-                if relaxed_status == LpStatus.OPTIMAL:
-                    hints.append(family)
+    for family in ("fairness", "diversity", "budget"):
+        if family == "diversity" or family in map(_family, lp.labels):
+            state, relaxed_iterations = _phase1(_without_family(lp, family))
+            iterations += relaxed_iterations
+            if state is not None:
+                hints.append(family)
     return LpSolution(status=status, relaxation_hints=tuple(hints), iterations=iterations)
 
 
@@ -463,8 +463,7 @@ def verify_solution(lp: LpProblem, sol: LpSolution, tol: float = FEASIBILITY_TOL
     amount = abs(float(np.dot(np.ones(lp.n), w) - 1.0))
     if amount > tol:
         out.append(Violation(label="total", amount=amount))
-    for label, coeffs, rhs in zip(lp.labels, lp.coeffs, lp.rhs):
-        amount = float(np.dot(coeffs, w) - rhs)
+    for label, amount in zip(lp.labels, (lp.coeffs @ w - lp.rhs).tolist()):
         if amount > tol:
             out.append(Violation(label=label, amount=amount))
     return out
@@ -477,11 +476,8 @@ def binding_rows(lp: LpProblem, policy: Policy, tol: float = 1e-6) -> tuple[str,
     """
     w = policy.weights
     capped = tuple(f"diversity[{int(i)}]" for i in np.flatnonzero(np.abs(w - lp.upper) <= tol))
-    return capped + tuple(
-        label
-        for label, coeffs, rhs in zip(lp.labels, lp.coeffs, lp.rhs)
-        if abs(float(np.dot(coeffs, w)) - rhs) <= tol
-    )
+    residual = lp.coeffs @ w - lp.rhs
+    return capped + tuple(label for label, r in zip(lp.labels, residual) if abs(r) <= tol)
 
 
 def dump(lp: LpProblem) -> str:

@@ -24,7 +24,16 @@ from crowdfdb import (
 from crowdfdb import lp as lp_module
 from crowdfdb.config import constraint_set, gold_config, resolve, resolve_priors, resolve_workers
 from crowdfdb.estimation import estimate_tallies, run_gold_phase
-from crowdfdb.lp import LpProblem, SolverError, _crash, _lowest, _solve_bounded, _without_family, binding_rows
+from crowdfdb.lp import (
+    LpProblem,
+    SolverError,
+    _crash,
+    _lowest,
+    _phase1,
+    _solve_bounded,
+    _without_family,
+    binding_rows,
+)
 from fixtures import make_binding_fairness_instance
 from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
 from test_lp_differential import SEEDED_CASES, check_against, draw_lp, highs
@@ -470,15 +479,46 @@ class TestCrashSelection:
 class TestIterations:
     """Deterministic work bounds: iteration counts, not timings."""
 
-    def test_hint_re_solves_are_counted(self):
+    def test_hint_re_solves_are_counted(self, monkeypatch):
+        """A hint is a feasibility question: its family-removed program runs
+        phase 1 alone, one _simplex call, and its iterations are counted."""
         lp = tied_program(8, [1.0, 2.0, 1.0, 2.0], beta=0.2, alpha=0.2, kind=FairnessKind.ERROR_RATE_PARITY)
+        status, _, iterations = _solve_bounded(lp)
+        relaxed = [_phase1(_without_family(lp, family)) for family in ("fairness", "diversity")]
+        assert status == LpStatus.INFEASIBLE
+        assert [state is not None for state, _ in relaxed] == [False, True]
+        assert iterations > 0 and all(count > 0 for _, count in relaxed)
+
+        calls = []
+        simplex = lp_module._simplex
+        monkeypatch.setattr(lp_module, "_simplex", lambda *args: calls.append(args[1].copy()) or simplex(*args))
         sol = solve_lp(lp)
-        parts = [_solve_bounded(lp)] + [
-            _solve_bounded(_without_family(lp, family)) for family in ("fairness", "diversity")
-        ]
-        assert [status for status, _, _ in parts] == [LpStatus.INFEASIBLE, LpStatus.INFEASIBLE, LpStatus.OPTIMAL]
-        assert all(iterations > 0 for _, _, iterations in parts)
-        assert sol.iterations == sum(iterations for _, _, iterations in parts)
+        assert sol.relaxation_hints == ("diversity",)
+        assert sol.iterations == iterations + sum(count for _, count in relaxed)
+        # one phase-1 call for the program and one for each family-removed
+        # program: every cost prices the artificials alone, none the weights
+        assert len(calls) == 3
+        assert all(not cost[: lp.n].any() and cost.any() for cost in calls)
+
+    def test_infeasible_programs_of_the_figure3_recipe(self, tmp_path, monkeypatch):
+        """The 3-rep figure3 recipe at seed 5 has five infeasible CrowdFDB
+        programs; with their hints they take 95, 88, 105, 90 and 107
+        iterations when each hint also runs phase 2, and these with phase 1
+        alone."""
+        from crowdfdb import cli, pipeline
+
+        solved = []
+
+        def recording_solve(lp):
+            solved.append(solve_lp(lp))
+            return solved[-1]
+
+        monkeypatch.setattr(pipeline, "solve_lp", recording_solve)
+        monkeypatch.delenv("CROWDFDB_THREADS", raising=False)
+        args = ["experiment", "--recipe", "figure3", "--repetitions", "3", "--seed", "5", "--methods", "CrowdFDB"]
+        assert cli.main(args + ["--out", str(tmp_path / "figure3.csv")]) == 0
+        infeasible = [sol.iterations for sol in solved if sol.status == LpStatus.INFEASIBLE]
+        assert infeasible == [47, 47, 61, 57, 59]
 
     def test_infeasible_one_over_n_program_at_5000_workers(self):
         # the last seeded program of test_seeded_programs_match_highs at
@@ -556,9 +596,36 @@ class TestCyclingGuard:
 
     def test_blands_rule_leaves_the_cycle(self):
         A, cost, upper, basis, at_upper, B_inv, x = beale_program(10_000)
-        status, _ = lp_module._simplex(A, cost, upper, basis, at_upper, B_inv, x)
-        assert status == "optimal"
+        assert lp_module._simplex(A, cost, upper, basis, at_upper, B_inv, x) > 0
         assert float(cost @ x) == pytest.approx(-1.25, abs=1e-12)
+
+
+def ray_program():
+    """_simplex arguments with an improving ray: the slack x0 is basic at 1
+    and x1, of cost -1 and no upper bound, raises it without limit."""
+    A = np.array([[1.0, -1.0]])
+    cost = np.array([0.0, -1.0])
+    return A, cost, np.full(2, np.inf), np.arange(1), np.zeros(2, dtype=bool), np.eye(1), np.array([1.0, 0.0])
+
+
+class TestUnboundedRay:
+    """The feasible set lies inside the capped simplex, so a ray can only
+    come from a corrupt program: it is a SolverError, never a status."""
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_a_ray_in_either_phase_is_a_solver_error(self, phase, monkeypatch):
+        calls = []
+        simplex = lp_module._simplex
+
+        def ray_on_call(*args):
+            calls.append(args)
+            return simplex(*(ray_program() if len(calls) == phase else args))
+
+        monkeypatch.setattr(lp_module, "_simplex", ray_on_call)
+        lp = tied_program(3, np.ones(4), beta=0.5)
+        with pytest.raises(SolverError, match="column 1 improves without bound"):
+            solve_lp(lp)
+        assert len(calls) == phase
 
 
 def test_a_program_of_over_a_thousand_pivots_matches_highs():

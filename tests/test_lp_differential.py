@@ -146,16 +146,16 @@ def test_seeded_programs_match_highs(n):
 
 
 def test_every_shipped_recipe_lp_matches_highs(tmp_path, monkeypatch):
-    """Every CrowdFDB program of the 8 shipped recipes (2 reps, seed 5)."""
+    """Every CrowdFDB program of the 8 shipped recipes (2 reps, seed 5),
+    infeasible ones with their hints against the family-removed programs."""
     pytest.importorskip("scipy")
     from crowdfdb import cli, pipeline
 
     solved = []
 
     def recording_solve(lp):
-        sol = solve_lp(lp)
-        solved.append((lp, sol))
-        return sol
+        solved.append(lp)
+        return solve_lp(lp)
 
     monkeypatch.setattr(pipeline, "solve_lp", recording_solve)
     monkeypatch.delenv("CROWDFDB_THREADS", raising=False)
@@ -166,19 +166,16 @@ def test_every_shipped_recipe_lp_matches_highs(tmp_path, monkeypatch):
         args = ["experiment", "--recipe", recipe, "--repetitions", "2", "--seed", "5", "--methods", "CrowdFDB"]
         assert cli.main(args + ["--out", str(out)]) == 0
     assert len(solved) == 8 * 4 * 2
-    for lp, sol in solved:
-        status, best = highs(lp)
-        assert sol.status == status
-        if status == LpStatus.OPTIMAL:
-            assert sol.objective_value == pytest.approx(best, abs=1e-9)
+    statuses = [check_against(lp, highs) for lp in solved]
+    assert LpStatus.INFEASIBLE in statuses
 
 
 @pytest.mark.parametrize("n", [2, 3, 10, 60, 400, 5000])
 def test_blands_rule_on_every_pivot_keeps_each_seeded_program(n, monkeypatch):
-    """Bland's rule only takes over after _DEGENERATE_SWITCH degenerate
-    pivots in a row, which no program here reaches; with the switch at 0
-    it picks every pivot, and each program keeps its status, hints and
-    optimum."""
+    """Bland's rule only takes over after _DEGENERATE_SWITCH steps in a row
+    without objective progress, a stall no program here reaches; with the
+    switch at 0 it picks every pivot, and each program keeps its status,
+    hints and optimum."""
     rng = np.random.default_rng(9000 + n)
     programs = [draw_lp(rng, n, *case) for case in SEEDED_CASES]
     dantzig = [solve_lp(lp) for lp in programs]
