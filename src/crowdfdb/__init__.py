@@ -9,7 +9,7 @@ protocol with a fully seeded simulation harness.
 
 from ._version import __version__
 from .baselines import CapacityError, GreedyPlan, greedy_plan, random_policy
-from .bounds import BoundQuery, accuracy_loss_bound, fairness_violation_bound
+from .bounds import accuracy_loss_bound, fairness_violation_bound
 from .config import default_population_spec, default_task_pool_spec
 from .datagen import (
     AccuracyLinkedCost,

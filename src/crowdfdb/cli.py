@@ -6,6 +6,10 @@ results), bounds (guarantee calculators).  Exit codes are a stable
 contract: 0 success, 2 validation error, 3 infeasible program,
 4 numerical solver failure.
 
+Each input flag of generate, policy and experiment has the config key it
+sets as its dest, and _resolved_config turns the flags given into the
+override layer, so every input the run reads reaches its manifest.
+
 Every output-producing run writes a ``<output>.manifest`` capturing the
 fully resolved configuration; passing a manifest back via --config
 replays the run and reproduces its outputs byte for byte.
@@ -20,16 +24,9 @@ from importlib import resources
 
 from . import config as cfgmod
 from ._version import __version__
-from .bounds import BoundQuery, accuracy_loss_bound, fairness_violation_bound
+from .bounds import accuracy_loss_bound, fairness_violation_bound
 from .config import ConfigError
-from .datagen import (
-    FileFormatError,
-    generate_task_pool,
-    load_gold_tallies,
-    load_responses,
-    save_tasks,
-    save_workers,
-)
+from .datagen import FileFormatError, generate_task_pool, save_tasks, save_workers
 from .lp import LpStatus, SolverError
 from .pipeline import build_policy
 from .simulator import run_experiment, write_results_csv
@@ -54,38 +51,26 @@ def _load_recipe(name: str) -> dict[str, str]:
     return {k: v for k, v in parsed.items() if not k.startswith("manifest.")}
 
 
-def _resolved_config(args, overrides: dict[str, str]) -> dict[str, str]:
+def _resolved_config(args) -> dict[str, str]:
+    """Defaults, overlaid by the recipe or --config file, overlaid by the
+    flags given, each under the config key that is its dest."""
     file_cfg = None
     if getattr(args, "recipe", None):
         file_cfg = _load_recipe(args.recipe)
-    elif getattr(args, "config", None):
+    elif args.config:
         file_cfg = cfgmod.load_config(args.config)
+    overrides = {
+        key: repr(value) if isinstance(value, float) else str(value)
+        for key, value in vars(args).items()
+        if key in cfgmod.KNOWN_KEYS and value is not None
+    }
+    if "population.seed" in overrides:  # generate --seed seeds the task pool too
+        overrides["tasks.seed"] = overrides["population.seed"]
     return cfgmod.resolve(file_cfg, overrides)
 
 
-def _common_constraint_overrides(args) -> dict[str, str]:
-    overrides = {}
-    if args.alpha is not None:
-        overrides["constraints.alpha"] = repr(args.alpha)
-    if args.beta is not None:
-        overrides["constraints.beta"] = repr(args.beta)
-    if args.budget is not None:
-        overrides["constraints.budget"] = repr(args.budget)
-    if args.fairness is not None:
-        overrides["constraints.fairness"] = args.fairness
-    if args.gold is not None:
-        overrides["gold.n_per_type"] = str(args.gold)
-    return overrides
-
-
 def cmd_generate(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["population.seed"] = str(args.seed)
-        overrides["tasks.seed"] = str(args.seed)
-    if args.workers is not None:
-        overrides["population.n_workers"] = str(args.workers)
-    cfg = _resolved_config(args, overrides)
+    cfg = _resolved_config(args)
     population = cfgmod.resolve_workers(cfg)
     tasks = generate_task_pool(cfgmod.task_pool_spec(cfg))
     save_workers(population, args.workers_out)
@@ -104,25 +89,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_policy(args) -> int:
-    overrides = _common_constraint_overrides(args)
-    if args.workers_file is not None:
-        overrides["workers.file"] = args.workers_file
-    if args.seed is not None:
-        overrides["experiment.seed"] = str(args.seed)
-    if args.gamma is not None:
-        overrides["policy.gamma"] = repr(args.gamma)
-    cfg = _resolved_config(args, overrides)
-
+    cfg = _resolved_config(args)
     gamma, seed = cfgmod.policy_settings(cfg)
     population = cfgmod.resolve_workers(cfg)
     priors = cfgmod.resolve_priors(cfg)
     constraints = cfgmod.constraint_set(cfg)
     gold = cfgmod.gold_config(cfg)
-    tallies = None
-    if args.tallies:
-        tallies = load_gold_tallies(args.tallies)
-    elif args.responses:
-        tallies = load_responses(args.responses)
+    tallies = cfgmod.resolve_tallies(cfg)
 
     result = build_policy(
         population, gold, priors, constraints, seed=seed, tallies=tallies, confidence=gamma
@@ -152,15 +125,7 @@ def cmd_policy(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    if args.repetitions is not None:
-        overrides["experiment.repetitions"] = str(args.repetitions)
-    if args.seed is not None:
-        overrides["experiment.seed"] = str(args.seed)
-    if args.methods is not None:
-        overrides["experiment.methods"] = args.methods
-    cfg = _resolved_config(args, overrides)
-
+    cfg = _resolved_config(args)
     configs = cfgmod.experiment_configs(cfg)
     results = []
     for run_cfg in configs:
@@ -184,20 +149,19 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    delta = fairness_violation_bound(
-        BoundQuery(n_workers=args.workers, n_gold_per_type=args.gold, confidence=args.gamma)
-    )
+    delta = fairness_violation_bound(args.workers, args.gold, args.gamma)
     print(f"fairness violation bound (gamma={args.gamma}): {delta:.12g}")
-    loss = accuracy_loss_bound(
-        BoundQuery(
-            n_workers=args.workers,
-            n_gold_per_type=args.gold,
-            confidence=args.gamma_prime,
-            beta=args.beta,
-        )
-    )
+    loss = accuracy_loss_bound(args.workers, args.gold, args.gamma_prime, args.beta)
     print(f"accuracy loss bound (gamma'={args.gamma_prime}, beta={args.beta}): {loss:.12g}")
     return EXIT_OK
+
+
+def _key_flag(parser, flag: str, key: str, **kwargs) -> None:
+    """Add a flag that sets config key `key`, showing the metavar argparse
+    derives from the flag (or the choices, where it has them)."""
+    if "choices" not in kwargs:
+        kwargs["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+    parser.add_argument(flag, dest=key, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,25 +174,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="write synthetic worker and task files")
     p_gen.add_argument("--config", help="config file (a manifest also works)")
-    p_gen.add_argument("--seed", type=int, help="override population and task seeds")
-    p_gen.add_argument("--workers", type=int, help="override worker count")
+    _key_flag(p_gen, "--seed", "population.seed", type=int, help="override population and task seeds")
+    _key_flag(p_gen, "--workers", "population.n_workers", type=int, help="override worker count")
     p_gen.add_argument("--workers-out", default="workers.csv")
     p_gen.add_argument("--tasks-out", default="tasks.csv")
     p_gen.set_defaults(handler=cmd_generate)
 
     p_pol = sub.add_parser("policy", help="estimate workers and solve for a policy")
     p_pol.add_argument("--config", help="config file (a manifest also works)")
-    p_pol.add_argument("--workers-file", help="worker file (default: synthetic population)")
+    _key_flag(p_pol, "--workers-file", "workers.file", help="worker file (default: synthetic population)")
     gold_source = p_pol.add_mutually_exclusive_group()
-    gold_source.add_argument("--tallies", help="recorded gold tallies instead of simulated gold answers")
-    gold_source.add_argument("--responses", help="raw labeled responses (worker_id,task_id,answer,z,y)")
-    p_pol.add_argument("--alpha", type=float, help="fairness slack")
-    p_pol.add_argument("--beta", type=float, help="diversity cap")
-    p_pol.add_argument("--budget", type=float, help="expected per-label budget (inf allowed)")
-    p_pol.add_argument("--fairness", choices=["fpr", "fnr", "error-rate", "none"])
-    p_pol.add_argument("--gold", type=int, help="gold tasks per type")
-    p_pol.add_argument("--gamma", type=float, help="confidence for the fairness bound")
-    p_pol.add_argument("--seed", type=int, help="master seed for the gold phase")
+    _key_flag(gold_source, "--tallies", "gold.tallies_file",
+              help="recorded gold tallies instead of simulated gold answers")
+    _key_flag(gold_source, "--responses", "gold.responses_file",
+              help="raw labeled responses (worker_id,task_id,answer,z,y)")
+    _key_flag(p_pol, "--alpha", "constraints.alpha", type=float, help="fairness slack")
+    _key_flag(p_pol, "--beta", "constraints.beta", type=float, help="diversity cap")
+    _key_flag(p_pol, "--budget", "constraints.budget", type=float, help="expected per-label budget (inf allowed)")
+    _key_flag(p_pol, "--fairness", "constraints.fairness", choices=["fpr", "fnr", "error-rate", "none"])
+    _key_flag(p_pol, "--gold", "gold.n_per_type", type=int, help="gold tasks per type")
+    _key_flag(p_pol, "--gamma", "policy.gamma", type=float, help="confidence for the fairness bound")
+    _key_flag(p_pol, "--seed", "experiment.seed", type=int, help="master seed for the gold phase")
     p_pol.add_argument("--out", default="policy.csv")
     p_pol.set_defaults(handler=cmd_policy)
 
@@ -236,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_exp.add_mutually_exclusive_group()
     group.add_argument("--config", help="config file (a manifest also works)")
     group.add_argument("--recipe", help=f"shipped recipe name: {', '.join(recipe_names())}")
-    p_exp.add_argument("--repetitions", type=int)
-    p_exp.add_argument("--seed", type=int)
-    p_exp.add_argument("--methods", help="comma list, e.g. CrowdFDB,Random")
+    _key_flag(p_exp, "--repetitions", "experiment.repetitions", type=int)
+    _key_flag(p_exp, "--seed", "experiment.seed", type=int)
+    _key_flag(p_exp, "--methods", "experiment.methods", help="comma list, e.g. CrowdFDB,Random")
     p_exp.add_argument("--out", default="results.csv")
     p_exp.set_defaults(handler=cmd_experiment)
 

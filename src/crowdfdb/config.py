@@ -31,10 +31,12 @@ from .datagen import (
     TaskPoolSpec,
     UniformCost,
     generate_population,
+    load_gold_tallies,
+    load_responses,
     load_tasks,
     load_workers,
 )
-from .estimation import GoldPhaseConfig
+from .estimation import GoldPhaseConfig, GoldTallies
 from .lp import ConstraintSet
 from .model import FairnessKind, Population, Priors
 from .simulator import METHODS, ExperimentConfig, SweepSpec, task_priors
@@ -85,11 +87,15 @@ DEFAULTS: dict[str, str] = {
 # the interval model's range keys, in field order; they have no defaults
 _INTERVAL_KEYS = tuple(f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y in (0, 1) for end in ("low", "high"))
 
+# the recorded gold files' keys and loaders; only the policy command reads them
+_GOLD_FILES = {"gold.tallies_file": load_gold_tallies, "gold.responses_file": load_responses}
+
 # every key with a default, plus the keys that have none
 KNOWN_KEYS = frozenset(
     [
         *DEFAULTS,
         *_INTERVAL_KEYS,
+        *_GOLD_FILES,
         "workers.file",
         "tasks.file",
         "priors.p_z1",
@@ -132,12 +138,17 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def resolve(file_cfg: dict[str, str] | None = None, overrides: dict[str, str] | None = None) -> dict[str, str]:
-    """Defaults, overlaid by the config file, overlaid by CLI flags."""
+    """Defaults, overlaid by the config file, overlaid by CLI flags.  A
+    value the manifest would not read back unchanged (one with a line
+    break, or with leading or trailing whitespace) is rejected."""
     cfg = dict(DEFAULTS)
     for layer in (file_cfg or {}), (overrides or {}):
         for key, value in layer.items():
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if value != value.strip() or len(value.splitlines()) > 1:
+                raise ConfigError(f"{key} = {value!r} would not read back from a manifest: a value may not hold "
+                                  "a line break, or start or end with whitespace")
             cfg[key] = value
     return cfg
 
@@ -303,6 +314,15 @@ def resolve_workers(cfg: dict[str, str]) -> Population:
     return generate_population(population_spec(cfg))
 
 
+def resolve_tallies(cfg: dict[str, str]) -> GoldTallies | None:
+    """The recorded gold tallies a gold file key names, or None when the
+    gold answers are to be simulated."""
+    given = [key for key in _GOLD_FILES if key in cfg]
+    if len(given) > 1:
+        raise ConfigError(f"set at most one of {' and '.join(given)}")
+    return _GOLD_FILES[given[0]](cfg[given[0]]) if given else None
+
+
 def methods(cfg: dict[str, str]) -> list[str]:
     raw = [m.strip() for m in _get(cfg, "experiment.methods").split(",") if m.strip()]
     if not raw:
@@ -337,7 +357,10 @@ def sweep_spec(cfg: dict[str, str]) -> SweepSpec | None:
 
 
 def experiment_configs(cfg: dict[str, str]) -> list[ExperimentConfig]:
-    """One ExperimentConfig per configured method, sharing inputs and seed."""
+    """One ExperimentConfig per configured method, sharing inputs and seed.
+    Experiments simulate their gold answers, so a gold file key is rejected."""
+    if recorded := [key for key in _GOLD_FILES if key in cfg]:
+        raise ConfigError(f"{recorded[0]} is read only by the policy command; an experiment simulates its gold answers")
     base = dict(
         gold=gold_config(cfg),
         constraints=constraint_set(cfg),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundQuery, fairness_violation_bound
+from .bounds import fairness_violation_bound
 from .estimation import GoldPhaseConfig, GoldTallies, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpSolution, LpStatus, binding_rows, build_lp, solve_lp
 from .model import Population, Priors
@@ -62,11 +62,11 @@ def build_policy(
     confidence included, are checked before any gold response is drawn or
     read.
     """
-    BoundQuery(len(population), gold_cfg.n_gold_per_type, confidence)  # raises on bad inputs, before any gold
+    fairness_violation_bound(len(population), gold_cfg.n_gold_per_type, confidence)  # raises on bad inputs first
     tallies = run_gold_phase(population, gold_cfg, seed) if tallies is None else _matched(tallies, population)
     estimates = estimate_tallies(tallies, smoothing=gold_cfg.smoothing)
     # >= 1: estimate_tallies rejects a type never attempted
-    delta = fairness_violation_bound(BoundQuery(len(population), int(tallies.attempted.min()), confidence))
+    delta = fairness_violation_bound(len(population), int(tallies.attempted.min()), confidence)
 
     lp = build_lp(estimates, population.cost, priors, constraints)
     solution = solve_lp(lp)

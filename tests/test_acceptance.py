@@ -16,7 +16,6 @@ import pytest
 
 from crowdfdb import (
     AccuracyLinkedCost,
-    BoundQuery,
     ConstraintSet,
     ExperimentConfig,
     FairnessKind,
@@ -150,7 +149,7 @@ def estimate_then_solve_trials():
 
 def test_03_fairness_guarantee_empirical_validity(estimate_then_solve_trials):
     workers, _, trials = estimate_then_solve_trials
-    delta = fairness_violation_bound(BoundQuery(n_workers=20, n_gold_per_type=20, confidence=0.9))
+    delta = fairness_violation_bound(n_workers=20, n_gold_per_type=20, confidence=0.9)
     alpha = TRIAL_CONSTRAINTS.alpha
     exceed = feasible = 0
     for _, sol in trials:
@@ -172,9 +171,7 @@ def test_03_fairness_guarantee_empirical_validity(estimate_then_solve_trials):
 def test_04_accuracy_loss_guarantee_empirical_validity(estimate_then_solve_trials):
     workers, true_solution, trials = estimate_then_solve_trials
     alpha = TRIAL_CONSTRAINTS.alpha
-    bound = accuracy_loss_bound(
-        BoundQuery(n_workers=20, n_gold_per_type=20, confidence=0.9, beta=TRIAL_CONSTRAINTS.beta)
-    )
+    bound = accuracy_loss_bound(n_workers=20, n_gold_per_type=20, confidence=0.9, beta=TRIAL_CONSTRAINTS.beta)
     true_opt_acc = expected_accuracy(true_solution.policy, workers, TRIAL_PRIORS)
     tol = 1e-9
 
@@ -369,7 +366,7 @@ def test_09_bound_formulas_against_high_precision():
             ref_delta = 2 * mpmath.sqrt(
                 (-mpmath.log(1 - g ** (mpmath.mpf(1) / (2 * n))) + mpmath.log(2)) / (2 * n_gold)
             )
-            got_delta = fairness_violation_bound(BoundQuery(n, n_gold, gamma))
+            got_delta = fairness_violation_bound(n, n_gold, gamma)
             assert abs(got_delta - float(ref_delta)) <= 1e-12 * float(ref_delta)
             ref_loss = (
                 2 * n * mpmath.mpf(str(beta))
@@ -377,7 +374,7 @@ def test_09_bound_formulas_against_high_precision():
                     (-mpmath.log(1 - g ** (mpmath.mpf(1) / (4 * n))) + mpmath.log(2)) / (2 * n_gold)
                 )
             )
-            got_loss = accuracy_loss_bound(BoundQuery(n, n_gold, gamma, beta=beta))
+            got_loss = accuracy_loss_bound(n, n_gold, gamma, beta=beta)
             assert abs(got_loss - float(ref_loss)) <= 1e-12 * float(ref_loss)
     report(9, "both bound formulas match 50-digit evaluation to 12 significant digits "
               "on the 20-point grid")

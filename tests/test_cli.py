@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 
 import crowdfdb
 from crowdfdb import cli
+from crowdfdb.config import KNOWN_KEYS
 from crowdfdb.simulator import RESULTS_COLUMNS
 
 
@@ -102,6 +104,51 @@ def test_header_only_worker_file_exits_2_naming_line_1(tmp_path, capsys, command
     assert list(paths["out"].iterdir()) == []
 
 
+def _subcommands():
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
+# dests that name no config key: the config file, the recipe and the output paths
+NOT_KEYS = {"config", "recipe", "out", "workers_out", "tasks_out", "help"}
+# a value for each key flag, written as the manifest writes it
+FLAG_VALUES = {
+    "--seed": "3", "--workers": "30", "--workers-file": "{workers}", "--tallies": "{tallies}",
+    "--responses": "{responses}", "--alpha": "0.05", "--beta": "0.2", "--budget": "2.5", "--fairness": "fpr",
+    "--gold": "5", "--gamma": "0.8", "--repetitions": "1", "--methods": "Random",
+}
+KEY_FLAGS = [
+    pytest.param(command, action.option_strings[-1], action.dest, id=f"{command} {action.option_strings[-1]}")
+    for command, parser in _subcommands().items() if command != "bounds"
+    for action in parser._actions if action.dest in KNOWN_KEYS
+]
+
+
+@pytest.mark.parametrize("command", ["generate", "policy", "experiment"])
+def test_every_input_flag_names_a_config_key(command):
+    assert {a.dest for a in _subcommands()[command]._actions} - KNOWN_KEYS <= NOT_KEYS
+
+
+@pytest.mark.parametrize("command, flag, key", KEY_FLAGS)
+def test_each_key_flag_writes_its_value_into_the_manifest(tmp_path, capsys, command, flag, key):
+    workers, responses, tallies = write_gold_files(tmp_path, n_workers=60)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("population.n_workers = 30\ntasks.n_z0 = 300\ntasks.n_z1 = 400\nconstraints.beta = 0.1\n"
+                   "experiment.repetitions = 2\nexperiment.methods = Greedy\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    base = {
+        "generate": ["--config", cfg, "--workers-out", out, "--tasks-out", tmp_path / "t.csv"],
+        "policy": ["--workers-file", workers, "--beta", 0.1, "--budget", 2.0, "--out", out],
+        "experiment": ["--config", cfg, "--out", out],
+    }[command]
+    value = FLAG_VALUES[flag].format(workers=workers, responses=responses, tallies=tallies)
+    assert run_cli([command, *base, flag, value]) == 0
+    manifest = (tmp_path / "out.csv.manifest").read_text(encoding="utf-8").splitlines()
+    assert f"{key} = {value}" in manifest
+    if flag == "--seed" and command == "generate":
+        assert "tasks.seed = 3" in manifest
+
+
 class TestGenerate:
     def test_default_spec_counts(self, tmp_path, capsys):
         w, t = tmp_path / "w.csv", tmp_path / "t.csv"
@@ -157,6 +204,17 @@ class TestGenerate:
         ) == 0
         assert w1.read_bytes() == w2.read_bytes()
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_gold_file_keys_are_ignored(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        cfg = tmp_path / "gold.cfg"
+        cfg.write_text(f"gold.tallies_file = {missing}\ngold.responses_file = {missing}\n", encoding="utf-8")
+        files = []
+        for tag, config in (("a", []), ("b", ["--config", cfg])):
+            w, t = tmp_path / f"w{tag}.csv", tmp_path / f"t{tag}.csv"
+            assert run_cli(["generate", *config, "--workers", 25, "--workers-out", w, "--tasks-out", t]) == 0
+            files.append((w.read_bytes(), t.read_bytes()))
+        assert files[0] == files[1]
 
     def test_regenerating_from_the_worker_file_is_byte_identical(self, tmp_path):
         w1, t1 = tmp_path / "w1.csv", tmp_path / "t1.csv"
@@ -318,11 +376,11 @@ class TestPolicy:
     @pytest.mark.parametrize("source", ["--responses", "--tallies"])
     def test_recorded_gold_bounds_at_the_fewest_recorded_answers(self, tmp_path, capsys, source):
         """6 recorded answers per type set N_g, whatever --gold says."""
-        from crowdfdb import BoundQuery, fairness_violation_bound
+        from crowdfdb import fairness_violation_bound
 
         workers, responses, tallies = write_gold_files(tmp_path, n_workers=60)
         capsys.readouterr()
-        expected = f"fairness inflation bound (gamma=0.9): {fairness_violation_bound(BoundQuery(60, 6, 0.9)):.6g}"
+        expected = f"fairness inflation bound (gamma=0.9): {fairness_violation_bound(60, 6, 0.9):.6g}"
         assert expected.endswith(": 1.60535")
         files = {"--responses": responses, "--tallies": tallies}
         for gold in ([], ["--gold", 5], ["--gold", 40]):
@@ -403,6 +461,47 @@ class TestPolicy:
         assert "argument --responses: not allowed with argument --tallies" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("source", ["--responses", "--tallies"])
+    def test_recorded_gold_run_replays_from_its_manifest(self, tmp_path, capsys, source):
+        workers, responses, tallies = write_gold_files(tmp_path, n_workers=60)
+        files = {"--responses": responses, "--tallies": tallies}
+        out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        capsys.readouterr()
+        args = ["policy", "--workers-file", workers, source, files[source], "--beta", 0.1, "--budget", 2.0]
+        assert run_cli(args + ["--out", out1]) == 0
+        run = capsys.readouterr().out.splitlines()
+        assert run_cli(["policy", "--config", f"{out1}.manifest", "--out", out2]) == 0
+        replay = capsys.readouterr().out.splitlines()
+        assert out1.read_bytes() == out2.read_bytes()
+        assert replay[:4] == run[:4]
+        assert run[1].endswith(": 1.60535")  # the recorded 6 answers per type, not 20 simulated ones
+
+    def test_a_config_naming_both_gold_files_exits_2_naming_both(self, tmp_path, capsys):
+        workers, responses, tallies = write_gold_files(tmp_path, n_workers=4)
+        cfg = tmp_path / "gold.cfg"
+        cfg.write_text(f"gold.tallies_file = {tallies}\n", encoding="utf-8")
+        out = tmp_path / "p.csv"
+        args = ["policy", "--config", cfg, "--workers-file", workers, "--responses", responses, "--out", out]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == "error: set at most one of gold.tallies_file and gold.responses_file\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["{w} ", " {w}", "{w}\n", "{w}\rx"])
+    def test_a_flag_value_the_manifest_cannot_read_back_exits_2_before_any_input_is_read(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        def no_input(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("load_workers", "load_tasks", "load_responses", "generate_population"):
+            monkeypatch.setattr(f"crowdfdb.config.{name}", no_input)
+        value = value.format(w=tmp_path / "w.csv")
+        out = tmp_path / "p.csv"
+        assert run_cli(["policy", "--workers-file", value, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: workers.file = {value!r} would not read back from a manifest")
+        assert not out.exists()
+
 
 def write_gold_files(tmp_path, n_workers, per_type=6, skip=None):
     """A generated worker file, raw responses drawn from the workers' true
@@ -476,6 +575,16 @@ class TestExperiment:
         assert run_cli(["experiment", "--config", self.smoke_config(tmp_path), "--out", out1]) == 0
         assert run_cli(["experiment", "--config", f"{out1}.manifest", "--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("key", ["gold.tallies_file", "gold.responses_file"])
+    def test_a_gold_file_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        cfg = self.smoke_config(tmp_path)
+        cfg.write_text(cfg.read_text(encoding="utf-8") + f"{key} = {tmp_path / 'gold.csv'}\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert run_cli(["experiment", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {key} is read only by the policy command; an experiment simulates its gold answers\n"
+        assert not out.exists()
 
     def test_recipes_are_loadable(self):
         names = cli.recipe_names()
@@ -581,7 +690,7 @@ class TestExperiment:
 
 class TestBounds:
     def test_matches_library_values(self, capsys):
-        from crowdfdb import BoundQuery, accuracy_loss_bound, fairness_violation_bound
+        from crowdfdb import accuracy_loss_bound, fairness_violation_bound
 
         assert run_cli(
             ["bounds", "-n", 400, "--gold", 20, "--gamma", 0.9, "--gamma-prime", 0.9,
@@ -590,9 +699,9 @@ class TestBounds:
         out = capsys.readouterr().out
         delta = float(out.splitlines()[0].split(":")[1])
         loss = float(out.splitlines()[1].split(":")[1])
-        assert delta == pytest.approx(fairness_violation_bound(BoundQuery(400, 20, 0.9)), rel=1e-10)
+        assert delta == pytest.approx(fairness_violation_bound(400, 20, 0.9), rel=1e-10)
         assert loss == pytest.approx(
-            accuracy_loss_bound(BoundQuery(400, 20, 0.9, beta=0.01)), rel=1e-10
+            accuracy_loss_bound(400, 20, 0.9, beta=0.01), rel=1e-10
         )
 
     def test_invalid_gamma_exits_2(self):

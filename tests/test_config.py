@@ -4,6 +4,7 @@ is reported first when several keys are malformed, and the default specs."""
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdfdb import (
     AccuracyLinkedCost,
@@ -28,6 +29,7 @@ from crowdfdb.config import (
     experiment_configs,
     format_config,
     gold_config,
+    parse_config_text,
     policy_settings,
     population_spec,
     priors_override,
@@ -39,6 +41,7 @@ from crowdfdb.config import (
 NOT_SCALAR = {
     "population.model", "population.cost_model", "constraints.fairness", "experiment.methods",
     "experiment.sweep", "experiment.sweep_values", "workers.file", "tasks.file",
+    "gold.tallies_file", "gold.responses_file",
 }
 SCALAR_KEYS = sorted(KNOWN_KEYS - NOT_SCALAR)
 
@@ -223,6 +226,26 @@ def test_sweep_values_without_a_sweep_exit_2_from_the_cli(tmp_path, capsys):
     assert "experiment.sweep_values is read only with experiment.sweep = gold or alpha" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+def _reads_back(value):
+    try:
+        return parse_config_text(format_config({"workers.file": value})) == {"workers.file": value}
+    except ConfigError:  # a line break can leave a line with no '='
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("a =#\t\n\r\x0b\x0c\x1c\x85\u2028\u3000"), max_size=5))
+@pytest.mark.parametrize("layer", [0, 1])
+def test_resolve_takes_exactly_the_values_a_manifest_reads_back(layer, value):
+    layers = [None, None]
+    layers[layer] = {"workers.file": value}
+    if _reads_back(value):
+        assert resolve(*layers)["workers.file"] == value
+    else:
+        with pytest.raises(ConfigError, match=f"^workers.file = {re.escape(repr(value))} would not read back"):
+            resolve(*layers)
+
 
 def test_specs_read_every_other_key_by_its_field_name():
     cfg = resolve({

@@ -4,10 +4,11 @@ Pinned here are the results CSV, manifest and stdout of every shipped recipe
 at 2 repetitions (figure1 also with 2 worker processes), the files of
 `crowdfdb generate` at its defaults, and `crowdfdb policy` outputs on the
 default spec, on a budgeted accuracy-linked run and on a raw-response /
-gold-tally pair.  Manifests and stdout have their creation time and the
-output directory masked.  A change that moves a digest updates it in the same
-diff, and says which rows moved and why; print the current table with
-`PYTHONPATH=src python tests/capture_digests.py`.
+gold-tally pair, and the `--help` text of the command and of each
+subcommand at 80 columns.  Manifests and stdout have their creation time
+and the output directory masked.  A change that moves a digest updates it
+in the same diff, and says which rows moved and why; print the current
+table with `PYTHONPATH=src python tests/capture_digests.py`.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ _CREATED = re.compile(rb"^manifest\.created_utc = .*$", re.MULTILINE)
 
 
 @contextmanager
-def _threads(value: str):
-    old = os.environ.get(THREADS_ENV_VAR)
-    os.environ[THREADS_ENV_VAR] = value
+def _env(name: str, value: str):
+    old = os.environ.get(name)
+    os.environ[name] = value
     try:
         yield
     finally:
         if old is None:
-            del os.environ[THREADS_ENV_VAR]
+            del os.environ[name]
         else:
-            os.environ[THREADS_ENV_VAR] = old
+            os.environ[name] = old
 
 
 def _masked(data: bytes, out: Path) -> bytes:
@@ -54,7 +55,7 @@ def _masked(data: bytes, out: Path) -> bytes:
 def _run(out: Path, args: list, files: list[str], threads: str = "1") -> dict[str, bytes]:
     """Run one command in `out`; its stdout and the named files, masked."""
     stdout = io.StringIO()
-    with _threads(threads), redirect_stdout(stdout):
+    with _env(THREADS_ENV_VAR, threads), redirect_stdout(stdout):
         code = cli.main([str(a).format(out=out) for a in args])
     assert code == 0, (args, code)
     found = {"stdout": stdout.getvalue().encode()}
@@ -100,6 +101,18 @@ def _policy_gold_files(source: str):
     return run
 
 
+def _help(*command: str):
+    """The help text argparse prints, in the layout of the Python versions
+    CI runs (3.10 and 3.11); a later argparse may lay it out otherwise."""
+    def run(out: Path) -> dict[str, bytes]:
+        stdout = io.StringIO()
+        with _env("COLUMNS", "80"), redirect_stdout(stdout), pytest.raises(SystemExit, match="^0$"):
+            cli.main([*command, "--help"])
+        return {"stdout": stdout.getvalue().encode()}
+
+    return run
+
+
 CASES = {
     **{f"experiment {recipe}": _experiment(recipe) for recipe in RECIPES},
     "experiment figure1 threads=2": _experiment("figure1", threads="2"),
@@ -108,6 +121,8 @@ CASES = {
     "policy budgeted": _policy_budgeted,
     "policy responses": _policy_gold_files("responses"),
     "policy tallies": _policy_gold_files("tallies"),
+    "help": _help(),
+    **{f"help {command}": _help(command) for command in ("generate", "policy", "experiment", "bounds")},
 }
 
 
@@ -181,12 +196,27 @@ DIGESTS = {
     "policy responses": {
         "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
         "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
-        "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
+        "policy.csv.manifest": "f720b9ec3bdde31b5bb1a9f8e5b1349e694ddfdd69dce569af2c0dffb3a26403",
     },
     "policy tallies": {
         "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
         "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
-        "policy.csv.manifest": "370f1e86116f5548899f06e4cbec399b5bd583d7a2e39acafaef971b1003e92a",
+        "policy.csv.manifest": "0b0720f9966d7f278007e97049c0a96649ce823476c388e9070bca70c0f7d383",
+    },
+    "help": {
+        "stdout": "e2a908198d998deccd9321756453c5f017e20f0d4cbfe61bb04708d454332505",
+    },
+    "help generate": {
+        "stdout": "5c7d4e9f04041220aa2b05238939459cf7fdda6557ab590d03a06b993bbd5d11",
+    },
+    "help policy": {
+        "stdout": "04fc5163dad313f6315575f95aaec1e8961ee512678c76a80649e6f0939bcc0c",
+    },
+    "help experiment": {
+        "stdout": "e74a366378dfa87b1fa5a5141c03e819f2fc75a79c9fd57b43b5440dd08355a6",
+    },
+    "help bounds": {
+        "stdout": "8ef5e60917a6e9cbab9f9c1d5de20366af1681a83e5b2db0c8d90ab1d2ed333b",
     },
 }
 
@@ -207,3 +237,5 @@ def test_two_processes_write_the_one_process_csv():
 def test_responses_and_tallies_give_one_policy():
     for name in ("policy.csv", "stdout"):
         assert DIGESTS["policy responses"][name] == DIGESTS["policy tallies"][name]
+    # each manifest names its own gold file, so that it replays from it
+    assert DIGESTS["policy responses"]["policy.csv.manifest"] != DIGESTS["policy tallies"]["policy.csv.manifest"]

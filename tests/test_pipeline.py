@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crowdfdb import (
-    BoundQuery,
     ConstraintSet,
     FairnessKind,
     GoldPhaseConfig,
@@ -76,7 +75,7 @@ class TestBuildPolicy:
         workers = perfect_workers(3)
         cs = ConstraintSet(alpha=0.01, beta=0.5, budget=2.0)
         result = build_policy(workers, GoldPhaseConfig(20), PRIORS, cs, seed=0)
-        assert result.fairness_bound == fairness_violation_bound(BoundQuery(3, 20, 0.9)) > 0.0
+        assert result.fairness_bound == fairness_violation_bound(3, 20, 0.9) > 0.0
 
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.2, math.nan])
     @pytest.mark.parametrize("recorded", [False, True])
@@ -124,7 +123,7 @@ class TestBuildPolicy:
         tallies = GoldTallies(("w0", "w1", "x"), attempted, attempted)
         cs = ConstraintSet(alpha=math.inf, beta=0.9, budget=math.inf, fairness_kind=FairnessKind.NONE)
         result = build_policy(perfect_workers(2), GoldPhaseConfig(40), PRIORS, cs, seed=0, tallies=tallies)
-        assert result.fairness_bound == fairness_violation_bound(BoundQuery(2, 7, 0.9))
+        assert result.fairness_bound == fairness_violation_bound(2, 7, 0.9)
 
     @pytest.mark.parametrize("smoothing", [False, True])
     @pytest.mark.parametrize("n_gold", [1, 5, 20])
@@ -137,7 +136,7 @@ class TestBuildPolicy:
         assert drawn.solution.status == recorded.solution.status == LpStatus.OPTIMAL
         assert drawn.estimates.tobytes() == recorded.estimates.tobytes()
         assert drawn.solution.policy.weights.tobytes() == recorded.solution.policy.weights.tobytes()
-        assert drawn.fairness_bound == recorded.fairness_bound == fairness_violation_bound(BoundQuery(60, n_gold, 0.9))
+        assert drawn.fairness_bound == recorded.fairness_bound == fairness_violation_bound(60, n_gold, 0.9)
         assert drawn.binding == recorded.binding
 
     def test_tallies_missing_worker_rejected(self):
