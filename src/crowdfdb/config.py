@@ -90,14 +90,15 @@ _INTERVAL_KEYS = tuple(f"population.diag_z{z}_y{y}_{end}" for z in (0, 1) for y 
 # the recorded gold files' keys and loaders; only the policy command reads them
 _GOLD_FILES = {"gold.tallies_file": load_gold_tallies, "gold.responses_file": load_responses}
 
+# the keys that name input files; a manifest records them as absolute paths
+_FILE_KEYS = ("workers.file", "tasks.file", *_GOLD_FILES)
+
 # every key with a default, plus the keys that have none
 KNOWN_KEYS = frozenset(
     [
         *DEFAULTS,
         *_INTERVAL_KEYS,
-        *_GOLD_FILES,
-        "workers.file",
-        "tasks.file",
+        *_FILE_KEYS,
         "priors.p_z1",
         "priors.p_y1_given_z0",
         "priors.p_y1_given_z1",
@@ -387,6 +388,8 @@ def write_manifest(
     Replaying is re-running the command with the manifest as --config
     (manifest.* keys are ignored on load): the configuration keys fully
     determine the outputs, so the rewritten files match byte for byte.
+    The input file keys are written as absolute paths, so a manifest
+    replays from any working directory.
     """
     lines = [
         f"manifest.command = {command}",
@@ -395,5 +398,5 @@ def write_manifest(
     ]
     for name in sorted(outputs):
         lines.append(f"manifest.output.{name} = {outputs[name]}")
-    body = format_config(cfg)
+    body = format_config({key: str(Path(v).absolute()) if key in _FILE_KEYS else v for key, v in cfg.items()})
     Path(path).write_text("\n".join(lines) + "\n" + body, encoding="utf-8")

@@ -20,9 +20,10 @@ eight uint64 buffers allocated once per call, and runs every round of
 Philox-4x64-10 in place in them.  Every runtime draw comes from it:
 random_rows scales its words to doubles, the gold phase compares their top
 53 bits as integers, and permutation replays Generator.permutation from
-their 32-bit halves.  ``stream`` builds the numpy generator itself; only
-the tests and the benchmark inputs use it, as the reference, so running the
-package never imports numpy.random.
+their 32-bit halves, kept as a uint32 array and read one by one through a
+memoryview, so a shuffle holds no list of Python ints.  ``stream`` builds
+the numpy generator itself; only the tests and the benchmark inputs use it,
+as the reference, so running the package never imports numpy.random.
 """
 
 from __future__ import annotations
@@ -241,11 +242,13 @@ def _swap_batch(n: int) -> int:
     return min(_CHUNK_WORDS, max(1, n - n // 4))
 
 
-def _halves(key: np.ndarray, start: int, batch: int) -> list[int]:
+def _halves(key: np.ndarray, start: int, batch: int) -> memoryview:
     """The 32-bit halves of words start..start + batch - 1 of one stream,
-    each word's low half first, split by mask and shift."""
+    each word's low half first, split by mask and shift into a native
+    uint32 array; iterating its memoryview makes one Python int at a time,
+    not a list of them all."""
     _, words = next(random_words(key, batch, start))
-    halves = np.empty((batch, 2), dtype=np.uint64)
-    np.bitwise_and(words[0], _LOW32, out=halves[:, 0])
-    np.right_shift(words[0], _U32, out=halves[:, 1])
-    return halves.ravel().tolist()
+    halves = np.empty((batch, 2), dtype=np.uint32)
+    np.bitwise_and(words[0], _LOW32, out=halves[:, 0], casting="unsafe")
+    np.right_shift(words[0], _U32, out=halves[:, 1], casting="unsafe")
+    return memoryview(halves.reshape(-1))

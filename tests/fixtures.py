@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from crowdfdb import Population, stream
@@ -35,3 +37,15 @@ def make_binding_fairness_instance(gap: float, n_pairs: int, seed: int) -> Popul
         ids += [f"p{p:03d}a", f"p{p:03d}b"]
         correct += [(high, low), (low, high)]
     return Population(ids=tuple(ids), correct=correct, cost=np.ones(len(ids)))
+
+
+def traced_peak(fn, *args) -> int:
+    """The peak bytes tracemalloc sees during fn(*args), after one untraced
+    call has made whatever a first call caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

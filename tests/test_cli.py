@@ -476,6 +476,24 @@ class TestPolicy:
         assert replay[:4] == run[:4]
         assert run[1].endswith(": 1.60535")  # the recorded 6 answers per type, not 20 simulated ones
 
+    @pytest.mark.parametrize("source", ["responses", "tallies"])
+    def test_a_manifest_of_relative_paths_replays_from_another_directory(self, tmp_path, monkeypatch, source):
+        run_dir, replay_dir = tmp_path / "a", tmp_path / "b"
+        run_dir.mkdir()
+        replay_dir.mkdir()
+        write_gold_files(run_dir, n_workers=60)
+        (run_dir / "p.cfg").write_text("tasks.file = tasks.csv\n", encoding="utf-8")
+        monkeypatch.chdir(run_dir)
+        assert run_cli(["policy", "--config", "p.cfg", "--workers-file", "workers.csv", f"--{source}",
+                        f"{source}.csv", "--beta", 0.1, "--budget", 2.0, "--out", "p.csv"]) == 0
+        manifest = (run_dir / "p.csv.manifest").read_text(encoding="utf-8").splitlines()
+        for key, name in [("workers.file", "workers.csv"), ("tasks.file", "tasks.csv"),
+                          (f"gold.{source}_file", f"{source}.csv")]:
+            assert f"{key} = {run_dir / name}" in manifest
+        monkeypatch.chdir(replay_dir)
+        assert run_cli(["policy", "--config", "../a/p.csv.manifest", "--out", "p.csv"]) == 0
+        assert (replay_dir / "p.csv").read_bytes() == (run_dir / "p.csv").read_bytes()
+
     def test_a_config_naming_both_gold_files_exits_2_naming_both(self, tmp_path, capsys):
         workers, responses, tallies = write_gold_files(tmp_path, n_workers=4)
         cfg = tmp_path / "gold.cfg"

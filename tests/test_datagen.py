@@ -41,7 +41,7 @@ from crowdfdb import (
 from crowdfdb import cli
 from crowdfdb.model import label_one_probabilities
 
-from fixtures import as_population, make_binding_fairness_instance
+from fixtures import as_population, make_binding_fairness_instance, traced_peak
 from oracles import reference_population, reference_task_pool
 
 
@@ -428,6 +428,14 @@ LOADERS = {
                 "w0,5,5,5,3,5,0,5,4"),
     "responses": (load_responses, "worker_id,task_id,answer,z,y", "w0,t0,1,0,1"),
 }
+
+
+class TestLoaderMemory:
+    def test_loading_800_workers_holds_one_small_block_of_rows(self, tmp_path):
+        path = tmp_path / "workers.csv"
+        save_workers(generate_population(default_population_spec(n_workers=800)), path)
+        # 740 KB traced with 512-row blocks, 342 KB with 128-row blocks (numpy 2.4)
+        assert traced_peak(load_workers, path) < 550 * 1024
 
 
 class TestMalformedFiles:

@@ -19,6 +19,7 @@ from crowdfdb import (
 )
 from crowdfdb import rng
 from crowdfdb.rng import _CHUNK_WORDS, mix, permutation, random_rows, random_words, stream, stream_keys
+from fixtures import traced_peak
 
 # a uint64 product or shift that overflowed into a warning would fail these tests
 pytestmark = pytest.mark.filterwarnings("error")
@@ -145,6 +146,10 @@ class TestPermutation:
         monkeypatch.setattr(rng, "_swap_batch", tiny)
         assert permutation(task_key(5), n, n).tolist() == stream_permutation(5, n).tolist()
         assert batches == [n]
+
+    def test_a_task_pool_shuffle_holds_no_list_of_draws(self):
+        # 729 KB traced when the 9,224 halves were a list of Python ints, 379 KB as a uint32 array (numpy 2.4)
+        assert traced_peak(permutation, task_key(9161), 6150, 6150) < 550 * 1024
 
     def test_no_draw_for_fewer_than_two_positions(self, monkeypatch):
         monkeypatch.setattr(rng, "random_words", None)
