@@ -112,7 +112,12 @@ def cmd_policy(args) -> int:
         return EXIT_INFEASIBLE
 
     print(f"predicted accuracy: {result.solution.objective_value:.6g}")
-    print(f"binding constraints: {', '.join(result.binding) if result.binding else '(none)'}")
+    rows = [label for label in result.binding if not label.startswith("diversity[")]
+    capped = len(result.binding) - len(rows)  # a label per capped weight would be O(workers): print the count
+    summary = [", ".join(rows)] if rows else []
+    if capped:
+        summary.append(f"{capped} weight{'' if capped == 1 else 's'} at the diversity cap")
+    print(f"binding constraints: {'; '.join(summary) or '(none)'}")
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "weight"])

@@ -6,42 +6,37 @@ File formats (UTF-8, Unix newlines, comma-delimited, one header row):
            where a{z}_{y}{yhat} is the matrix entry [y, yhat] for group z;
            floats are written with shortest round-trip precision.  Each
            matrix must be row-stochastic; a worker keeps its diagonal.
-           Held as a Population of (n, z, y) correctness and (n,) fees,
-           validated once when it is generated or loaded.
-  tasks:   id,z,y with z, y in {0, 1}; held as a TaskPool of int8 arrays,
-           validated once when the pool is generated or loaded.
+           Held as a Population of (n, z, y) correctness and (n,) fees.
+  tasks:   id,z,y with z, y in {0, 1}; held as a TaskPool of int8 arrays.
   gold tallies: id,att_z0_y0,cor_z0_y0,att_z0_y1,cor_z0_y1,
                 att_z1_y0,cor_z1_y0,att_z1_y1,cor_z1_y1
            (attempted/correct per task type, ordered z-major then y).
   raw responses: worker_id,task_id,answer,z,y — one row per collected
            label for a task with known group and truth; load_responses
            aggregates these into per-worker gold tallies, so externally
-           collected answer sets can drive estimation directly.
-           Both tally sources are held as one GoldTallies of (n, z, y)
-           count arrays.
+           collected answer sets can drive estimation directly.  Both
+           tally sources are held as one GoldTallies of (n, z, y) counts.
 
-Worker and gold-tally ids must not repeat.  Loaders reject unknown or
-missing columns and report the first malformed row in file order by line
+Each file is text columns followed by bit, count or float columns.  Worker
+and gold-tally ids must not repeat, and a worker, tally or response file
+must hold at least one data row.  A plain file (LF line endings, no quote,
+carriage return or NUL byte, strict UTF-8) is read as byte blocks of whole
+lines, split with numpy, its fields parsed by int or float and its values
+checked as arrays.  Any other file, or one that a parse or check rejects,
+is read again through the csv parser, one row at a time: that gives the
+same result, or reports the first malformed row in file order by line
 number and field, whatever its fault: bytes that are not UTF-8, a row the
 csv parser rejects, a wrong field count, a bad value or a repeated id.
-Task and response files are read as byte blocks of whole lines, checked and
-counted with numpy; a file in any form but LF line endings, unquoted fields
-and single-byte 0/1 bits is read again through the csv parser row by row,
-which gives the same result or reports the error.  Worker and tally files
-are read through the csv parser in blocks of 128 rows, so a loader holds one
-block of parsed rows at a time.  A worker block is checked a column at a
-time into arrays, and a block that fails is parsed again row by row for that
-error; a tally block is checked one row at a time into one int64 array.  A
-worker, tally or response file must hold at least one data row.
 """
 
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,99 +243,6 @@ _TALLY_COLUMNS = ["id"] + [
 _RESPONSE_COLUMNS = ["worker_id", "task_id", "answer", "z", "y"]
 
 
-# The csv parser's path (the worker and tally loaders, and the fallback of
-# the task and response loaders) reads a file this many rows at a time, so
-# no loader holds a whole file of rows.  The Python row objects a block holds
-# (a list of str per row, and a worker block's columns) set the loaders'
-# share of peak RSS: loading an 800-worker file peaks at 342 KB traced with
-# 128-row blocks and at 740 KB with 512.  A block stays under the garbage
-# collector's generation-0 threshold (700 by default), so its row lists are
-# usually freed before a collection would scan them; at 1,024 rows, loading
-# 64,000 responses ran 122 collections, one a full one.
-_BLOCK_ROWS = 128
-
-
-@contextmanager
-def _data_rows(path: str | Path, expected: list[str]):
-    """Open a delimited file, check its header, and yield an iterator over its
-    data rows in blocks of up to _BLOCK_ROWS, as (line number of the block's
-    first row, rows); the rows are lists of str of any width.
-
-    Bytes that are not UTF-8 reach the rows as lone surrogates, which
-    _check_row reports; a row the csv module rejects (such as a field over
-    its size limit) raises FileFormatError naming its line once the rows
-    before it have been yielded, so every error surfaces in file order.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-        except csv.Error as err:
-            raise FileFormatError(f"{path} line {reader.line_num}: {err}")
-        if header is None:
-            raise FileFormatError(f"{path} line 1: empty file, expected header {','.join(expected)}")
-        if header != expected:
-            _check_row(path, 1, header, len(header))  # a header that is not UTF-8 says so
-            raise FileFormatError(
-                f"{path} line 1: header must be exactly {','.join(expected)}, got {','.join(header)}"
-            )
-        yield _blocks(path, reader)
-
-
-def _blocks(path, reader):
-    first = 2
-    while True:
-        rows, error = [], None
-        try:
-            rows.extend(islice(reader, _BLOCK_ROWS))  # on a csv error, rows keeps those read before it
-        except csv.Error as err:
-            error = FileFormatError(f"{path} line {reader.line_num}: {err}")
-        if rows:
-            yield first, rows
-        if error is not None:
-            raise error
-        if len(rows) < _BLOCK_ROWS:
-            return
-        first += _BLOCK_ROWS
-
-
-def _is_text(fields) -> bool:
-    """Whether no field holds a lone surrogate, the escape of a byte that is not UTF-8."""
-    try:
-        "".join(fields).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def _check_row(path, lineno: int, row: list[str], width: int) -> None:
-    """Reject a row that is not UTF-8 text or not `width` fields wide."""
-    if not _is_text(row):
-        # the first row holding an escape holds the file's first undecodable byte
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as err:
-            line = err.object.count(b"\n", 0, err.start) + 1
-            raise FileFormatError(f"{path} line {line}: not UTF-8 text: {err.reason}") from None
-    if len(row) != width:
-        raise FileFormatError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
-
-
-def _check_new_id(path, lineno: int, row_id: str, seen: dict[str, int]) -> None:
-    first = seen.setdefault(row_id, lineno)
-    if first != lineno:
-        raise FileFormatError(f"{path} line {lineno}: repeated id {row_id!r}, first on line {first}")
-
-
-def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]] | None:
-    """A block's columns, or None unless every row is `width` fields wide."""
-    try:
-        columns = list(zip(*rows, strict=True))
-    except ValueError:  # rows of unequal width
-        return None
-    return columns if len(columns) == width else None
-
-
 def _parse_float(path, lineno: int, field: str, raw: str) -> float:
     try:
         return float(raw)
@@ -362,90 +264,133 @@ def _parse_bit(path, lineno: int, field: str, raw: str) -> int:
     return value
 
 
-# The byte reader reads task and response files this many bytes at a time,
-# each read extended to the end of the line it stops in: enough rows that
-# numpy's per-call cost is spread thin, while every array a block needs
-# stays a small multiple of its size.
+def _parse_count(path, lineno: int, field: str, raw: str) -> int:
+    value = _parse_int(path, lineno, field, raw)
+    if value >= 2**63:  # beyond int64; a count below 0 is left to check_counts
+        raise FileFormatError(f"{path} line {lineno}: field {field} exceeds the largest count, {2**63 - 1}")
+    return value
+
+
+def _worker_rule(numbers: list[float]) -> None:
+    """One worker row's numbers, cost first: each a{z} matrix, a0 first, has
+    entries in [0, 1], then rows summing to 1; then the fee is checked."""
+    grids = np.array(numbers[1:]).reshape(2, 2, 2)  # [z, y, yhat]
+    for z, m in enumerate(grids):
+        if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN fails every comparison
+            raise ValueError(f"matrix a{z}_*: accuracy matrix entries must lie in [0, 1]: {m.tolist()}")
+        if (np.abs(m.sum(axis=1) - 1.0) > TOL.structural).any():
+            raise ValueError(f"matrix a{z}_*: accuracy matrix rows must sum to 1, got sums {m.sum(axis=1).tolist()}")
+    Population(ids=("",), correct=grids.diagonal(axis1=1, axis2=2)[None], cost=numbers[:1])
+
+
+class _Schema(NamedTuple):  # a NamedTuple, as every command imports this module: a dataclass takes 8x as long
+    """A file's header: n_text text columns, then typed ones that field
+    (_parse_bit, _parse_count or _parse_float) parses.  rule raises
+    ValueError for a row's typed values that break it; unique says that
+    first-column ids may not repeat."""
+
+    columns: list[str]
+    n_text: int
+    field: Callable[[object, int, str, str], int | float]
+    rule: Callable[[list], None] | None = None
+    unique: bool = False
+
+
+_WORKERS = _Schema(_WORKER_COLUMNS, 1, _parse_float, _worker_rule, unique=True)
+_TASKS = _Schema(_TASK_COLUMNS, 1, _parse_bit)
+_TALLIES = _Schema(_TALLY_COLUMNS, 1, _parse_count, lambda counts: check_counts(counts[0::2], counts[1::2]),
+                   unique=True)
+_RESPONSES = _Schema(_RESPONSE_COLUMNS, 2, _parse_bit)
+
+
+class _Unusual(ValueError):
+    """A file the byte reader does not take, or whose values a check rejects."""
+
+
+def _read(path, schema: _Schema, build):
+    """build(path, blocks) over the byte reader's blocks of rows, each (ids,
+    repeats, values): the block's first fields are ids[j] repeated repeats[j]
+    times, and values[row, k] holds typed field k.  If the reader does not
+    take the file, or a parse or one of build's array checks raises
+    ValueError, the per-row checker reads the file again for build."""
+    try:
+        blocks = _byte_blocks(path, schema)
+        first = next(blocks, None)
+        if first is not None:
+            return build(path, chain([first], blocks))
+        blocks = iter(())  # a plain file of no rows
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        blocks = _checked_blocks(path, schema)
+    try:
+        return build(path, blocks)
+    except FileFormatError:
+        raise
+    except ValueError as err:  # every row was checked as it was read, so the file holds none
+        raise FileFormatError(f"{path} line 1: {err}") from None
+
+
+# The byte reader reads a file this many bytes at a time, each read extended
+# to the end of the line it stops in: enough rows that numpy's per-call cost
+# is spread thin, while every array a block needs stays a small multiple of
+# its size.
 _BLOCK_BYTES = 1 << 16
 
 
-class _Unusual(Exception):
-    """A file the byte reader does not take; the csv parser reads it instead."""
-
-
-def _read_bit_file(path, columns: list[str], n_text: int, load):
-    """load(blocks) over a file of n_text text columns followed by bit columns.
-
-    The blocks are (ids, repeats, bits): the first field of the block's rows
-    is ids[j] repeated repeats[j] times, and bits[k] holds bit column k as
-    uint8.  They come from the byte reader; if any of its checks fails
-    anywhere in the file, what load made of them is dropped and the whole
-    file is read through the csv parser, row by row.
-    """
-    try:
-        return load(_byte_blocks(path, columns, n_text))
-    except _Unusual:
-        pass
-    return load(_csv_blocks(path, columns, n_text))
-
-
-def _byte_blocks(path, columns: list[str], n_text: int):
+def _byte_blocks(path, schema: _Schema):
     """The byte reader's blocks; raises _Unusual unless the file holds the
-    header line, then lines of exactly len(columns) - 1 commas, each ending
-    in one-byte 0/1 bit fields, with no quote, carriage return or NUL byte
-    (Python 3.10's csv parser rejects NUL), all strict UTF-8 and none longer
-    than the csv parser's field limit.  On such a file the csv parser splits
-    the same rows at the same commas.
+    header line, then lines of exactly len(columns) - 1 commas with no quote,
+    carriage return or NUL byte (Python 3.10's csv parser rejects NUL), all
+    strict UTF-8 and none longer than the csv parser's field limit.  On such
+    a file the csv parser splits the same rows at the same commas.  Typed
+    fields are parsed by float for _parse_float and by int otherwise.
+
+    The blocks are whole lines of about _BLOCK_BYTES, each ending in a
+    newline, one added where a line lacks it: at the end of the file, or
+    after the first `limit` bytes of a line's tail, which leaves a line too
+    long or an empty one for _parse_block to reject.
     """
-    header = ",".join(columns).encode()
+    header = ",".join(schema.columns).encode()
     limit = csv.field_size_limit()
+    parse, dtype = (float, np.float64) if schema.field is _parse_float else (int, np.int64)
     with open(path, "rb") as handle:
         if handle.readline(len(header) + 1) not in (header, header + b"\n"):
             raise _Unusual
-        for block in _line_blocks(handle, limit):
-            yield _parse_block(block, len(columns) - 1, n_text, limit)
+        while block := handle.read(_BLOCK_BYTES):
+            block += handle.readline(limit)
+            block += b"" if block.endswith(b"\n") else b"\n"
+            yield _parse_block(block, len(schema.columns), schema.n_text, limit, parse, dtype)
 
 
-def _line_blocks(handle, limit: int):
-    """The rest of a binary file in blocks of whole lines of about
-    _BLOCK_BYTES, each ending in a newline, one added where a line lacks it:
-    at the end of the file, or after the first `limit` bytes of a line's
-    tail, which leaves a line too long or an empty one for _parse_block to
-    reject."""
-    while block := handle.read(_BLOCK_BYTES):
-        block += handle.readline(limit)
-        yield block if block.endswith(b"\n") else block + b"\n"
-
-
-def _parse_block(block: bytes, n_commas: int, n_text: int, limit: int):
+def _parse_block(block: bytes, width: int, n_text: int, limit: int, parse, dtype):
     """One block of _byte_blocks, or _Unusual."""
     if b'"' in block or b"\r" in block or b"\0" in block:
         raise _Unusual
-    try:
-        block.isascii() or block.decode("utf-8")
-    except UnicodeDecodeError:
-        raise _Unusual from None
+    if not block.isascii():
+        block.decode("utf-8")  # a UnicodeDecodeError is a ValueError
     data = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     commas = np.flatnonzero(data == ord(","))
-    if commas.size != ends.size * n_commas or (ends - starts).max() > limit:
+    if commas.size != ends.size * (width - 1) or (ends - starts).max() > limit:
         raise _Unusual
-    # Taken n_commas at a time in order, the commas all lie on their own rows
-    # if each row's last ones sit one before each bit, the last bit just
-    # before the newline, and every bit is 0 or 1: a row's first comma then
-    # comes after the row before's last comma, last bit and newline.
-    commas = commas.reshape(ends.size, n_commas)
-    bit_commas = ends[:, None] - np.arange(2 * (n_commas - n_text + 1), 0, -2)
-    if not (commas[:, n_text - 1:] == bit_commas).all():
-        raise _Unusual
-    bits = data[bit_commas + 1] - ord("0")
-    if (bits > 1).any():
-        raise _Unusual
+    commas = commas.reshape(ends.size, width - 1)
+    # Where every typed field is one digit, the commas before them sit 2k, ..., 4, 2 bytes before
+    # their row's end, each before a digit, so all of the block's commas are on their own rows.
+    n_typed = width - n_text
+    fixed = ends[:, None] - np.arange(2 * n_typed, 0, -2)
+    values = data[fixed + 1] - ord("0") if (commas[:, n_text - 1:] == fixed).all() else None  # uint8 digits
+    if values is None or (values > 9).any():  # a byte below "0" wraps above 9
+        # taken width - 1 at a time in order, the commas are all on their own
+        # rows if each row's first comes after its start and its last before its end
+        if not ((commas[:, 0] >= starts) & (commas[:, -1] < ends)).all():
+            raise _Unusual
+        lines = block.decode("utf-8").split("\n")[:-1]  # the fields parsed a line at a time
+        fields = chain.from_iterable(line.split(",")[-n_typed:] for line in lines)
+        values = np.fromiter(map(parse, fields), dtype=dtype, count=ends.size * n_typed).reshape(-1, n_typed)
     firsts = _run_starts(data, starts, commas[:, 0])
     # the first field of each run, each with the comma after it, decoded as one and split
-    fields = data[_spans(starts[firsts], commas[firsts, 0] - starts[firsts] + 1)].tobytes().decode("utf-8")
-    return fields.split(",")[:-1], np.diff(np.append(firsts, ends.size)), bits.T
+    ids = data[_spans(starts[firsts], commas[firsts, 0] - starts[firsts] + 1)].tobytes().decode("utf-8")
+    return ids.split(",")[:-1], np.diff(np.append(firsts, ends.size)), values
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -473,17 +418,92 @@ def _run_starts(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return np.flatnonzero(~same)
 
 
-def _csv_blocks(path, columns: list[str], n_text: int):
-    """The byte reader's blocks from the csv parser: each row is checked and
-    its bits parsed in turn, so the first bad row in file order raises its
-    error."""
-    with _data_rows(path, columns) as blocks:
-        for first, rows in blocks:
-            bits = []
-            for lineno, row in enumerate(rows, first):
-                _check_row(path, lineno, row, len(columns))
-                bits.append([_parse_bit(path, lineno, f, raw) for f, raw in zip(columns[n_text:], row[n_text:])])
-            yield [row[0] for row in rows], np.ones(len(rows), dtype=np.intp), np.array(bits, dtype=np.uint8).T
+# The per-row checker yields blocks of this many rows: few enough that their
+# row lists usually go before the garbage collector's first generation fills.
+_BLOCK_ROWS = 128
+
+
+def _checked_blocks(path, schema: _Schema):
+    """The byte reader's blocks from the csv parser, for any file."""
+    rows = _checked_rows(path, schema)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        ids, values = zip(*block)
+        yield ids, np.ones(len(ids), dtype=np.intp), np.array(values)
+
+
+def _checked_rows(path, schema: _Schema):
+    """(id, typed values) of each data row, checked in turn: its text and
+    width, each typed field, the schema's rule, then its id, so the first bad
+    row in file order raises its error."""
+    columns, n_text = schema.columns, schema.n_text
+    seen: dict[str, int] = {}
+    for lineno, row in _data_rows(path, columns):
+        _check_row(path, lineno, row, len(columns))
+        values = [schema.field(path, lineno, field, raw) for field, raw in zip(columns[n_text:], row[n_text:])]
+        if schema.rule is not None:
+            try:
+                schema.rule(values)
+            except ValueError as err:
+                raise FileFormatError(f"{path} line {lineno}: {err}")
+        if schema.unique and seen.setdefault(row[0], lineno) != lineno:
+            raise FileFormatError(f"{path} line {lineno}: repeated id {row[0]!r}, first on line {seen[row[0]]}")
+        yield row[0], values
+
+
+def _data_rows(path: str | Path, expected: list[str]):
+    """(line number, row) for each data row of a delimited file, once its
+    header is checked; the rows are lists of str of any width.
+
+    Bytes that are not UTF-8 reach the rows as lone surrogates, which
+    _check_row reports; a row the csv module rejects (such as a field over
+    its size limit) raises FileFormatError naming its line once the rows
+    before it have been yielded, so every error surfaces in file order.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FileFormatError(f"{path} line 1: empty file, expected header {','.join(expected)}")
+            if header != expected:
+                _check_row(path, 1, header, len(header))  # a header that is not UTF-8 says so
+                raise FileFormatError(f"{path} line 1: header must be exactly {','.join(expected)}, "
+                                      f"got {','.join(header)}")
+            yield from enumerate(reader, 2)
+        except csv.Error as err:
+            raise FileFormatError(f"{path} line {reader.line_num}: {err}")
+
+
+def _check_row(path, lineno: int, row: list[str], width: int) -> None:
+    """Reject a row that is not UTF-8 text or not `width` fields wide."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, the escape of a byte that is not UTF-8
+        # the first row holding an escape holds the file's first undecodable byte
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = err.object.count(b"\n", 0, err.start) + 1
+            raise FileFormatError(f"{path} line {line}: not UTF-8 text: {err.reason}") from None
+    if len(row) != width:
+        raise FileFormatError(f"{path} line {lineno}: expected {width} fields, got {len(row)}")
+
+
+def _gathered(path, blocks, width: int, dtype) -> tuple[list[str], np.ndarray]:
+    """The blocks' ids, one per row, and their read-only values[row, k] as
+    dtype, in one array of a row per line ending (LF, CRLF or CR; every data
+    row follows one), so the values are never held twice."""
+    size = 0
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_BLOCK_BYTES):
+            size += np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == ord("\n"))
+            size += chunk.count(b"\r") - chunk.count(b"\r\n") if b"\r" in chunk else 0
+    ids, values = [], np.empty((size, width), dtype=dtype)
+    for run_ids, repeats, block in blocks:
+        values[len(ids):len(ids) + len(block)] = block
+        ids.extend(np.repeat(np.array(run_ids, dtype=object), repeats).tolist())
+    values.flags.writeable = False
+    return ids, values[:len(ids)]
 
 
 def save_workers(population: Population, path: str | Path) -> None:
@@ -502,68 +522,17 @@ def load_workers(path: str | Path) -> Population:
     """Workers from a file; each a{z} matrix must be row-stochastic, and only
     its diagonal is kept (the off-diagonal entries are its complements).  An
     id may appear once, and the file must hold at least one worker."""
-    ids: list[str] = []
-    numbers = [np.zeros((len(_WORKER_COLUMNS) - 1, 0))]  # [field, row]: cost, then the a{z} entries
-    seen: dict[str, int] = {}
-    with _data_rows(path, _WORKER_COLUMNS) as blocks:
-        for first, rows in blocks:
-            block = _checked_workers(path, rows, first, seen)
-            if block is None:  # some row fails: check them one by one for its error
-                block = np.array([_worker_row(path, lineno, row, seen) for lineno, row in enumerate(rows, first)]).T
-            ids.extend(row[0] for row in rows)
-            numbers.append(block)
-    numbers = np.concatenate(numbers, axis=1)
-    correct = numbers[1:].T.reshape(-1, 2, 2, 2).diagonal(axis1=2, axis2=3)  # [row, z, y, yhat] -> [row, z, y]
-    try:
-        return Population(ids=tuple(ids), correct=correct, cost=numbers[0])
-    except ValueError as err:  # every row was checked as it was read, so the file holds none
-        raise FileFormatError(f"{path} line 1: {err}") from None
+    return _read(path, _WORKERS, _population)
 
 
-def _checked_workers(path, rows: list[list[str]], first: int, seen: dict[str, int]) -> np.ndarray | None:
-    """A block's numbers[field, row], checked all at once as _worker_row checks
-    each row; None if any row fails a check that comes before its id's."""
-    columns = _columns(rows, len(_WORKER_COLUMNS))
-    if columns is None:
-        return None
-    ids, *fields = columns
-    try:
-        numbers = np.array([np.fromiter(map(float, field), dtype=float, count=len(ids)) for field in fields])
-    except ValueError:
-        return None
-    grids = numbers[1:].T.reshape(-1, 2, 2, 2)  # grids[row, z, y, yhat]
-    valid = (
-        np.isfinite(numbers).all()
-        and (numbers >= 0.0).all()
-        and (grids <= 1.0).all()
-        and (np.abs(grids.sum(axis=-1) - 1.0) <= TOL.structural).all()
-    )
-    if not (valid and _is_text(ids)):
-        return None
-    for lineno, worker_id in enumerate(ids, first):
-        _check_new_id(path, lineno, worker_id, seen)
-    return numbers
-
-
-def _worker_row(path, lineno: int, row: list[str], seen: dict[str, int]) -> list[float]:
-    """One row's numbers, cost first, each checked in turn."""
-    _check_row(path, lineno, row, len(_WORKER_COLUMNS))
-    numbers = [_parse_float(path, lineno, field, raw) for field, raw in zip(_WORKER_COLUMNS[1:], row[1:])]
-    grids = np.array(numbers[1:]).reshape(2, 2, 2)  # [z, y, yhat]
-    for z, m in enumerate(grids):
-        if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN fails every comparison
-            problem = f"entries must lie in [0, 1]: {m.tolist()}"
-        elif (np.abs(m.sum(axis=1) - 1.0) > TOL.structural).any():
-            problem = f"rows must sum to 1, got sums {m.sum(axis=1).tolist()}"
-        else:
-            continue
-        raise FileFormatError(f"{path} line {lineno}: matrix a{z}_*: accuracy matrix {problem}")
-    try:
-        Population(ids=(row[0],), correct=grids.diagonal(axis1=1, axis2=2)[None], cost=numbers[:1])
-    except ValueError as err:  # the cost check
-        raise FileFormatError(f"{path} line {lineno}: {err}")
-    _check_new_id(path, lineno, row[0], seen)
-    return numbers
+def _population(path, blocks) -> Population:
+    ids, numbers = _gathered(path, blocks, len(_WORKER_COLUMNS) - 1, np.float64)  # [row, field]: cost, a{z}
+    grids = numbers[:, 1:].reshape(-1, 2, 2, 2)  # [row, z, y, yhat]
+    # _worker_rule's matrix rule on every row at once; Population checks the fees
+    valid = ((grids >= 0.0) & (grids <= 1.0)).all() and (np.abs(grids.sum(axis=-1) - 1.0) <= TOL.structural).all()
+    if not valid or len(set(ids)) < len(ids):
+        raise _Unusual
+    return Population(ids=tuple(ids), correct=grids.diagonal(axis1=2, axis2=3), cost=numbers[:, 0])
 
 
 def save_tasks(tasks: TaskPool, path: str | Path) -> None:
@@ -574,17 +543,12 @@ def save_tasks(tasks: TaskPool, path: str | Path) -> None:
 
 
 def load_tasks(path: str | Path) -> TaskPool:
-    return _read_bit_file(path, _TASK_COLUMNS, 1, _task_pool)
+    return _read(path, _TASKS, _task_pool)
 
 
-def _task_pool(blocks) -> TaskPool:
-    ids: list[str] = []
-    bits = [np.zeros((2, 0), dtype=np.uint8)]
-    for run_ids, repeats, block_bits in blocks:
-        ids.extend(np.repeat(np.array(run_ids, dtype=object), repeats).tolist())
-        bits.append(block_bits)
-    z, y = np.concatenate(bits, axis=1)
-    return TaskPool(ids=tuple(ids), z=z, y=y)
+def _task_pool(path, blocks) -> TaskPool:
+    ids, bits = _gathered(path, blocks, 2, np.int64)
+    return TaskPool(ids=tuple(ids), z=bits[:, 0], y=bits[:, 1])  # TaskPool checks the bits
 
 
 def save_gold_tallies(tallies: GoldTallies, path: str | Path) -> None:
@@ -596,32 +560,16 @@ def save_gold_tallies(tallies: GoldTallies, path: str | Path) -> None:
 
 
 def load_gold_tallies(path: str | Path) -> GoldTallies:
-    """Recorded tallies in file order, checked row by row; an id may appear
-    once, and the file must hold at least one tally."""
-    counts = [np.zeros((0, 8), dtype=np.int64)]  # one array a block: [row, (z, y, kind)], in column order
-    seen: dict[str, int] = {}
-    with _data_rows(path, _TALLY_COLUMNS) as blocks:
-        for first, rows in blocks:
-            block = np.empty((len(rows), 8), dtype=np.int64)
-            for lineno, row in enumerate(rows, first):
-                _check_row(path, lineno, row, len(_TALLY_COLUMNS))
-                numbers = [_parse_count(path, lineno, field, raw) for field, raw in zip(_TALLY_COLUMNS[1:], row[1:])]
-                try:
-                    check_counts(numbers[0::2], numbers[1::2])
-                except ValueError as err:
-                    raise FileFormatError(f"{path} line {lineno}: {err}")
-                _check_new_id(path, lineno, row[0], seen)
-                block[lineno - first] = numbers
-            counts.append(block)
-    counts = np.concatenate(counts)
-    return _file_tallies(path, list(seen), counts[:, 0::2], counts[:, 1::2])
+    """Recorded tallies in file order; an id may appear once, and the file
+    must hold at least one tally."""
+    return _read(path, _TALLIES, _gold_tallies)
 
 
-def _parse_count(path, lineno: int, field: str, raw: str) -> int:
-    value = _parse_int(path, lineno, field, raw)
-    if value >= 2**63:  # beyond int64; a count below 0 is left to check_counts
-        raise FileFormatError(f"{path} line {lineno}: field {field} exceeds the largest count, {2**63 - 1}")
-    return value
+def _gold_tallies(path, blocks) -> GoldTallies:
+    ids, counts = _gathered(path, blocks, 8, np.int64)  # counts[row, (z, y, kind)], in column order
+    # GoldTallies holds views of the read-only counts, not copies, and checks them and that no id repeats
+    return GoldTallies(ids=tuple(ids), attempted=counts[:, 0::2].reshape(-1, 2, 2),
+                       correct=counts[:, 1::2].reshape(-1, 2, 2))
 
 
 def load_responses(path: str | Path) -> GoldTallies:
@@ -632,26 +580,23 @@ def load_responses(path: str | Path) -> GoldTallies:
     (z, y) type tally, correct when answer == y.  Workers are held in order
     of first appearance, and the file must hold at least one response.
     """
-    return _file_tallies(path, *_read_bit_file(path, _RESPONSE_COLUMNS, 2, _tally_responses))
+    return _read(path, _RESPONSES, _tally_responses)
 
 
-def _tally_responses(blocks) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _tally_responses(path, blocks) -> GoldTallies:
     codes: dict[str, int] = {}  # worker id -> order of first appearance
     # counts[4 * code + 2 * z + y]: a worker's four types in TYPE_ORDER, z-major
     attempted = correct = np.zeros(0, dtype=np.intp)
-    for run_ids, repeats, (answer, z, y) in blocks:
+    for run_ids, repeats, bits in blocks:
+        if (bits >> 1).any():  # a value but 0 or 1, negative ones too
+            raise _Unusual
+        answer, z, y = bits.T
         run_codes = np.array([codes.setdefault(i, len(codes)) for i in run_ids], dtype=np.intp)
         kind = 4 * np.repeat(run_codes, repeats) + 2 * z + y
         attempted = _add_counts(attempted, kind, 4 * len(codes))
         correct = _add_counts(correct, kind[answer == y], 4 * len(codes))
-    return list(codes), attempted, correct
-
-
-def _file_tallies(path, ids: list[str], attempted: np.ndarray, correct: np.ndarray) -> GoldTallies:
-    try:
-        return GoldTallies(ids=tuple(ids), attempted=attempted.reshape(-1, 2, 2), correct=correct.reshape(-1, 2, 2))
-    except ValueError as err:  # every row was checked as it was read, so the file holds none
-        raise FileFormatError(f"{path} line 1: {err}") from None
+    attempted.flags.writeable = correct.flags.writeable = False  # so GoldTallies holds them, not copies
+    return GoldTallies(ids=tuple(codes), attempted=attempted.reshape(-1, 2, 2), correct=correct.reshape(-1, 2, 2))
 
 
 def _add_counts(total: np.ndarray, kind: np.ndarray, size: int) -> np.ndarray:
@@ -659,4 +604,3 @@ def _add_counts(total: np.ndarray, kind: np.ndarray, size: int) -> np.ndarray:
     counts = np.bincount(kind, minlength=size)
     counts[: total.size] += total
     return counts
-

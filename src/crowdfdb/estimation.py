@@ -11,8 +11,10 @@ one worker's (z, y) array, a row of the (n, z, y) array.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -85,8 +87,10 @@ class GoldTallies:
     attempted[i, z, y] and correct[i, z, y]; validated once, when they are
     built.
 
-    Iterating yields (id, GoldResponseTally) pairs, built on demand; the
-    package itself reads only the arrays.
+    Counts are copied unless they are int64 and cannot be written: neither
+    the array nor any array it views is writeable.  Iterating yields (id,
+    GoldResponseTally) pairs, built on demand; the package itself reads only
+    the arrays.
     """
 
     ids: tuple[str, ...]
@@ -104,14 +108,16 @@ class GoldTallies:
                     f"{n} gold tallies need integer {name} of shape ({n}, 2, 2) [i, z, y], "
                     f"got {counts.dtype} of shape {counts.shape}"
                 )
-            counts = counts.astype(np.int64)  # a copy, so the caller's array stays theirs
-            counts.flags.writeable = False
+            if counts.dtype != np.int64 or _writable(counts):
+                counts = counts.astype(np.int64)  # a copy, so the caller's array stays theirs
+                counts.flags.writeable = False
             object.__setattr__(self, name, counts)
         valid = ((self.correct >= 0) & (self.correct <= self.attempted)).all(axis=(1, 2))
         if not valid.all():
             i = valid.argmin()
             check_counts(self.attempted[i].ravel().tolist(), self.correct[i].ravel().tolist())
-        if len(set(ids)) != n:
+        ordered = sorted(ids)  # a list, where a set of as many ids would take about eight times the memory
+        if any(map(operator.eq, ordered, islice(ordered, 1, None))):
             repeated = next(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"gold tallies repeat worker id {repeated!r}")
         object.__setattr__(self, "ids", ids)
@@ -123,6 +129,16 @@ class GoldTallies:
         attempted, correct = self.attempted.reshape(-1, 4).tolist(), self.correct.reshape(-1, 4).tolist()
         for worker_id, a, c in zip(self.ids, attempted, correct):
             yield worker_id, GoldResponseTally(attempted=tuple(a), correct=tuple(c))
+
+
+def _writable(counts: np.ndarray) -> bool:
+    """Whether counts, or memory it views, can be written: through an array
+    that is writeable, or a buffer that is not an array."""
+    while isinstance(counts, np.ndarray):
+        if counts.flags.writeable:
+            return True
+        counts = counts.base
+    return counts is not None
 
 
 def estimate_matrices(tally: GoldResponseTally, smoothing: bool = False) -> np.ndarray:

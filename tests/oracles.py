@@ -285,11 +285,9 @@ def _reference_rows(path, columns):
     row at a time, as the per-row loaders read them."""
     from crowdfdb.datagen import _check_row, _data_rows
 
-    with _data_rows(path, columns) as blocks:
-        for first, rows in blocks:
-            for lineno, row in enumerate(rows, first):
-                _check_row(path, lineno, row, len(columns))
-                yield lineno, row
+    for lineno, row in _data_rows(path, columns):
+        _check_row(path, lineno, row, len(columns))
+        yield lineno, row
 
 
 def reference_load_workers(path):

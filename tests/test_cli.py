@@ -303,6 +303,16 @@ class TestPolicy:
         free = predicted("none", tmp_path / "b.csv")
         assert free >= constrained - 1e-12
 
+    def test_binding_line_counts_the_capped_weights(self, tmp_path, capsys):
+        out, config = tmp_path / "p.csv", tmp_path / "workers.cfg"
+        config.write_text("population.n_workers = 2000\n", encoding="utf-8")
+        assert run_cli(["policy", "--config", config, "--beta", 0.001, "--out", out]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("binding constraints: "))
+        with open(out, newline="") as handle:
+            capped = sum(abs(float(row["weight"]) - 0.001) <= 1e-6 for row in csv.DictReader(handle))
+        assert capped > 100 and line.endswith(f"; {capped} weights at the diversity cap")
+        assert "diversity[" not in line and len(line) < 100
+
     def test_policy_manifest_replay(self, tmp_path):
         out1, out2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
         args = ["policy", "--alpha", 0.05, "--beta", 0.01, "--gold", 5, "--seed", 12]

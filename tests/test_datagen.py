@@ -434,8 +434,18 @@ class TestLoaderMemory:
     def test_loading_800_workers_holds_one_small_block_of_rows(self, tmp_path):
         path = tmp_path / "workers.csv"
         save_workers(generate_population(default_population_spec(n_workers=800)), path)
-        # 740 KB traced with 512-row blocks, 342 KB with 128-row blocks (numpy 2.4)
+        # 740 KB traced with 512-row csv blocks, 342 KB with 128-row ones, 373 KB with the byte reader (numpy 2.4)
         assert traced_peak(load_workers, path) < 550 * 1024
+
+    def test_loading_tallies_holds_their_counts_once(self, tmp_path):
+        n = 20_000
+        path = tmp_path / "tallies.csv"
+        save_gold_tallies(GoldTallies(tuple(f"w{i:05d}" for i in range(n)), np.full((n, 2, 2), 9),
+                                      np.arange(4 * n).reshape(n, 2, 2) % 10), path)
+        # the ids and counts take 2.4 MiB; 3.0 MiB traced, and 7.3 MiB when the counts were copied twice
+        assert traced_peak(load_gold_tallies, path) < 4 * 2**20
+        tallies = load_gold_tallies(path)
+        assert tallies.attempted.base is tallies.correct.base is not None  # views of the array the file was read into
 
 
 class TestMalformedFiles:

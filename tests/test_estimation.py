@@ -81,6 +81,18 @@ class TestGoldTallies:
         assert tallies.attempted[0, 0, 0] == 5
         assert not tallies.attempted.flags.writeable and not tallies.correct.flags.writeable
 
+    def test_holds_counts_nothing_can_write_without_copying_them(self):
+        counts = np.arange(16).reshape(2, 8) % 4
+        counts.flags.writeable = False
+        tallies = GoldTallies(("a", "b"), counts[:, 0::2].reshape(2, 2, 2) + 4, counts[:, 1::2].reshape(2, 2, 2))
+        assert np.shares_memory(tallies.correct, counts)  # a view of a read-only array that owns its memory
+        writable = np.full((2, 2, 2), 5)
+        view = writable.view()
+        view.flags.writeable = False
+        tallies = GoldTallies(("a", "b"), view, view)
+        writable[0, 0, 0] = 0
+        assert tallies.attempted[0, 0, 0] == 5 and not np.shares_memory(tallies.attempted, writable)
+
     def test_iterates_as_per_worker_tallies(self):
         tallies = GoldTallies(("a", "b"), np.full((2, 2, 2), 9), np.arange(8).reshape(2, 2, 2))
         assert dict(tallies) == {

@@ -1,20 +1,23 @@
-"""The block loaders, and the tally loader's arrays, against the per-row
-reference loaders, and all four loaders fuzzed over raw bytes.
+"""The four loaders against the per-row reference loaders, and fuzzed over
+raw bytes.
 
-Blocks are _BLOCK_ROWS rows long, or _BLOCK_BYTES bytes for the byte reader
-of task and response files; the hypothesis tests also run with blocks of a
-few rows and a few dozen bytes, so that drawn files cross many block
+The byte reader reads blocks of _BLOCK_BYTES bytes, and the per-row checker
+yields blocks of _BLOCK_ROWS rows; the hypothesis tests also run with blocks
+of a few rows and a few dozen bytes, so that drawn files cross many block
 boundaries, and with the real blocks after a prefix of valid rows that ends
 near the first row-block boundary.
 """
 
 import re
+from itertools import accumulate
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from crowdfdb import FileFormatError, TaskPool, datagen, load_gold_tallies, load_responses, load_tasks, load_workers
+from crowdfdb import (
+    FileFormatError, TaskPool, WorkerProfile, datagen, load_gold_tallies, load_responses, load_tasks, load_workers,
+)
 
 from oracles import reference_load_gold_tallies, reference_load_responses, reference_load_tasks, reference_load_workers
 
@@ -131,12 +134,15 @@ def write(path, text):
 
 def outcome(loader, path):
     """What a loader returns (a task pool as its ids and bits, a population as
-    its workers), or the message of the FileFormatError it raises."""
+    its workers, each as the bits of its numbers, so that -0.0 and 0.0
+    differ), or the message of the FileFormatError it raises."""
     try:
         result = loader(path)
     except FileFormatError as err:
         return ("error", str(err))
-    return (result.ids, result.z.tolist(), result.y.tolist()) if isinstance(result, TaskPool) else list(result)
+    if isinstance(result, TaskPool):
+        return result.ids, result.z.tolist(), result.y.tolist()
+    return [(w.id, w.cost.hex(), w.correct.tobytes()) if isinstance(w, WorkerProfile) else w for w in result]
 
 
 @st.composite
@@ -263,26 +269,50 @@ def test_each_tally_fault_is_reported_as_the_reference_reports_it(tmp_path, faul
     assert got[0] == "error" and f"{path} line 7: " in got[1]
 
 
-BYTE_READ = {load_responses: reference_load_responses, load_tasks: reference_load_tasks}
+BYTE_READ = {
+    load_responses: reference_load_responses,
+    load_tasks: reference_load_tasks,
+    load_workers: reference_load_workers,
+    load_gold_tallies: reference_load_gold_tallies,
+}
+UNIQUE_IDS = (load_workers, load_gold_tallies)
 
 # text the byte reader takes: no comma, quote, carriage return, newline, NUL or lone surrogate
 PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n\x00', exclude_categories=("Cs",)), max_size=4)
+# valid values in the forms int() or float() accept, as the checker reads them
+PLAIN_COST = st.sampled_from(["1.0", "3", "0", "-0.0", "-0", " 2.5", "1e0", "1_0", "+1", "7"])
+PLAIN_PAIR = st.sampled_from([("0.9", "0.1"), ("1", "0"), ("0", "1"), ("0.75", "0.25"), ("0.3", "0.7000000000000001"),
+                              (" 0.5", "0.5 "), ("1e-3", "0.999")])
+PLAIN_COUNTS = st.sampled_from([("0", "0"), ("5", "3"), ("9", "9"), (" 4", "+2"), ("1_0", "7"), ("12", "-0"),
+                                (str(2**63 - 1), str(2**63 - 1))])
+
+
+@st.composite
+def plain_values(draw, loader):
+    """The typed fields of one valid row of a loader, as the byte reader takes them."""
+    if loader is load_workers:
+        return [draw(PLAIN_COST)] + [v for _ in range(4) for v in draw(PLAIN_PAIR)]
+    if loader is load_gold_tallies:
+        return [v for _ in range(4) for v in draw(PLAIN_COUNTS)]
+    bits = 3 if loader is load_responses else 2
+    return ([draw(PLAIN_TEXT)] if loader is load_responses else []) + \
+        draw(st.lists(st.sampled_from(CANONICAL_BITS), min_size=bits, max_size=bits))
 
 
 @pytest.mark.parametrize("loader", list(BYTE_READ), ids=lambda f: f.__name__)
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_plain_files_are_read_without_the_csv_parser(tmp_path, loader, data):
-    """LF line endings, unquoted fields and one-byte bits, with ids in runs of
-    any length, repeated later or not: the byte reader alone matches the
-    reference, whatever the block size."""
+    """LF line endings and unquoted fields, with ids in runs of any length,
+    repeated later or not where they may repeat: the byte reader alone
+    matches the reference, whatever the block size."""
     header, _ = VALID_ROWS[loader]
-    runs = data.draw(st.lists(st.tuples(st.sampled_from(["w0", "w1", "", "é"]) | PLAIN_TEXT, st.integers(1, 5)),
-                              max_size=12))
-    bits = 3 if loader is load_responses else 2
-    rows = [[first] + ([data.draw(PLAIN_TEXT)] if loader is load_responses else [])
-            + data.draw(st.lists(st.sampled_from(CANONICAL_BITS), min_size=bits, max_size=bits))
-            for first, count in runs for _ in range(count)]
+    ids = st.sampled_from(["w0", "w1", "", "é"]) | PLAIN_TEXT
+    if loader in UNIQUE_IDS:
+        runs = [(first, 1) for first in data.draw(st.lists(ids, unique=True, max_size=12))]
+    else:
+        runs = data.draw(st.lists(st.tuples(ids, st.integers(1, 5)), max_size=12))
+    rows = [[first] + data.draw(plain_values(loader)) for first, count in runs for _ in range(count)]
     text = file_text(header, [",".join(row) for row in rows], crlf=False)
     if rows and data.draw(st.booleans()):
         text = text[:-1]  # no newline after the last row
@@ -291,17 +321,31 @@ def test_plain_files_are_read_without_the_csv_parser(tmp_path, loader, data):
     with blocks_of(BLOCK, data.draw(st.sampled_from([1, 7, 24, 40, BLOCK_BYTES]))), \
             mock.patch.object(datagen, "_data_rows", side_effect=AssertionError("csv parser used")):
         assert outcome(loader, path) == want
+    if loader in UNIQUE_IDS and rows:
+        assert want[0] != "error"
+
+
+# each replaces the first or the last typed field of one row: what int() or float() accepts or rejects
+VALUES = {"1_0": "1_0", "space 0.5": " 0.5", "+1": "+1", "1e-3": "1e-3", "inf": "inf", "nan": "nan", "-0": "-0",
+          "2**63": str(2**63), "6": "6"}  # 6 is above its attempted count as the last field of a tally row
 
 
 def explicit_case(loader, case):
-    """The bytes of one named case for a task or response file."""
+    """The bytes of one named case for a file of any loader."""
     header, valid = VALID_ROWS[loader]
     rows = [valid.format(i=i) for i in range(6)]
     if case == "no trailing newline":
         return file_text(header, rows, crlf=False)[:-1]
     if case == "crlf":
         return file_text(header, rows, crlf=True)
-    if case == "quoted ids":
+    if case == "cr line endings":  # the csv parser ends a row at a lone carriage return too
+        return "\r".join([header] + rows) + "\r"
+    if case.split()[0] in VALUES:  # "<value> first" or "<value> last"
+        fields = rows[2].split(",")
+        n_text = 2 if loader is load_responses else 1
+        fields[n_text if case.endswith("first") else -1] = VALUES[case.split()[0]]
+        rows[2] = ",".join(fields)
+    elif case == "quoted ids":
         rows[2] = quoted(rows[2].split(",")[0]) + rows[2][rows[2].index(","):]
     elif case == "nul byte":
         rows[3] = "w\x00" + rows[3]
@@ -313,7 +357,20 @@ def explicit_case(loader, case):
         rows[2] = rows[2][:-1] + ","
         rows[3] = rows[3].replace(",", "", 1)
     elif case == "bad utf-8 in a later block":
-        rows = [valid.format(i=i % 7) for i in range(2 * BLOCK_BYTES // len(valid))] + ["\udcff" + valid.format(i=0)]
+        count = 2 * BLOCK_BYTES // len(valid)
+        rows = [valid.format(i=i if loader in UNIQUE_IDS else i % 7) for i in range(count)]
+        rows.append("\udcff" + valid.format(i=0))
+    elif case == "id repeated across a block boundary":
+        rows = [valid.format(i=i) for i in range(2 * BLOCK_BYTES // len(valid))]
+        ends = accumulate(len(row) + 1 for row in rows)  # past each row's newline, counted after the header's
+        first = next(i for i, end in enumerate(ends) if end > BLOCK_BYTES)  # the last row of the first block
+        rows[first + 1] = valid.format(i=first)  # the first row of the second block repeats the last of the first
+    elif case == "a row a field long, then one a field short":
+        # the commas add up, a tally row read without its own first field holds valid counts, and the
+        # short row ends the file, so the long row's last comma would be read as the short row's first
+        width = len(header.split(","))
+        rows[-2] = rows[-2].replace(",", ",5,", 1)
+        rows[-1] = ",".join((["7"] + ["3", "5"] * width)[:width - 1])
     elif case == "header only":
         rows = []
     elif case == "oversized field":
@@ -328,10 +385,11 @@ def explicit_case(loader, case):
 
 
 EXPLICIT = [
-    "no trailing newline", "crlf", "quoted ids", "nul byte", "carriage return in an id", "bit 2", "bit /",
-    "comma for a last bit, then a row a comma short", "bad utf-8 in a later block", "header only",
-    "oversized field", "field at the limit", "loose bit", "non-contiguous ids",
-]
+    "no trailing newline", "crlf", "cr line endings", "quoted ids", "nul byte", "carriage return in an id", "bit 2",
+    "bit /", "comma for a last bit, then a row a comma short", "bad utf-8 in a later block", "header only",
+    "oversized field", "field at the limit", "loose bit", "non-contiguous ids", "id repeated across a block boundary",
+    "a row a field long, then one a field short",
+] + [f"{value} {where}" for value in VALUES for where in ("first", "last")]
 
 
 @pytest.mark.parametrize("loader", list(BYTE_READ), ids=lambda f: f.__name__)

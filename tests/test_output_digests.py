@@ -184,22 +184,22 @@ DIGESTS = {
         "workers.csv.manifest": "718ec55952d038c79e5aa75f7b1110ac801750e737327b7df2d054c9db7c6304",
     },
     "policy default": {
-        "stdout": "a877738f4d56fa7082c0923c3863179204c06daab3ff557c20be089f78254785",
+        "stdout": "60c6f6080bb43a9ef4026af28a24f6fc708fd16a26fb6f6e496306c285729ba1",
         "policy.csv": "40937aa60031f8a78fb93173f2382b99cf02390ebe897bb8b353fe0afa1da646",
         "policy.csv.manifest": "b4bbd6411032b225eee582ad1fd083735ad5ef3c6872ea19e34797c84b1ead99",
     },
     "policy budgeted": {
-        "stdout": "ff70b195cbc87345ef6263b9ab732d47a864edf82f85cdaf30c2cfab50cbee97",
+        "stdout": "0df66493dd5dfacc3ebed49e9e25e2baf0ad314f03feda1edd492cfac3372bf5",
         "policy.csv": "b42745d0fdcb7b6830b5d9b8e16a7e2a63278bd1d9fbb91d3c2eb1a2997ec132",
         "policy.csv.manifest": "ad3f7517d666cc04dd09a98f69a5654a86a3c3dec304cea8252be124ef911348",
     },
     "policy responses": {
-        "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
+        "stdout": "319bf934dea7f1dbee3c939955e56ef795ce7a8666b5792a100ec061125f9389",
         "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
         "policy.csv.manifest": "f720b9ec3bdde31b5bb1a9f8e5b1349e694ddfdd69dce569af2c0dffb3a26403",
     },
     "policy tallies": {
-        "stdout": "ee1024a35e7e0cad22ef32b4e18b120318ee5db0f6d2894d413e274114c35bd1",
+        "stdout": "319bf934dea7f1dbee3c939955e56ef795ce7a8666b5792a100ec061125f9389",
         "policy.csv": "829fe41724bfdd03f4b3f45ab4d709ccbb229e14debb5451b0528bd7294c2d54",
         "policy.csv.manifest": "0b0720f9966d7f278007e97049c0a96649ce823476c388e9070bca70c0f7d383",
     },
