@@ -26,20 +26,20 @@ from ._version import __version__
 from .datagen import (
     AccuracyLinkedCost,
     ClusterBiasModel,
+    FileFormatError,
     IntervalBiasModel,
     PopulationSpec,
     TaskPoolSpec,
     UniformCost,
-    generate_population,
     load_gold_tallies,
     load_responses,
-    load_tasks,
-    load_workers,
+    resolve_population,
+    task_priors,
 )
 from .estimation import GoldPhaseConfig, GoldTallies
 from .lp import ConstraintSet
 from .model import FairnessKind, Population, Priors
-from .simulator import METHODS, ExperimentConfig, SweepSpec, task_priors
+from .simulator import METHODS, ExperimentConfig, SweepSpec
 
 
 class ConfigError(ValueError):
@@ -297,22 +297,29 @@ def priors_override(cfg: dict[str, str]) -> Priors | None:
     return _spec(Priors, cfg, "priors")
 
 
+def _workers(cfg: dict[str, str]) -> PopulationSpec | str:
+    return cfg["workers.file"] if "workers.file" in cfg else population_spec(cfg)
+
+
+def _tasks(cfg: dict[str, str]) -> TaskPoolSpec | str:
+    return cfg["tasks.file"] if "tasks.file" in cfg else task_pool_spec(cfg)
+
+
 def resolve_priors(cfg: dict[str, str]) -> Priors:
-    """Priors from overrides, else the task spec, else the task file."""
-    override = priors_override(cfg)
-    if override is not None:
+    """Priors from overrides, else those the task spec or task file implies."""
+    if (override := priors_override(cfg)) is not None:
         return override
-    pool = load_tasks(cfg["tasks.file"]) if "tasks.file" in cfg else task_pool_spec(cfg)
+    tasks = _tasks(cfg)
     try:
-        return task_priors(pool)
+        return task_priors(tasks)
+    except FileFormatError:
+        raise
     except ValueError as err:
         raise ConfigError(str(err))
 
 
 def resolve_workers(cfg: dict[str, str]) -> Population:
-    if "workers.file" in cfg:
-        return load_workers(cfg["workers.file"])
-    return generate_population(population_spec(cfg))
+    return resolve_population(_workers(cfg))
 
 
 def resolve_tallies(cfg: dict[str, str]) -> GoldTallies | None:
@@ -367,10 +374,8 @@ def experiment_configs(cfg: dict[str, str]) -> list[ExperimentConfig]:
         constraints=constraint_set(cfg),
         repetitions=_get_int(cfg, "experiment.repetitions"),
         seed=_get_int(cfg, "experiment.seed"),
-        population=None if "workers.file" in cfg else population_spec(cfg),
-        worker_file=cfg.get("workers.file"),
-        task_pool=None if "tasks.file" in cfg else task_pool_spec(cfg),
-        task_file=cfg.get("tasks.file"),
+        workers=_workers(cfg),
+        tasks=_tasks(cfg),
         sweep=sweep_spec(cfg),
         priors=priors_override(cfg),
     )

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimation import GoldTallies, check_counts
-from .model import TOL, Population
+from .model import TOL, Population, Priors
 from .rng import mix, permutation, random_rows, stream_keys
 
 
@@ -93,8 +93,8 @@ class ClusterBiasModel:
     Base per-truth-label accuracies are drawn from the cluster's ranges and
     shared between groups; the cluster's fpr/fnr offsets (z=0 minus z=1
     error rate) then split each error rate across the two groups, half up
-    and half down, clipped to [0, 1].  An unbiased cluster has zero offsets
-    and therefore identical matrices for both groups.
+    and half down, clipped to [0, 1].  The unbiased cluster's offsets
+    default to 0, which gives its workers identical matrices for both groups.
     """
 
     biased_fraction: float
@@ -172,6 +172,26 @@ class TaskPoolSpec:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
+def task_priors(tasks: TaskPoolSpec | TaskPool | str | Path, pool: TaskPool | None = None) -> Priors:
+    """Priors implied by a task pool: a spec's rates, or the group and label
+    frequencies of a TaskPool's tasks or of a task file's (read here unless
+    pool holds them)."""
+    if isinstance(tasks, TaskPoolSpec):
+        total = tasks.n_z0 + tasks.n_z1
+        if total == 0:
+            raise ValueError("task pool is empty; set priors.* explicitly")
+        return Priors(p_z1=tasks.n_z1 / total, p_y1_given_z0=tasks.base_rate_z0, p_y1_given_z1=tasks.base_rate_z1)
+    if pool is None:
+        pool = tasks if isinstance(tasks, TaskPool) else resolve_task_pool(tasks)
+    if not (pool.z == 0).any() or not (pool.z == 1).any():
+        raise ValueError("task file lacks one of the groups; set priors.* explicitly")
+    return Priors(
+        p_z1=float(pool.z.mean()),
+        p_y1_given_z0=float(pool.y[pool.z == 0].mean()),
+        p_y1_given_z1=float(pool.y[pool.z == 1].mean()),
+    )
+
+
 def _draw_correctness(model: IntervalBiasModel | ClusterBiasModel, u: np.ndarray) -> np.ndarray:
     """(n, z, y) correctness from each worker's leading draws, row u[i].
 
@@ -233,6 +253,20 @@ def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
     width = max(5, len(str(max(zs.size - 1, 0))))
     ids = tuple(map(f"t%0{width}d".__mod__, range(zs.size)))  # the format is parsed once, not per id
     return TaskPool(ids=ids, z=zs[order], y=ys[order])
+
+
+def resolve_population(workers: PopulationSpec | str | Path) -> Population:
+    """The workers a population spec draws, or those a worker file holds."""
+    if isinstance(workers, PopulationSpec):
+        return generate_population(workers)
+    return load_workers(workers)
+
+
+def resolve_task_pool(tasks: TaskPoolSpec | str | Path) -> TaskPool:
+    """The tasks a task-pool spec draws, or those a task file holds."""
+    if isinstance(tasks, TaskPoolSpec):
+        return generate_task_pool(tasks)
+    return load_tasks(tasks)
 
 
 _WORKER_COLUMNS = ["id", "cost"] + [f"a{z}_{y}{yhat}" for z in (0, 1) for y in (0, 1) for yhat in (0, 1)]

@@ -1,13 +1,15 @@
 """Seeded experiment harness.
 
-One repetition runs the full loop: simulate the gold phase's tallies and
-estimate the (n, z, y) correctness array from them, build the method's
-assignment rule (LP policy, uniform random, or greedy fill), hand every
-pool task to a worker, draw the worker's label from the (n, z, y) array of
-true P(label 1 | z, y), and score the labels from the four (z, y) cell
-counts.  One job runs one repetition at every sweep point, on one row of
-collect draws (seed, "collect", rep); jobs use derived independent streams,
-so they can run in one process pool (set CROWDFDB_THREADS) with results
+An experiment's workers and tasks each come from a spec or a file, which
+resolve_inputs draws or loads once per method.  One repetition runs the
+full loop: simulate the gold phase's tallies and estimate the (n, z, y)
+correctness array from them, build the method's assignment rule (LP
+policy, uniform random, or greedy fill), hand every pool task to a worker,
+draw the worker's label from the (n, z, y) array of true
+P(label 1 | z, y), and score the labels from the four (z, y) cell counts.
+One job runs one repetition at every sweep point, on one row of collect
+draws (seed, "collect", rep); jobs use derived independent streams, so
+they can run in one process pool (set CROWDFDB_THREADS) with results
 identical to sequential execution.
 
 Results are written as delimited text with one row per (sweep value,
@@ -26,15 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import CapacityError, greedy_plan, random_policy
-from .datagen import (
-    PopulationSpec,
-    TaskPool,
-    TaskPoolSpec,
-    generate_population,
-    generate_task_pool,
-    load_tasks,
-    load_workers,
-)
+from .datagen import PopulationSpec, TaskPool, TaskPoolSpec, resolve_population, resolve_task_pool, task_priors
 from .estimation import GoldPhaseConfig, estimate_tallies, run_gold_phase
 from .lp import ConstraintSet, LpStatus
 from .model import Policy, Population, Priors, label_one_probabilities
@@ -67,17 +61,16 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment (one method)."""
+    """Full description of one experiment (one method); workers and tasks
+    are each a spec to draw from or a file path to load."""
 
     method: str
     gold: GoldPhaseConfig
     constraints: ConstraintSet
     repetitions: int
     seed: int
-    population: PopulationSpec | None = None
-    worker_file: str | None = None
-    task_pool: TaskPoolSpec | None = None
-    task_file: str | None = None
+    workers: PopulationSpec | str | Path
+    tasks: TaskPoolSpec | str | Path
     sweep: SweepSpec | None = None
     priors: Priors | None = None
 
@@ -86,10 +79,9 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if (self.population is None) == (self.worker_file is None):
-            raise ValueError("exactly one of population / worker_file must be set")
-        if (self.task_pool is None) == (self.task_file is None):
-            raise ValueError("exactly one of task_pool / task_file must be set")
+        for name, spec in (("workers", PopulationSpec), ("tasks", TaskPoolSpec)):
+            if not isinstance(getattr(self, name), (spec, str, os.PathLike)):
+                raise ValueError(f"{name} must be a {spec.__name__} or a file path, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -147,38 +139,26 @@ class SweepPointResult:
     aggregate: AggregateMetrics
 
 
-def task_priors(pool: TaskPoolSpec | TaskPool) -> Priors:
-    """Priors implied by a task pool: a generated pool's spec rates, or the
-    group and label frequencies of loaded tasks."""
-    if isinstance(pool, TaskPoolSpec):
-        total = pool.n_z0 + pool.n_z1
-        if total == 0:
-            raise ValueError("task pool is empty; set priors.* explicitly")
-        return Priors(
-            p_z1=pool.n_z1 / total,
-            p_y1_given_z0=pool.base_rate_z0,
-            p_y1_given_z1=pool.base_rate_z1,
-        )
-    if not (pool.z == 0).any() or not (pool.z == 1).any():
-        raise ValueError("task file lacks one of the groups; set priors.* explicitly")
-    return Priors(
-        p_z1=float(pool.z.mean()),
-        p_y1_given_z0=float(pool.y[pool.z == 0].mean()),
-        p_y1_given_z1=float(pool.y[pool.z == 1].mean()),
-    )
+@dataclass(frozen=True, eq=False)
+class RunInputs:
+    """What every repetition of one command reads, resolved once: the
+    population and priors, the task pool, and P(label 1 | z, y) per worker."""
+
+    population: Population
+    priors: Priors
+    tasks: TaskPool
+    p_label_one: np.ndarray
 
 
-def resolve_inputs(cfg: ExperimentConfig) -> tuple[Population, TaskPool, Priors]:
-    """Materialize the population, tasks, and priors from specs or files."""
-    population = (
-        generate_population(cfg.population) if cfg.population is not None else load_workers(cfg.worker_file)
-    )
-    tasks = generate_task_pool(cfg.task_pool) if cfg.task_pool is not None else load_tasks(cfg.task_file)
+def resolve_inputs(cfg: ExperimentConfig) -> RunInputs:
+    """The workers and tasks cfg draws or names, its priors (else those its
+    task source implies), and each worker's P(label 1 | z, y)."""
+    population = resolve_population(cfg.workers)
+    tasks = resolve_task_pool(cfg.tasks)
     if not tasks:
         raise ValueError("task pool has no tasks to assign")
-    if cfg.priors is not None:
-        return population, tasks, cfg.priors
-    return population, tasks, task_priors(cfg.task_pool if cfg.task_pool is not None else tasks)
+    priors = cfg.priors if cfg.priors is not None else task_priors(cfg.tasks, tasks)
+    return RunInputs(population, priors, tasks, label_one_probabilities(population))
 
 
 def _gaps(tasks: Sequence[int], errors: Sequence[int]) -> tuple[float | None, float | None]:
@@ -209,26 +189,6 @@ def _score_arrays(zs: np.ndarray, ys: np.ndarray, yhats: np.ndarray, **fields) -
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RunInputs:
-    """What every repetition of one command reads, built once: the
-    population and priors, the task pool, and P(label 1 | z, y) per worker."""
-
-    population: Population
-    priors: Priors
-    tasks: TaskPool
-    p_label_one: np.ndarray
-
-    @classmethod
-    def build(cls, population: Population, tasks: TaskPool, priors: Priors) -> RunInputs:
-        return cls(
-            population=population,
-            priors=priors,
-            tasks=tasks,
-            p_label_one=label_one_probabilities(population),
-        )
-
-
 def _collect_draws(cfg: ExperimentConfig, rep_index: int, n_tasks: int) -> np.ndarray:
     """Label collection's doubles for one repetition, from the stream
     (seed, "collect", rep): a worker draw per task, then a label draw per
@@ -252,7 +212,7 @@ def run_once(
     while sweeping the gold count re-draws them.  _draws, when given, is
     _collect_draws(cfg, rep_index, n_tasks), drawn once for all sweep points.
     """
-    inputs = _resolved if _resolved is not None else RunInputs.build(*resolve_inputs(cfg))
+    inputs = _resolved if _resolved is not None else resolve_inputs(cfg)
     population, priors, costs = inputs.population, inputs.priors, inputs.population.cost
     zs, ys = inputs.tasks.z, inputs.tasks.y
     n = len(population)
@@ -359,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[SweepPointResult]:
     min(CROWDFDB_THREADS, usable CPUs, repetitions) worker processes;
     outputs are aggregated per sweep point in repetition order either way.
     """
-    resolved = RunInputs.build(*resolve_inputs(cfg))
+    resolved = resolve_inputs(cfg)
     if cfg.sweep is not None:
         points = [(cfg.sweep.parameter, v) for v in cfg.sweep.values]
     else:

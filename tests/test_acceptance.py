@@ -217,8 +217,8 @@ def scaled_experiment(method, *, cost_model=None, constraints, gold, sweep=None,
         constraints=constraints,
         repetitions=reps,
         seed=403,
-        population=default_population_spec(seed=401, n_workers=50, cost_model=cost_model),
-        task_pool=SCALED_POOL,
+        workers=default_population_spec(seed=401, n_workers=50, cost_model=cost_model),
+        tasks=SCALED_POOL,
         sweep=sweep,
     )
 

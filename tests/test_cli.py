@@ -521,8 +521,9 @@ class TestPolicy:
         def no_input(*args, **kwargs):
             raise AssertionError("an input was read")
 
-        for name in ("load_workers", "load_tasks", "load_responses", "generate_population"):
-            monkeypatch.setattr(f"crowdfdb.config.{name}", no_input)
+        for name in ("load_workers", "load_tasks", "generate_population"):
+            monkeypatch.setattr(f"crowdfdb.datagen.{name}", no_input)
+        monkeypatch.setattr("crowdfdb.config.load_responses", no_input)
         value = value.format(w=tmp_path / "w.csv")
         out = tmp_path / "p.csv"
         assert run_cli(["policy", "--workers-file", value, "--out", out]) == 2

@@ -136,7 +136,7 @@ class TestGeneratePopulation:
         for method in ("CrowdFDB", "Random", "Greedy"):
             cfg = ExperimentConfig(
                 method=method, gold=gold, constraints=constraints, repetitions=2, seed=5,
-                worker_file=str(path), task_pool=TaskPoolSpec(100, 100, 0.4, 0.6, seed=6),
+                workers=str(path), tasks=TaskPoolSpec(100, 100, 0.4, 0.6, seed=6),
             )
             assert len(run_experiment(cfg)[0].reports) == 2
 

@@ -185,8 +185,8 @@ class TestNoStreamPerWorker:
             constraints=ConstraintSet(alpha=0.2, beta=0.1, budget=2.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY),
             repetitions=2,
             seed=3,
-            population=default_population_spec(n_workers=30),
-            task_pool=TaskPoolSpec(n_z0=40, n_z1=60, base_rate_z0=0.4, base_rate_z1=0.5, seed=4),
+            workers=default_population_spec(n_workers=30),
+            tasks=TaskPoolSpec(n_z0=40, n_z1=60, base_rate_z0=0.4, base_rate_z1=0.5, seed=4),
             sweep=SweepSpec("gold", (5, 10)),
         )
         points = run_experiment(cfg)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from crowdfdb import (
     write_results_csv,
 )
 from crowdfdb import simulator
+from crowdfdb.model import label_one_probabilities
 from crowdfdb.simulator import RESULTS_COLUMNS, MetricsReport, RunInputs, _apply_sweep, _score_arrays
 from fixtures import make_binding_fairness_instance
 from oracles import recount_scores
@@ -55,8 +57,8 @@ def base_config(method="CrowdFDB", **kwargs):
         ),
         repetitions=2,
         seed=11,
-        population=perfect_population(10),
-        task_pool=small_pool(),
+        workers=perfect_population(10),
+        tasks=small_pool(),
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
@@ -146,14 +148,14 @@ class TestRunOnce:
 
     def test_deterministic_per_seed_and_rep(self):
         cfg = base_config(
-            method="CrowdFDB", population=default_population_spec(seed=13, n_workers=12)
+            method="CrowdFDB", workers=default_population_spec(seed=13, n_workers=12)
         )
         assert run_once(cfg, 1) == run_once(cfg, 1)
         assert run_once(cfg, 1) != run_once(cfg, 2)
 
     def test_infeasible_reported_without_metrics(self):
         cfg = base_config(
-            population=perfect_population(1),
+            workers=perfect_population(1),
             constraints=ConstraintSet(
                 alpha=math.inf, beta=0.5, budget=math.inf, fairness_kind=FairnessKind.NONE
             ),
@@ -166,7 +168,7 @@ class TestRunOnce:
     def test_greedy_capacity_infeasible(self):
         cfg = base_config(
             method="Greedy",
-            population=perfect_population(2),
+            workers=perfect_population(2),
             constraints=ConstraintSet(
                 alpha=math.inf, beta=0.1, budget=math.inf, fairness_kind=FairnessKind.NONE
             ),
@@ -178,10 +180,11 @@ class TestRunOnce:
         workers = make_binding_fairness_instance(0.3, 3, seed=21)
         cfg = base_config(
             method="Random",
-            population=perfect_population(6),  # placeholder; replaced via _resolved
-            task_pool=default_task_pool_spec(seed=4),
+            workers=perfect_population(6),  # placeholder; replaced via _resolved
+            tasks=default_task_pool_spec(seed=4),
         )
-        resolved = RunInputs.build(workers, *resolve_inputs(cfg)[1:])
+        inputs = resolve_inputs(cfg)
+        resolved = RunInputs(workers, inputs.priors, inputs.tasks, label_one_probabilities(workers))
         report = run_once(cfg, 0, _resolved=resolved)
         assert report.fpr_gap <= 0.05
 
@@ -189,14 +192,15 @@ class TestRunOnce:
         pop = default_population_spec(seed=31, n_workers=50)
         cfg = base_config(
             method="CrowdFDB",
-            population=pop,
-            task_pool=default_task_pool_spec(seed=32),
+            workers=pop,
+            tasks=default_task_pool_spec(seed=32),
             constraints=ConstraintSet(
                 alpha=0.01, beta=0.04, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
             gold=GoldPhaseConfig(20),
         )
-        workers, tasks, priors = resolve_inputs(cfg)
+        inputs = resolve_inputs(cfg)
+        workers, tasks, priors = inputs.population, inputs.tasks, inputs.priors
         n_tasks = len(tasks)
         # re-derive the per-task worker choices through the documented streams
         from crowdfdb.pipeline import build_policy
@@ -212,8 +216,8 @@ class TestRunOnce:
         pop = default_population_spec(seed=41, n_workers=50)
         cfg = base_config(
             method="Greedy",
-            population=pop,
-            task_pool=default_task_pool_spec(seed=42),
+            workers=pop,
+            tasks=default_task_pool_spec(seed=42),
             constraints=ConstraintSet(
                 alpha=0.01, beta=0.04, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -221,7 +225,8 @@ class TestRunOnce:
         from crowdfdb import estimate_tallies, greedy_plan, run_gold_phase
         from crowdfdb.rng import mix
 
-        workers, tasks, priors = resolve_inputs(cfg)
+        inputs = resolve_inputs(cfg)
+        workers, tasks, priors = inputs.population, inputs.tasks, inputs.priors
         estimates = estimate_tallies(run_gold_phase(workers, cfg.gold, mix(cfg.seed, "goldphase", 10, 0)))
         plan = greedy_plan(estimates, workers.cost, priors, 0.04, len(tasks))
         cap = math.floor(0.04 * len(tasks))
@@ -255,21 +260,58 @@ class TestSweepSpec:
 
 
 class TestPriorsRule:
-    """config.resolve_priors and resolve_inputs share one rule."""
+    """config's resolvers and resolve_inputs share one rule for the workers,
+    the tasks and the priors."""
 
     def test_task_spec_and_task_file_agree_across_both_entry_points(self, tmp_path):
-        from crowdfdb import save_tasks
+        from crowdfdb import generate_task_pool, save_tasks
         from crowdfdb.config import experiment_configs, resolve, resolve_priors
 
         spec_cfg = resolve(overrides={"tasks.n_z0": "40", "tasks.n_z1": "60"})
-        assert resolve_priors(spec_cfg) == resolve_inputs(experiment_configs(spec_cfg)[0])[2]
+        assert resolve_priors(spec_cfg) == resolve_inputs(experiment_configs(spec_cfg)[0]).priors
         assert resolve_priors(spec_cfg).p_z1 == 0.6
         tasks_path = tmp_path / "tasks.csv"
-        save_tasks(simulator.generate_task_pool(small_pool()), tasks_path)
+        save_tasks(generate_task_pool(small_pool()), tasks_path)
         file_cfg = resolve(overrides={"tasks.file": str(tasks_path), "population.n_workers": "10"})
         priors = resolve_priors(file_cfg)
-        assert priors == resolve_inputs(experiment_configs(file_cfg)[0])[2]
+        assert priors == resolve_inputs(experiment_configs(file_cfg)[0]).priors
         assert priors.p_z1 == 0.6
+
+    @pytest.mark.parametrize("source", ["specs", "files"])
+    def test_workers_tasks_and_priors_agree_across_both_entry_points(self, tmp_path, source):
+        from crowdfdb import generate_population, generate_task_pool, save_tasks, save_workers
+        from crowdfdb.config import experiment_configs, resolve, resolve_priors, resolve_workers
+
+        overrides = {"population.n_workers": "12", "population.seed": "5", "tasks.n_z0": "40", "tasks.n_z1": "60"}
+        if source == "files":  # files of other sizes than the specs, so the source read shows
+            save_workers(generate_population(default_population_spec(seed=3, n_workers=9)), tmp_path / "w.csv")
+            save_tasks(generate_task_pool(small_pool()), tmp_path / "t.csv")
+            overrides.update({"workers.file": str(tmp_path / "w.csv"), "tasks.file": str(tmp_path / "t.csv")})
+        cfg = resolve(overrides=overrides)
+        run_cfg = experiment_configs(cfg)[0]
+        inputs = resolve_inputs(run_cfg)
+        workers = resolve_workers(cfg)
+        assert (len(workers), len(inputs.tasks)) == ((12, 100) if source == "specs" else (9, 1000))
+        assert workers.ids == inputs.population.ids
+        assert workers.correct.tobytes() == inputs.population.correct.tobytes()
+        assert workers.cost.tobytes() == inputs.population.cost.tobytes()
+        assert resolve_priors(cfg) == inputs.priors
+        if source == "files":  # a pathlib.Path names the same files
+            by_path = resolve_inputs(dataclasses.replace(run_cfg, workers=tmp_path / "w.csv", tasks=tmp_path / "t.csv"))
+            assert by_path.population.ids == workers.ids and by_path.priors == inputs.priors
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("workers", 3, "workers must be a PopulationSpec or a file path, got 3"),
+            ("workers", small_pool(), "workers must be a PopulationSpec or a file path, got TaskPoolSpec"),
+            ("tasks", None, "tasks must be a TaskPoolSpec or a file path, got None"),
+            ("tasks", perfect_population(2), "tasks must be a TaskPoolSpec or a file path, got PopulationSpec"),
+        ],
+    )
+    def test_a_source_that_is_neither_a_spec_nor_a_path_is_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            base_config(**{field: value})
 
     def test_single_group_task_file_rejected_by_both(self, tmp_path):
         from crowdfdb.config import ConfigError, experiment_configs, resolve, resolve_priors
@@ -282,9 +324,21 @@ class TestPriorsRule:
         with pytest.raises(ValueError, match="lacks one of the groups"):
             resolve_inputs(experiment_configs(cfg)[0])
 
+    def test_malformed_task_file_is_a_file_format_error_from_both(self, tmp_path):
+        from crowdfdb import FileFormatError
+        from crowdfdb.config import ConfigError, experiment_configs, resolve, resolve_priors
+
+        tasks_path = tmp_path / "tasks.csv"
+        tasks_path.write_text("id,z,y\nt0,0,2\nt1,1,0\n", encoding="utf-8")
+        cfg = resolve(overrides={"tasks.file": str(tasks_path), "population.n_workers": "10"})
+        for resolve_one in (lambda: resolve_priors(cfg), lambda: resolve_inputs(experiment_configs(cfg)[0])):
+            with pytest.raises(FileFormatError, match="line 2: field y must be 0 or 1, got 2") as raised:
+                resolve_one()
+            assert not isinstance(raised.value, ConfigError)
+
     def test_empty_pool_rejected_even_with_explicit_priors(self):
         empty = TaskPoolSpec(n_z0=0, n_z1=0, base_rate_z0=0.4, base_rate_z1=0.5, seed=1)
-        cfg = base_config(task_pool=empty, priors=simulator.Priors(0.5, 0.4, 0.5))
+        cfg = base_config(tasks=empty, priors=simulator.Priors(0.5, 0.4, 0.5))
         with pytest.raises(ValueError, match="no tasks"):
             resolve_inputs(cfg)
 
@@ -314,7 +368,7 @@ class TestRunExperiment:
         pop = default_population_spec(seed=51, n_workers=30)
         cfg = base_config(
             method="Greedy",
-            population=pop,
+            workers=pop,
             constraints=ConstraintSet(
                 alpha=0.05, beta=0.2, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -329,7 +383,7 @@ class TestRunExperiment:
     def test_one_collect_row_per_rep_serves_every_sweep_point(self, monkeypatch, method):
         cfg = base_config(
             method=method,
-            population=default_population_spec(seed=21, n_workers=30),
+            workers=default_population_spec(seed=21, n_workers=30),
             constraints=ConstraintSet(
                 alpha=0.1, beta=0.1, budget=math.inf, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -348,7 +402,7 @@ class TestRunExperiment:
         from concurrent import futures
 
         cfg = base_config(
-            population=default_population_spec(seed=61, n_workers=20),
+            workers=default_population_spec(seed=61, n_workers=20),
             constraints=ConstraintSet(
                 alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -373,7 +427,7 @@ class TestRunExperiment:
 
     def test_parallel_matches_sequential(self, monkeypatch):
         cfg = base_config(
-            population=default_population_spec(seed=61, n_workers=20),
+            workers=default_population_spec(seed=61, n_workers=20),
             constraints=ConstraintSet(
                 alpha=0.05, beta=0.1, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -439,8 +493,8 @@ class TestRunExperiment:
     def test_crowdfdb_fairer_than_random_on_biased_population(self):
         pop = default_population_spec(seed=71, n_workers=50)
         shared = dict(
-            population=pop,
-            task_pool=default_task_pool_spec(seed=72),
+            workers=pop,
+            tasks=default_task_pool_spec(seed=72),
             constraints=ConstraintSet(
                 alpha=0.01, beta=0.04, budget=1.0, fairness_kind=FairnessKind.ERROR_RATE_PARITY
             ),
@@ -511,7 +565,7 @@ class TestResultsCsv:
 
     def test_a_point_with_every_repetition_infeasible(self, tmp_path):
         cfg = base_config(
-            population=perfect_population(1),
+            workers=perfect_population(1),
             constraints=ConstraintSet(alpha=math.inf, beta=0.5, budget=math.inf, fairness_kind=FairnessKind.NONE),
             repetitions=3,
         )
