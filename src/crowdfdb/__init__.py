@@ -38,7 +38,6 @@ from .estimation import (
     estimate_matrices,
     estimate_tallies,
     run_gold_phase,
-    simulate_gold_tally,
 )
 from .lp import (
     ConstraintSet,

@@ -26,7 +26,7 @@ from . import config as cfgmod
 from ._version import __version__
 from .bounds import accuracy_loss_bound, fairness_violation_bound
 from .config import ConfigError
-from .datagen import FileFormatError, generate_task_pool, save_tasks, save_workers
+from .datagen import FileFormatError, save_tasks, save_workers
 from .lp import LpStatus, SolverError
 from .pipeline import build_policy
 from .simulator import run_experiment, write_results_csv
@@ -72,7 +72,7 @@ def _resolved_config(args) -> dict[str, str]:
 def cmd_generate(args) -> int:
     cfg = _resolved_config(args)
     population = cfgmod.resolve_workers(cfg)
-    tasks = generate_task_pool(cfgmod.task_pool_spec(cfg))
+    tasks = cfgmod.resolve_tasks(cfg)
     save_workers(population, args.workers_out)
     save_tasks(tasks, args.tasks_out)
     manifest_path = str(args.workers_out) + ".manifest"

@@ -29,11 +29,13 @@ from .datagen import (
     FileFormatError,
     IntervalBiasModel,
     PopulationSpec,
+    TaskPool,
     TaskPoolSpec,
     UniformCost,
     load_gold_tallies,
     load_responses,
     resolve_population,
+    resolve_task_pool,
     task_priors,
 )
 from .estimation import GoldPhaseConfig, GoldTallies
@@ -320,6 +322,10 @@ def resolve_priors(cfg: dict[str, str]) -> Priors:
 
 def resolve_workers(cfg: dict[str, str]) -> Population:
     return resolve_population(_workers(cfg))
+
+
+def resolve_tasks(cfg: dict[str, str]) -> TaskPool:
+    return resolve_task_pool(_tasks(cfg))
 
 
 def resolve_tallies(cfg: dict[str, str]) -> GoldTallies | None:

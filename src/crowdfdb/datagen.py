@@ -42,7 +42,7 @@ import numpy as np
 
 from .estimation import GoldTallies, check_counts
 from .model import TOL, Population, Priors
-from .rng import mix, permutation, random_rows, stream_keys
+from .rng import mix, random_rows, stream_keys
 
 
 class FileFormatError(ValueError):
@@ -242,14 +242,15 @@ def generate_task_pool(spec: TaskPoolSpec) -> TaskPool:
     """Labeled tasks for both groups, i.i.d. per base rate, shuffled order.
 
     The stream (seed, "tasks") gives task i of the group-sorted list its
-    label from draw i, then shuffles the list as Generator.permutation
-    would from there on; rng.permutation replays that shuffle bit for bit,
-    and no Generator is built.
+    label from draw i, and its shuffle key from draw n + i.  Sorting n
+    i.i.d. uniform keys gives a uniform permutation; a stable sort sends
+    a tie (equal top 53 bits) to the lower index, so the order depends on
+    the keys alone, whatever the numpy version.
     """
     zs = np.repeat(np.array([0, 1], dtype=np.int8), [spec.n_z0, spec.n_z1])
     key = np.array([mix(spec.seed, "tasks")], dtype=np.uint64)
     ys = random_rows(key, zs.size)[0] < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
-    order = permutation(key, zs.size, start=zs.size)
+    order = np.argsort(random_rows(key, zs.size, start=zs.size)[0], kind="stable")
     width = max(5, len(str(max(zs.size - 1, 0))))
     ids = tuple(map(f"t%0{width}d".__mod__, range(zs.size)))  # the format is parsed once, not per id
     return TaskPool(ids=ids, z=zs[order], y=ys[order])

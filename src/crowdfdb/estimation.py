@@ -4,9 +4,10 @@ Gold counts take one form, whether run_gold_phase draws them or datagen
 loads them: a GoldTallies of (n, z, y) attempted and correct arrays.
 estimate_tallies is the one estimate rule: the fraction answered correctly
 is the estimated P(correct | z, y), entry [i, z, y] of its (n, z, y) array.
-GoldResponseTally, simulate_gold_tally and estimate_matrices are the
-per-worker reference these match bit for bit: estimate_matrices gives
-one worker's (z, y) array, a row of the (n, z, y) array.
+GoldResponseTally and estimate_matrices are the per-worker reference
+these match bit for bit: estimate_matrices gives one worker's (z, y)
+array, a row of the (n, z, y) array.  The per-worker gold simulation that
+run_gold_phase matches lives with the other references, in the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import Population, WorkerProfile, label_one_probabilities
+from .model import Population, label_one_probabilities
 from .rng import random_words, stream_keys
 
 # fixed type order used for simulation draws and file columns
@@ -156,24 +157,6 @@ def estimate_matrices(tally: GoldResponseTally, smoothing: bool = False) -> np.n
     return diag
 
 
-def simulate_gold_tally(
-    worker: WorkerProfile, n_gold_per_type: int, rng: np.random.Generator
-) -> GoldResponseTally:
-    """Draw n_gold_per_type i.i.d. responses per type from the true matrices.
-
-    A response to a type-(z, y) task is correct when the sampled label
-    equals y; draws consume the stream in TYPE_ORDER.
-    """
-    attempted = []
-    correct = []
-    for z, y in TYPE_ORDER:
-        p_one = worker.matrix(z)[y, 1]
-        labels = rng.random(n_gold_per_type) < p_one
-        attempted.append(n_gold_per_type)
-        correct.append(int((labels == bool(y)).sum()))
-    return GoldResponseTally(attempted=tuple(attempted), correct=tuple(correct))
-
-
 def estimate_tallies(tallies: GoldTallies, smoothing: bool = False) -> np.ndarray:
     """Estimated (n, z, y) correctness array: estimate_matrices for every
     worker's tally; the first worker with a type it never attempted is named."""
@@ -199,7 +182,7 @@ def run_gold_phase(population: Population, cfg: GoldPhaseConfig, seed: int) -> G
     n_gold_per_type attempted answers of every type, and the correct ones.
 
     Worker i's draws are those of the derived stream (seed, "gold", i),
-    consumed in TYPE_ORDER exactly as simulate_gold_tally does, and each
+    n_gold_per_type per type, consumed in TYPE_ORDER, and each
     worker's counts depend on its own stream only.  A response is label 1
     when its draw is below the true P(label 1 | z, y); the phase counts
     those from the top 53 bits of random_words' integer words, chunk by

@@ -18,18 +18,15 @@ building one.  It takes the streams' keys (stream_keys gives a family
 (seed, tag, i) of them) and a start word, works over chunks of whole rows on
 eight uint64 buffers allocated once per call, and runs every round of
 Philox-4x64-10 in place in them.  Every runtime draw comes from it:
-random_rows scales its words to doubles, the gold phase compares their top
-53 bits as integers, and permutation replays Generator.permutation from
-their 32-bit halves, kept as a uint32 array and read one by one through a
-memoryview, so a shuffle holds no list of Python ints.  ``stream`` builds
-the numpy generator itself; only the tests and the benchmark inputs use it,
-as the reference, so running the package never imports numpy.random.
+random_rows scales its words to doubles, and the gold phase compares their
+top 53 bits as integers.  ``stream`` builds the numpy generator itself; only
+the tests and the benchmark inputs use it, as the reference, so running the
+package never imports numpy.random.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, count
 
 import numpy as np
 
@@ -46,8 +43,9 @@ _WORDS_PER_BLOCK = 4
 # random_words works over chunks of whole rows of about this many output words.
 # Its buffers take 16 bytes per word, 256 KiB here, no more than the n x k draws
 # of a recipe's gold phase took: 2-rep figure1 and figure4 commands peak at
-# 33.1 MB RSS (numpy 2.4).  On 2 vCPUs, 1 << 15 ran the gold phase at N_g = 20
-# and 40 about 17% faster, but its 512 KiB raised figure4's peak RSS by 0.27 MB.
+# 32.1-32.3 MB RSS (numpy 2.4).  On 2 vCPUs, 1 << 15 ran the gold phase at
+# N_g = 20 and 40 about 17% faster, but its 512 KiB raised figure4's peak RSS
+# by 0.27 MB.
 _CHUNK_WORDS = 1 << 14
 
 
@@ -207,48 +205,3 @@ def random_rows(keys: np.ndarray, k: int, start: int = 0) -> np.ndarray:
             words >>= _SHIFT53
             np.multiply(words, 2.0**-53, out=out[row:row + words.shape[0], col:col + width])
     return out
-
-
-def permutation(key: np.ndarray, n: int, start: int) -> np.ndarray:
-    """Generator.permutation(n) of the stream keyed by the one uint64 in
-    key, once its first start words are spent.
-
-    numpy shuffles arange(n) by Fisher-Yates from the last position down.
-    The swap index for position i is a 32-bit draw masked by the smallest
-    all-ones mask >= i, drawn again while it exceeds i; a 64-bit word gives
-    two draws, its low half first.  The words are drawn in batches, one
-    after another by counter offset, until the shuffle has its swaps.
-    """
-    batch = _swap_batch(n)
-    draws = chain.from_iterable(_halves(key, at, batch) for at in count(start, batch))
-    order = list(range(n))
-    top = n - 1
-    while top >= 1:
-        mask = (1 << top.bit_length()) - 1
-        for i in range(top, mask >> 1, -1):  # the positions that share this mask
-            j = next(draws) & mask
-            while j > i:
-                j = next(draws) & mask
-            order[i], order[j] = order[j], order[i]
-        top = mask >> 1
-    return np.array(order, dtype=np.intp)
-
-
-def _swap_batch(n: int) -> int:
-    """Words per batch for a shuffle of n: it takes at most about 1.47 n
-    draws on average, as a mask rejects up to half its values, so 3n/4
-    words (1.5 n draws) rarely leave it short.  A batch holds at most a
-    chunk, so a long shuffle draws chunk after chunk as it goes."""
-    return min(_CHUNK_WORDS, max(1, n - n // 4))
-
-
-def _halves(key: np.ndarray, start: int, batch: int) -> memoryview:
-    """The 32-bit halves of words start..start + batch - 1 of one stream,
-    each word's low half first, split by mask and shift into a native
-    uint32 array; iterating its memoryview makes one Python int at a time,
-    not a list of them all."""
-    _, words = next(random_words(key, batch, start))
-    halves = np.empty((batch, 2), dtype=np.uint32)
-    np.bitwise_and(words[0], _LOW32, out=halves[:, 0], casting="unsafe")
-    np.right_shift(words[0], _U32, out=halves[:, 1], casting="unsafe")
-    return memoryview(halves.reshape(-1))

@@ -262,9 +262,27 @@ def reference_population(spec):
     return workers
 
 
+def simulate_gold_tally(worker, n_gold_per_type, rng):
+    """One worker's gold phase as the per-worker loop run_gold_phase
+    replaced: n_gold_per_type i.i.d. responses per type from the true
+    matrices, drawn from rng in TYPE_ORDER; a response to a type-(z, y)
+    task is correct when the sampled label equals y."""
+    from crowdfdb.estimation import TYPE_ORDER, GoldResponseTally
+
+    attempted = []
+    correct = []
+    for z, y in TYPE_ORDER:
+        p_one = worker.matrix(z)[y, 1]
+        labels = rng.random(n_gold_per_type) < p_one
+        attempted.append(n_gold_per_type)
+        correct.append(int((labels == bool(y)).sum()))
+    return GoldResponseTally(attempted=tuple(attempted), correct=tuple(correct))
+
+
 def reference_task_pool(spec):
     """generate_task_pool as the per-task loop it replaced: one (id, z, y)
-    per task, each group's labels drawn in turn, then one permutation."""
+    per task, each group's labels drawn in turn, then the order a stable
+    sort of the stream's next n draws gives."""
     from crowdfdb.rng import stream
 
     rng = stream(spec.seed, "tasks")
@@ -275,7 +293,7 @@ def reference_task_pool(spec):
             (rng.random(spec.n_z1) < spec.base_rate_z1).astype(int),
         ]
     )
-    order = rng.permutation(zs.size)
+    order = np.argsort(rng.random(zs.size), kind="stable")
     width = max(5, len(str(max(zs.size - 1, 0))))
     return [(f"t{pos:0{width}d}", int(zs[j]), int(ys[j])) for pos, j in enumerate(order)]
 

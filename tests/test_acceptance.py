@@ -39,14 +39,13 @@ from crowdfdb import (
     mix,
     run_experiment,
     run_gold_phase,
-    simulate_gold_tally,
     solve_lp,
     stream,
     verify_solution,
 )
 from crowdfdb import cli
 from fixtures import make_binding_fairness_instance
-from oracles import grid_search_best_accuracy, random_lp_instance, vertex_enumeration
+from oracles import grid_search_best_accuracy, random_lp_instance, simulate_gold_tally, vertex_enumeration
 
 
 def report(criterion: int, message: str) -> None:

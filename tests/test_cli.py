@@ -161,7 +161,7 @@ class TestGenerate:
         w, t = tmp_path / "w.csv", tmp_path / "t.csv"
         assert run_cli(["generate", "--workers-out", w, "--tasks-out", t]) == 0
         assert hashlib.sha256(t.read_bytes()).hexdigest() == (
-            "f9eeac133580131a76e507ddfd38f63e526949eb626a55df6c4d9d3e38e31d2e"
+            "29937bf5cd41ba529805b53e01389e0a79b029bb3780a5baf74c3bb4c8f143e5"
         )
         assert hashlib.sha256(w.read_bytes()).hexdigest() == (
             "ec7383cbc1992cd9edc92bbfd8f2c106ce9a9f4e770afe2fe0acd5a41f96f423"
@@ -225,6 +225,19 @@ class TestGenerate:
         assert run_cli(["generate", "--config", cfg, "--workers-out", w2, "--tasks-out", t2]) == 0
         assert w1.read_bytes() == w2.read_bytes()
         assert t1.read_bytes() == t2.read_bytes()
+
+    def test_a_named_task_file_is_rewritten_and_replays(self, tmp_path):
+        named = tmp_path / "two.csv"
+        named.write_text("id,z,y\nq7,1,0\nq2,0,1\n", encoding="utf-8")
+        cfg = tmp_path / "from-tasks.cfg"
+        cfg.write_text(f"tasks.file = {named}\n", encoding="utf-8")
+        w1, t1 = tmp_path / "w1.csv", tmp_path / "t1.csv"
+        assert run_cli(["generate", "--config", cfg, "--workers", 30, "--workers-out", w1, "--tasks-out", t1]) == 0
+        assert t1.read_bytes() == named.read_bytes()
+        w2, t2 = tmp_path / "w2.csv", tmp_path / "t2.csv"
+        manifest = tmp_path / "w1.csv.manifest"
+        assert run_cli(["generate", "--config", manifest, "--workers-out", w2, "--tasks-out", t2]) == 0
+        assert (w2.read_bytes(), t2.read_bytes()) == (w1.read_bytes(), t1.read_bytes())
 
 
 class TestPolicy:

@@ -17,12 +17,12 @@ from crowdfdb import (
     generate_population,
     mix,
     run_gold_phase,
-    simulate_gold_tally,
     stream,
 )
 from crowdfdb.estimation import word_limits
 from crowdfdb.rng import _CHUNK_WORDS
 from fixtures import as_population
+from oracles import simulate_gold_tally
 
 
 def make_worker(d00, d01, d10, d11, wid="w0"):

@@ -133,54 +133,54 @@ def digests(case: str) -> dict[str, str]:
 
 DIGESTS = {
     "experiment appendix-figure5": {
-        "stdout": "520e4cb790d22beb16b7dae43dc02f610b99340f0c55a0e0384d7c9cb9967e37",
-        "results.csv": "4dbcf04f577a9a16b0bcc980e63d75719dda783376c5104b8ba93dc0e9b57b34",
+        "stdout": "a3bc2ddf80d1409cf8edac9592b77c0c84ce10621caddb69db67e7f4e2fd4b43",
+        "results.csv": "06b7709b973e4759ddfc587b08083a917c56f1399cca5446ab67cddcc569b7c8",
         "results.csv.manifest": "c12fc5e5db8ee005c5ff748935d78072fb42b8e806cda19f5fb5759f6ecb2c9d",
     },
     "experiment appendix-figure6": {
-        "stdout": "78b4e21971725227ba9a2a56f6af3e3860179ef7e847301354db9ee9a73ecf10",
-        "results.csv": "d5efe3bbe46ee84ecd5e9e82e0049ab5667470878c2c7985b2e626d8b6f21bff",
+        "stdout": "65fcde630a125e710a145f63ec639f4fcc985357f9454a2eb9a6a5cce8160082",
+        "results.csv": "97478eb7ed7673f78a3a0d38cfe606159804c28118a60f82ad04d7b4a520280a",
         "results.csv.manifest": "89ef64f8507639a378fa1e4563ae73f3ee9395b8bf95a76a6e4403f047293a9b",
     },
     "experiment appendix-figure7": {
-        "stdout": "d1766c35a54ea8af8e08cf997993e53c41141d769bef37d9da0dbed8adc1bf04",
-        "results.csv": "5f2758080e399f6718a3783afc402535c67f24be37336e0212af53c9cd32720d",
+        "stdout": "9b126f9d1cf96c6189e29027f5022d166523929639194098e572ce0e49ab3831",
+        "results.csv": "6fdd411f242b14ec321b9bd1f44fc48c9ea5ed1653e6a934fcbf25f0971f6343",
         "results.csv.manifest": "65293283077c951948c73529f758acc091c39045f5e58c11a869373c9378c24a",
     },
     "experiment appendix-figure8": {
-        "stdout": "1b4e4a2ad8c245f1c93af9c78709e37aa0f4f6bcff7ded2f27be5f773921bb5d",
-        "results.csv": "09602943f4efab253fab5bfe798d4572d36e0e4afc60835ac2ea80bb0c9dfce8",
+        "stdout": "2a9c8f2cc05d838517cd5d00e6d5915fa8b9450355ab7d37d819f61ea841e9b7",
+        "results.csv": "66102667683cadb92bd1ab562e6aac77f37accd8d0afa4d3fd0b4420a852e72f",
         "results.csv.manifest": "d849206f39450c7ad8bc7b3b804b3c09e4be4fca64b494d1f3c48b08dc487d7b",
     },
     "experiment figure1": {
-        "stdout": "a276bc1b7acb32f68c911365715cd1c97b4e6cd90fee7f143200e98bc590cd2a",
-        "results.csv": "1379022037d7fc857d2277eb8e8bf60a1616ef0465335675f2684ef664896711",
+        "stdout": "032b21318f03b331d05af223b6fa920cc9b93183f496f46af583f6c7fd3397dd",
+        "results.csv": "356d33f9427f5aadb22e92c3e7dda92239a7098aefd91c26728cfa165b5729ba",
         "results.csv.manifest": "7fd724fb0110b873e0dbb58f70d7d8443097c01dddf00b6b6ea91d599a07b1c5",
     },
     "experiment figure2": {
-        "stdout": "b2cc249e1167d5ded76417f06c08901e5104934102e6def2910b59316b73ab11",
-        "results.csv": "7d44004bf688448812ed6ec260f5739553f4a334d6e01c036a39906f6f04fe2c",
+        "stdout": "157dcb58f44e404e96aa8be3a16137b4a15c29e4d057fa453834163dd7170303",
+        "results.csv": "c12923e3bda9f541339a9087a772cd94743628d2f4777ed19f80613264635016",
         "results.csv.manifest": "5f14e5b32e7e7d89cf357980ecca8e73c8961d156e1d0491ed3bbe5ea13aabf2",
     },
     "experiment figure3": {
-        "stdout": "58eff5dda7e26d24275709b3470fbc486c6b53697281a6eb3e05b593e6bd8a91",
-        "results.csv": "bf6c640671d63538c968efcb6b742467ae92cbdb5a3604b6c72189524704b8de",
+        "stdout": "10030313f9f9bb6baccd68cf5defd4a0bf174a8dcaad5b0c1ff36395b7f06aa1",
+        "results.csv": "4e965c83c62ec6dffbeae978b0898132dac71bbe9e972b5f886b26a3dc20d2be",
         "results.csv.manifest": "7353b8d1fe4632c6d0ee54a40b7152e982b140278c260c5f477f09690616de76",
     },
     "experiment figure4": {
-        "stdout": "8a51a414caedcdf0f7e3ed5ea6bae0e8ad181ead53b9177ea4a14ac09fe5d25a",
-        "results.csv": "e9c6473342b894de6ed50fe7e59059294463b70524afb383372b981b6ff749ce",
+        "stdout": "5ea844fbd0e72be09aa2e0ce98a38289e058a54fd343bba048beed04cbad8ebc",
+        "results.csv": "7858ef92493bd55846e36ee787b240c1042ef54576a92dafac501de06dfe163f",
         "results.csv.manifest": "10625067c0ee00ea6f05c0efe7950113bf466dbc6012a855d7bbbf3b827c7a43",
     },
     "experiment figure1 threads=2": {
-        "stdout": "a276bc1b7acb32f68c911365715cd1c97b4e6cd90fee7f143200e98bc590cd2a",
-        "results.csv": "1379022037d7fc857d2277eb8e8bf60a1616ef0465335675f2684ef664896711",
+        "stdout": "032b21318f03b331d05af223b6fa920cc9b93183f496f46af583f6c7fd3397dd",
+        "results.csv": "356d33f9427f5aadb22e92c3e7dda92239a7098aefd91c26728cfa165b5729ba",
         "results.csv.manifest": "7fd724fb0110b873e0dbb58f70d7d8443097c01dddf00b6b6ea91d599a07b1c5",
     },
     "generate defaults": {
         "stdout": "3298dff0bf31f33d17fcd74f11d27faac880d2163686a839aa46ae21aa47da22",
         "workers.csv": "ec7383cbc1992cd9edc92bbfd8f2c106ce9a9f4e770afe2fe0acd5a41f96f423",
-        "tasks.csv": "f9eeac133580131a76e507ddfd38f63e526949eb626a55df6c4d9d3e38e31d2e",
+        "tasks.csv": "29937bf5cd41ba529805b53e01389e0a79b029bb3780a5baf74c3bb4c8f143e5",
         "workers.csv.manifest": "718ec55952d038c79e5aa75f7b1110ac801750e737327b7df2d054c9db7c6304",
     },
     "policy default": {

@@ -17,8 +17,7 @@ from crowdfdb import (
     run_experiment,
     run_gold_phase,
 )
-from crowdfdb import rng
-from crowdfdb.rng import _CHUNK_WORDS, mix, permutation, random_rows, random_words, stream, stream_keys
+from crowdfdb.rng import _CHUNK_WORDS, mix, random_rows, random_words, stream, stream_keys
 from fixtures import traced_peak
 
 # a uint64 product or shift that overflowed into a warning would fail these tests
@@ -118,43 +117,65 @@ def task_key(seed):
     return np.array([mix(seed, "tasks")], dtype=np.uint64)
 
 
-def stream_permutation(seed, n):
-    """The reference: the task stream's n label draws, then its permutation(n)."""
-    generator = stream(seed, "tasks")
-    generator.random(n)
-    return generator.permutation(n)
+def split_spec(seed, n):
+    return TaskPoolSpec(n_z0=n // 3, n_z1=n - n // 3, base_rate_z0=0.4, base_rate_z1=0.5, seed=seed)
 
 
-class TestPermutation:
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097, 6150, 100001])
-    def test_replays_the_generator(self, n):
-        assert permutation(task_key(9161), n, n).tolist() == stream_permutation(9161, n).tolist()
+def assert_stream_order(seed, n):
+    """The reference: the task stream's first n draws label the group-sorted
+    tasks, and a stable argsort of its next n draws orders them."""
+    spec = split_spec(seed, n)
+    draws = stream(seed, "tasks").random(2 * n)
+    zs = np.repeat([0, 1], [spec.n_z0, spec.n_z1])
+    ys = draws[:n] < np.where(zs == 1, spec.base_rate_z1, spec.base_rate_z0)
+    order = np.argsort(draws[n:], kind="stable")
+    pool = generate_task_pool(spec)
+    assert pool.z.tolist() == zs[order].tolist()
+    assert pool.y.tolist() == ys[order].tolist()
+
+
+class TestTaskShuffle:
+    # the keys start at word n: n mod 4 sets their offset in a Philox block,
+    # and past _CHUNK_WORDS random_rows draws them in column chunks
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 4095, 4096, 4097, 6150]
+        + [_CHUNK_WORDS - 1, _CHUNK_WORDS, _CHUNK_WORDS + 1, 100001],
+    )
+    def test_sorts_the_streams_next_n_draws(self, n):
+        assert_stream_order(9161, n)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(-(2**63), 2**64 - 1), n=st.integers(0, 3000))
-    def test_replays_the_generator_for_any_seed(self, seed, n):
-        assert permutation(task_key(seed), n, n).tolist() == stream_permutation(seed, n).tolist()
+    def test_sorts_the_streams_next_n_draws_for_any_seed(self, seed, n):
+        assert_stream_order(seed, n)
 
-    @pytest.mark.parametrize("n", [2, 3, 17, 1000])
-    def test_batches_run_short_and_more_words_follow(self, monkeypatch, n):
-        batches = []
+    @pytest.mark.parametrize("ties", ["all equal", "descending pairs"])
+    def test_tied_keys_keep_their_index_order(self, monkeypatch, ties):
+        # labels alternate 1, 0 and each tie holds one of each, so a tie put
+        # out of index order shows in y; on numpy 2.4 an unstable sort keeps
+        # all-equal keys in order, but reorders about half the pairs
+        n = 1000
+        pairs = np.arange(n).reshape(-1, 2)
+        expected = {"all equal": pairs.ravel(), "descending pairs": pairs[::-1].ravel()}[ties]
 
-        def tiny(size):
-            batches.append(size)
-            return 3  # 6 draws a batch: most shuffles need several
+        def drawn(keys, k, start=0):
+            if start == 0:
+                return np.tile([0.0, 0.99], k // 2).reshape(1, k)
+            return np.zeros((1, k)) if ties == "all equal" else ((k - 1 - np.arange(k)) // 2 / k).reshape(1, k)
 
-        monkeypatch.setattr(rng, "_swap_batch", tiny)
-        assert permutation(task_key(5), n, n).tolist() == stream_permutation(5, n).tolist()
-        assert batches == [n]
+        monkeypatch.setattr("crowdfdb.datagen.random_rows", drawn)
+        pool = generate_task_pool(TaskPoolSpec(n_z0=n // 2, n_z1=n // 2, base_rate_z0=0.5, base_rate_z1=0.5, seed=5))
+        assert pool.z.tolist() == (expected >= n // 2).tolist()
+        assert pool.y.tolist() == (expected % 2 == 0).tolist()
 
     def test_a_task_pool_shuffle_holds_no_list_of_draws(self):
-        # 729 KB traced when the 9,224 halves were a list of Python ints, 379 KB as a uint32 array (numpy 2.4)
-        assert traced_peak(permutation, task_key(9161), 6150, 6150) < 550 * 1024
+        # 729 KB traced when a Fisher-Yates replay kept its 32-bit draws as a list of
+        # Python ints, 379 KB as a uint32 array, 257 KB for the sort of n doubles (numpy 2.4)
+        def shuffle(key, n):
+            return np.argsort(random_rows(key, n, start=n)[0], kind="stable")
 
-    def test_no_draw_for_fewer_than_two_positions(self, monkeypatch):
-        monkeypatch.setattr(rng, "random_words", None)
-        assert permutation(task_key(5), 1, 1).tolist() == [0]
-        assert permutation(task_key(5), 0, 0).tolist() == []
+        assert traced_peak(shuffle, task_key(9161), 6150) < 550 * 1024
 
 
 class TestNoStreamPerWorker:
